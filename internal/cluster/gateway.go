@@ -314,13 +314,18 @@ func (gw *Gateway) handleCliques(w http.ResponseWriter, r *http.Request) {
 		}
 		algo := r.URL.Query().Get("algo")
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		if _, err := gw.c.scatterCliques(r.Context(), pg, p, algo, &flushWriter{w: w}); err != nil {
-			// Headers are gone; surface the failure where we still can.
-			if errors.Is(err, ErrPartitionMismatch) {
-				gwError(w, http.StatusBadRequest, err)
-				return
-			}
+		lines, err := gw.c.scatterCliques(r.Context(), pg, p, algo, w)
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrPartitionMismatch):
+			gwError(w, http.StatusBadRequest, err)
+		case lines == 0:
 			gwError(w, http.StatusBadGateway, err)
+		default:
+			// A 200 and a prefix of the listing are out: abort the
+			// response so the client reads a truncated stream, not a
+			// short listing that looks complete.
+			panic(http.ErrAbortHandler)
 		}
 		return
 	}
@@ -330,17 +335,6 @@ func (gw *Gateway) handleCliques(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	relay(w, resp)
-}
-
-// flushWriter flushes after every write so merged scatter output streams.
-type flushWriter struct{ w http.ResponseWriter }
-
-func (fw *flushWriter) Write(p []byte) (int, error) {
-	n, err := fw.w.Write(p)
-	if f, ok := fw.w.(http.Flusher); ok {
-		f.Flush()
-	}
-	return n, err
 }
 
 func (gw *Gateway) handlePatch(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"kplist/internal/graph"
 )
 
 func testConfig(n int) Config {
@@ -227,18 +229,42 @@ func TestSignatures(t *testing.T) {
 			t.Fatalf("unexpected signature %s", k)
 		}
 	}
+	// The filter's integer index ranks each signature at its position in
+	// the enumeration, for every shape a registration can take.
+	for tt := 1; tt <= 5; tt++ {
+		for p := 1; p <= 6; p++ {
+			ix := newSigIndex(tt, p)
+			for i, sig := range signatures(tt, p) {
+				s32 := make([]int32, len(sig))
+				for j, part := range sig {
+					s32[j] = int32(part)
+				}
+				if r := ix.rank(s32); r != i {
+					t.Fatalf("t=%d p=%d: rank(%v) = %d, want %d", tt, p, sig, r, i)
+				}
+			}
+		}
+	}
 }
 
+// TestParseCliqueLine covers the shard lines the scatter filter must
+// refuse rather than index with: malformed, negative, overflowing and
+// out-of-range vertices (graph.ParseCliqueLine is the filter's parser).
 func TestParseCliqueLine(t *testing.T) {
-	got, err := parseCliqueLine([]byte("[3,1,42]"), nil)
+	got, err := graph.ParseCliqueLine([]byte("[3,1,42]"), nil, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != 3 || got[1] != 1 || got[2] != 42 {
 		t.Fatalf("parsed %v", got)
 	}
-	for _, bad := range []string{"", "3,1", "[a,b]", "[1,]"} {
-		if _, err := parseCliqueLine([]byte(bad), nil); err == nil {
+	for _, bad := range []string{"", "3,1", "[a,b]", "[1,]",
+		"[42,43]",                      // vertex ≥ n
+		"[-1,2]",                       // negative
+		"[2147483648]",                 // past int32
+		"[99999999999999999999999999]", // past int64
+	} {
+		if _, err := graph.ParseCliqueLine([]byte(bad), nil, 43); err == nil {
 			t.Fatalf("line %q should fail", bad)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"strconv"
 
 	"kplist"
+	"kplist/internal/graph"
 	"kplist/internal/partition"
 )
 
@@ -50,8 +51,10 @@ type pgraph struct {
 	n, m   int
 	parts  int     // T = number of members at registration
 	partOf []int32 // vertex → part
-	// sigOwner maps a signature key to the member name owning it.
-	sigOwner map[string]string
+	// sigs ranks a clique's signature; sigOwner maps the rank to the
+	// owning member's index in the cluster config's member list.
+	sigs     sigIndex
+	sigOwner []int32
 	// shardID maps a member name to its shard graph's cluster-wide ID.
 	shardID map[string]string
 	// shardM maps a member name to its shard subgraph's edge count.
@@ -110,7 +113,8 @@ func sigKey(sig []int) string {
 }
 
 // signatures enumerates every sorted p-multiset over parts [0,t) — the
-// possible clique signatures, C(t+p−1, p) of them.
+// possible clique signatures, C(t+p−1, p) of them — in lexicographic
+// order, so the i-th signature has sigIndex rank i.
 func signatures(t, p int) [][]int {
 	var out [][]int
 	sig := make([]int, p)
@@ -127,6 +131,56 @@ func signatures(t, p int) [][]int {
 	}
 	rec(0, 0)
 	return out
+}
+
+// sigIndex ranks signatures without building a key: rank(sig) is sig's
+// position in signatures(t, p). Counting the sorted multisets that
+// precede sig position by position, the ones whose i-th part x lies in
+// [sig[i−1], sig[i]) number M(t−x, r) each, where r = p−1−i and
+// M(k, r) = C(k+r−1, r) counts the sorted r-multisets over k parts. cum
+// holds their prefix sums, so a rank costs p lookups; the table is
+// p×(t+1) integers, not the t^p a dense signature table would take.
+type sigIndex struct {
+	t, p int
+	// cum[r*(t+1)+x] = Σ_{y<x} M(t−y, r).
+	cum []int
+}
+
+func newSigIndex(t, p int) sigIndex {
+	// multi[r][k] = M(k, r), by M(k, r) = M(k−1, r) + M(k, r−1): the
+	// multisets that skip the smallest of k parts, plus those that hold
+	// it at least once.
+	multi := make([][]int, p)
+	for r := range multi {
+		multi[r] = make([]int, t+1)
+		for k := range multi[r] {
+			switch {
+			case r == 0:
+				multi[r][k] = 1
+			case k > 0:
+				multi[r][k] = multi[r][k-1] + multi[r-1][k]
+			}
+		}
+	}
+	ix := sigIndex{t: t, p: p, cum: make([]int, p*(t+1))}
+	for r := 0; r < p; r++ {
+		row := ix.cum[r*(t+1) : (r+1)*(t+1)]
+		for x := 0; x < t; x++ {
+			row[x+1] = row[x] + multi[r][t-x]
+		}
+	}
+	return ix
+}
+
+// rank returns the position of the sorted p-multiset sig over [0,t).
+func (ix sigIndex) rank(sig []int32) int {
+	rank, prev := 0, 0
+	for i, s := range sig {
+		row := ix.cum[(ix.p-1-i)*(ix.t+1):]
+		rank += row[s] - row[prev]
+		prev = int(s)
+	}
+	return rank
 }
 
 // registerWire mirrors kplistd's register request body (plus the cluster
@@ -184,11 +238,11 @@ func (c *Client) RegisterPartitioned(ctx context.Context, body []byte, p int) (G
 
 	pg := &pgraph{
 		id: id, name: name, family: family, p: p, n: n, m: len(edges),
-		parts:    t,
-		partOf:   part.PartOf,
-		sigOwner: make(map[string]string),
-		shardID:  make(map[string]string, t),
-		shardM:   make(map[string]int, t),
+		parts:   t,
+		partOf:  part.PartOf,
+		sigs:    newSigIndex(t, p),
+		shardID: make(map[string]string, t),
+		shardM:  make(map[string]int, t),
 	}
 
 	// Assign every signature to a ring member, and derive each member's
@@ -198,10 +252,15 @@ func (c *Client) RegisterPartitioned(ctx context.Context, body []byte, p int) (G
 	for _, m := range c.cfg.Members {
 		allowed[m.Name] = make([]bool, partition.NumPairs(t))
 	}
-	for _, sig := range signatures(t, p) {
-		key := sigKey(sig)
-		owner := c.ring.Owner(id + "/tuple/" + key).Name
-		pg.sigOwner[key] = owner
+	memberIndex := make(map[string]int32, t)
+	for i, m := range c.cfg.Members {
+		memberIndex[m.Name] = int32(i)
+	}
+	sigs := signatures(t, p)
+	pg.sigOwner = make([]int32, len(sigs))
+	for rank, sig := range sigs {
+		owner := c.ring.Owner(id + "/tuple/" + sigKey(sig)).Name
+		pg.sigOwner[rank] = memberIndex[owner]
 		for i := 0; i < len(sig); i++ {
 			for j := i + 1; j < len(sig); j++ {
 				allowed[owner][partition.PairIndex(sig[i], sig[j], t)] = true
@@ -303,40 +362,53 @@ type edgePair = [2]int32
 // the stream keeps only cliques whose signature this shard owns.
 type shardStream struct {
 	member string
+	index  int32 // member's index in the cluster config
 	resp   *http.Response
 	sc     *bufio.Scanner
 	pg     *pgraph
-	// head is the current (not yet consumed) line and its parsed vertices.
-	head     []byte
-	verts    []int32
-	sigParts []int
-	done     bool
+	// head is the current (not yet consumed) line — it aliases the
+	// scanner's buffer, valid until this stream's next Scan — and verts
+	// its parsed vertices.
+	head  []byte
+	verts graph.Clique
+	// parts is scratch for the sorted signature of the line in hand.
+	parts []int32
+	done  bool
 }
 
 // advance moves to the next owned line; afterwards done || head is valid.
+// A line that is not a p-clique over [0,n) is an error, never a panic: the
+// bytes come from another process.
 func (s *shardStream) advance() error {
+	pg := s.pg
 	for s.sc.Scan() {
 		line := s.sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
+		if len(line) == 0 {
 			continue
 		}
-		verts, err := parseCliqueLine(line, s.verts[:0])
+		verts, err := graph.ParseCliqueLine(line, s.verts[:0], pg.n)
+		s.verts = verts
+		if err == nil && len(verts) != pg.p {
+			err = fmt.Errorf("clique line %q has %d vertices, want %d", line, len(verts), pg.p)
+		}
 		if err != nil {
 			return fmt.Errorf("cluster: shard %s stream: %w", s.member, err)
 		}
-		s.verts = verts
-		if s.sigParts == nil {
-			s.sigParts = make([]int, 0, len(verts))
-		}
-		s.sigParts = s.sigParts[:0]
+		// Insertion sort: p is small and the parts arrive nearly sorted.
+		s.parts = s.parts[:0]
 		for _, v := range verts {
-			s.sigParts = append(s.sigParts, int(s.pg.partOf[v]))
+			part := pg.partOf[v]
+			j := len(s.parts)
+			s.parts = append(s.parts, part)
+			for ; j > 0 && s.parts[j-1] > part; j-- {
+				s.parts[j] = s.parts[j-1]
+			}
+			s.parts[j] = part
 		}
-		sort.Ints(s.sigParts)
-		if s.pg.sigOwner[sigKey(s.sigParts)] != s.member {
+		if pg.sigOwner[pg.sigs.rank(s.parts)] != s.index {
 			continue
 		}
-		s.head = append(s.head[:0], line...)
+		s.head = line
 		return nil
 	}
 	s.done = true
@@ -347,33 +419,6 @@ func (s *shardStream) close() {
 	if s.resp != nil {
 		s.resp.Body.Close()
 	}
-}
-
-// parseCliqueLine parses "[a,b,c]" into dst.
-func parseCliqueLine(line []byte, dst []int32) ([]int32, error) {
-	line = bytes.TrimSpace(line)
-	if len(line) < 2 || line[0] != '[' || line[len(line)-1] != ']' {
-		return nil, fmt.Errorf("bad clique line %q", line)
-	}
-	body := line[1 : len(line)-1]
-	if len(body) > 0 && body[len(body)-1] == ',' {
-		return nil, fmt.Errorf("bad clique line %q", line)
-	}
-	for len(body) > 0 {
-		i := bytes.IndexByte(body, ',')
-		var tok []byte
-		if i < 0 {
-			tok, body = body, nil
-		} else {
-			tok, body = body[:i], body[i+1:]
-		}
-		v, err := strconv.ParseInt(string(bytes.TrimSpace(tok)), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad clique line %q: %v", line, err)
-		}
-		dst = append(dst, int32(v))
-	}
-	return dst, nil
 }
 
 // lessVerts is lexicographic comparison of two vertex sequences — the
@@ -389,7 +434,12 @@ func lessVerts(a, b []int32) bool {
 
 // scatterCliques streams the partitioned graph's p-clique listing into w:
 // one filtered stream per shard (failover across the shard's successor
-// placement), k-way merged lexicographically. Returns merged line count.
+// placement), k-way merged lexicographically. Output goes out on the
+// nodes' policy — a graph.StreamBufferSize buffer flushed, through w's
+// http.Flusher when it has one, every graph.StreamFlushEvery lines.
+// Returns the merged line count; when a shard stream fails after lines
+// were merged, those lines are written out before the error returns, so
+// w holds a prefix of the listing.
 func (c *Client) scatterCliques(ctx context.Context, pg *pgraph, p int, algo string, w io.Writer) (int64, error) {
 	if p != pg.p {
 		return 0, fmt.Errorf("%w: registered p=%d, queried p=%d", ErrPartitionMismatch, pg.p, p)
@@ -400,7 +450,7 @@ func (c *Client) scatterCliques(ctx context.Context, pg *pgraph, p int, algo str
 			s.close()
 		}
 	}()
-	for _, m := range c.cfg.Members {
+	for i, m := range c.cfg.Members {
 		shardID, ok := pg.shardID[m.Name]
 		if !ok {
 			continue
@@ -426,7 +476,7 @@ func (c *Client) scatterCliques(ctx context.Context, pg *pgraph, p int, algo str
 		}
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 64<<10), 1<<20)
-		s := &shardStream{member: m.Name, resp: resp, sc: sc, pg: pg}
+		s := &shardStream{member: m.Name, index: int32(i), resp: resp, sc: sc, pg: pg}
 		if err := s.advance(); err != nil {
 			resp.Body.Close()
 			return 0, err
@@ -434,7 +484,17 @@ func (c *Client) scatterCliques(ctx context.Context, pg *pgraph, p int, algo str
 		streams = append(streams, s)
 	}
 
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, graph.StreamBufferSize)
+	flusher, _ := w.(http.Flusher)
+	flush := func() error {
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return nil
+	}
 	var lines int64
 	for {
 		var best *shardStream
@@ -452,7 +512,13 @@ func (c *Client) scatterCliques(ctx context.Context, pg *pgraph, p int, algo str
 		bw.Write(best.head)
 		bw.WriteByte('\n')
 		lines++
+		if lines%graph.StreamFlushEvery == 0 {
+			if err := flush(); err != nil {
+				return lines, err
+			}
+		}
 		if err := best.advance(); err != nil {
+			flush()
 			return lines, err
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"kplist"
+	"kplist/internal/graph"
 )
 
 // errorResponse is the JSON error envelope every non-2xx body uses.
@@ -585,12 +586,6 @@ func (s *Server) acquireChecked(ctx context.Context, id string, g *kplist.Graph)
 	return sess, release, nil
 }
 
-// streamFlushEvery is how many NDJSON lines go out between flushes: large
-// enough to amortize syscalls, small enough that a slow consumer of a
-// million-clique result never forces the server to buffer more than one
-// chunk.
-const streamFlushEvery = 1024
-
 func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rg, err := s.reg.Get(id)
@@ -647,46 +642,27 @@ func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// NDJSON: one clique per line in the result's lexicographic order, so
-	// the byte stream is deterministic and never materialized whole — the
-	// buffered writer flushes every streamFlushEvery lines.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriterSize(w, 64<<10)
-	flusher, _ := w.(http.Flusher)
-	for i, c := range res.Cliques {
-		line, err := json.Marshal(c)
-		if err != nil {
-			return // headers sent; nothing recoverable
-		}
-		if _, err := bw.Write(line); err != nil {
+	// the byte stream is deterministic and never materialized whole.
+	cs := newCliqueStream(w)
+	for _, c := range res.Cliques {
+		if !cs.emit(c) {
 			return
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return
-		}
-		if (i+1)%streamFlushEvery == 0 {
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
 		}
 	}
-	_ = bw.Flush()
+	cs.close()
 }
 
 // serveTruthCliques answers /cliques?algo=truth. The document form
 // (stream=0) rides the session's memoized ground truth; the NDJSON form
-// streams straight off the enumeration kernel's visitor — one reused
-// line buffer, flushed every streamFlushEvery lines, in the kernel's
-// deterministic enumeration order — so the response is byte-identical
-// across requests without the server ever holding the listing. With
-// order=lex the stream rides the memoized lexicographically sorted
-// listing instead: visit order depends on the graph's degeneracy
-// structure, so only the lexicographic form is comparable across
-// different graphs covering the same cliques — which is what the cluster
-// gateway's scatter–gather merge needs for byte-identical output.
+// streams straight off the enumeration kernel's visitor through a
+// cliqueStream, in the kernel's deterministic enumeration order — so the
+// response is byte-identical across requests without the server ever
+// holding the listing. With order=lex the stream rides the memoized
+// lexicographically sorted listing instead: visit order depends on the
+// graph's degeneracy structure, so only the lexicographic form is
+// comparable across different graphs covering the same cliques — which is
+// what the cluster gateway's scatter–gather merge needs for byte-identical
+// output.
 func (s *Server) serveTruthCliques(w http.ResponseWriter, r *http.Request, sess *kplist.Session, id string, p int, document, lex bool) {
 	if p < 1 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("ground truth requires p ≥ 1, got %d", p))
@@ -702,51 +678,70 @@ func (s *Server) serveTruthCliques(w http.ResponseWriter, r *http.Request, sess 
 		})
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriterSize(w, 64<<10)
-	flusher, _ := w.(http.Flusher)
-	line := make([]byte, 0, 64)
-	lines := 0
-	emit := func(c kplist.Clique) bool {
-		line = line[:0]
-		line = append(line, '[')
-		for i, v := range c {
-			if i > 0 {
-				line = append(line, ',')
-			}
-			line = strconv.AppendInt(line, int64(v), 10)
-		}
-		line = append(line, ']', '\n')
-		if _, werr := bw.Write(line); werr != nil {
-			return false // client gone; stop enumerating
-		}
-		lines++
-		if lines%streamFlushEvery == 0 {
-			if werr := bw.Flush(); werr != nil {
-				return false
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		return true
-	}
+	cs := newCliqueStream(w)
 	if lex {
-		for _, c := range sess.GroundTruth(p) {
-			if r.Context().Err() != nil || !emit(c) {
+		// The memoized listing is a plain slice walk, so the context is
+		// only looked at every graph.StreamFlushEvery cliques, as the kernel
+		// visit below does.
+		ctx := r.Context()
+		for i, c := range sess.GroundTruth(p) {
+			if (i+1)%graph.StreamFlushEvery == 0 && ctx.Err() != nil {
+				return
+			}
+			if !cs.emit(c) {
 				return
 			}
 		}
-		_ = bw.Flush()
+		cs.close()
 		return
 	}
-	err := sess.VisitGroundTruth(r.Context(), p, emit)
-	if err != nil {
+	if err := sess.VisitGroundTruth(r.Context(), p, cs.emit); err != nil {
 		return // headers already sent; the truncated stream is the signal
 	}
-	_ = bw.Flush()
+	cs.close()
 }
+
+// cliqueStream writes an NDJSON clique response, the one writer behind
+// every /cliques stream: each line is Clique.AppendLine appended straight
+// into the buffered writer's free space, and the buffer goes out to the
+// client every graph.StreamFlushEvery lines.
+type cliqueStream struct {
+	bw      *bufio.Writer
+	flusher http.Flusher
+	lines   int
+}
+
+// newCliqueStream sends the 200 NDJSON headers and returns the stream.
+func newCliqueStream(w http.ResponseWriter) *cliqueStream {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	return &cliqueStream{bw: bufio.NewWriterSize(w, graph.StreamBufferSize), flusher: flusher}
+}
+
+// emit writes c's line; false means the client is gone and the caller
+// should stop producing.
+func (cs *cliqueStream) emit(c kplist.Clique) bool {
+	if cs.bw.Available() < graph.MaxLineLen(len(c)) && cs.bw.Flush() != nil {
+		return false
+	}
+	if _, err := cs.bw.Write(c.AppendLine(cs.bw.AvailableBuffer())); err != nil {
+		return false
+	}
+	cs.lines++
+	if cs.lines%graph.StreamFlushEvery == 0 {
+		if cs.bw.Flush() != nil {
+			return false
+		}
+		if cs.flusher != nil {
+			cs.flusher.Flush()
+		}
+	}
+	return true
+}
+
+// close writes out whatever the buffer still holds.
+func (cs *cliqueStream) close() { _ = cs.bw.Flush() }
 
 // buildInfo is sampled once: the module version and VCS revision when
 // the binary carries them, plus the toolchain.
