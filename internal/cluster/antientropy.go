@@ -62,7 +62,7 @@ type RepairStats struct {
 func (c *Client) RepairNow(ctx context.Context) RepairStats {
 	c.sweepMu.Lock()
 	defer c.sweepMu.Unlock()
-	c.met.addSweep()
+	c.met.sweeps.Inc()
 	// Drain hint queues first: a queued batch is cheaper than a full-state
 	// transfer, and a replica that is merely behind on replay would read
 	// as diverged below.
@@ -103,11 +103,11 @@ func (c *Client) RepairNow(ctx context.Context) RepairStats {
 			}
 			st.Diverged++
 			if err := c.repairReplica(ctx, owner, m, id); err != nil {
-				c.met.addRepairFailure()
+				c.met.repairFailures.Inc()
 				st.Failed++
 				continue
 			}
-			c.met.addRepair()
+			c.met.repairs.Inc()
 			st.Repaired++
 		}
 	}

@@ -96,7 +96,6 @@ func NewClient(cfg Config, opts ClientOptions) (*Client, error) {
 		cfg:     ring.Config(),
 		ring:    ring,
 		hc:      opts.HTTPClient,
-		met:     NewMetrics(),
 		backoff: opts.RetryBackoff,
 		health:  make(map[string]*memberHealth),
 		pgraphs: make(map[string]*pgraph),
@@ -132,6 +131,7 @@ func NewClient(cfg Config, opts ClientOptions) (*Client, error) {
 	if c.repairInterval == 0 {
 		c.repairInterval = 5 * time.Second
 	}
+	c.met = newMetrics(c)
 	return c, nil
 }
 
@@ -322,7 +322,7 @@ func (c *Client) readFrom(ctx context.Context, set []Member, preferred, method, 
 	reprobed := false
 	for i, m := range cands {
 		if i > 0 {
-			c.met.addRetry()
+			c.met.retries.Inc()
 			pause := c.jittered(time.Duration(i) * c.backoff)
 			if hinted > pause {
 				pause = hinted
@@ -342,7 +342,7 @@ func (c *Client) readFrom(ctx context.Context, set []Member, preferred, method, 
 			// Lagging-replica window: re-ask the same member once after a
 			// short pause instead of failing the read over immediately.
 			reprobed = true
-			c.met.addNotFoundReprobe()
+			c.met.notFoundReprobes.Inc()
 			drain(resp)
 			select {
 			case <-ctx.Done():
@@ -354,7 +354,7 @@ func (c *Client) readFrom(ctx context.Context, set []Member, preferred, method, 
 			}
 			resp, err = c.forward(ctx, m, method, pathAndQuery, body)
 			if err == nil && resp.StatusCode != http.StatusNotFound {
-				c.met.addNotFoundRecovered()
+				c.met.notFoundRecovered.Inc()
 			}
 		}
 		if err != nil {
@@ -373,17 +373,17 @@ func (c *Client) readFrom(ctx context.Context, set []Member, preferred, method, 
 			lastResp.Body.Close()
 		}
 		if m.Name != preferred {
-			c.met.addFailoverRead()
+			c.met.failoverReads.Inc()
 		}
 		return resp, m, nil
 	}
 	if lastResp != nil {
 		if lastMember.Name != preferred {
-			c.met.addFailoverRead()
+			c.met.failoverReads.Inc()
 		}
 		return lastResp, lastMember, nil
 	}
-	c.met.addMisdirected()
+	c.met.unroutable.Inc()
 	return nil, Member{}, fmt.Errorf("cluster: no member of %d answered %s %s: %w",
 		len(cands), method, pathAndQuery, lastErr)
 }
@@ -411,7 +411,7 @@ func (c *Client) RegisterRaw(ctx context.Context, id string, body []byte) (*http
 	for _, m := range set[1:] {
 		rr, err := c.forward(ctx, m, http.MethodPost, "/v1/graphs", body)
 		if err != nil || rr.StatusCode/100 != 2 {
-			c.met.addReplicaFailed()
+			c.met.replicaFailures.Inc()
 			// A replica that missed the registration has nothing to replay
 			// batches onto: only a full-state transfer can seed it.
 			c.markDirtyReplica(m.Name, id)
@@ -421,7 +421,7 @@ func (c *Client) RegisterRaw(ctx context.Context, id string, body []byte) (*http
 			continue
 		}
 		drain(rr)
-		c.met.addReplicaAck()
+		c.met.replicaAcks.Inc()
 		acks++
 	}
 	return resp, acks, nil
@@ -459,7 +459,7 @@ func (c *Client) PatchRaw(ctx context.Context, id string, body []byte) (*http.Re
 			return nil, 0, ctx.Err()
 		case <-time.After(d):
 		}
-		c.met.addRetry()
+		c.met.retries.Inc()
 		resp, err = c.forward(ctx, set[0], http.MethodPatch, "/v1/graphs/"+id+"/edges", body)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: %s: %v", ErrNoQuorum, set[0].Name, err)
@@ -484,7 +484,7 @@ func (c *Client) PatchRaw(ctx context.Context, id string, body []byte) (*http.Re
 // Returns true when the replica acknowledged synchronously.
 func (c *Client) replicate(ctx context.Context, m Member, id string, seq uint64, body []byte) bool {
 	if !c.MemberUp(m.Name) || c.hints.pendingGraph(m.Name, id) > 0 {
-		c.met.addReplicaFailed()
+		c.met.replicaFailures.Inc()
 		c.enqueueHint(m.Name, id, seq, body)
 		return false
 	}
@@ -493,7 +493,7 @@ func (c *Client) replicate(ctx context.Context, m Member, id string, seq uint64,
 	switch {
 	case err == nil && rr.StatusCode/100 == 2:
 		drain(rr)
-		c.met.addReplicaAck()
+		c.met.replicaAcks.Inc()
 		return true
 	case err != nil || rr.StatusCode >= http.StatusInternalServerError ||
 		rr.StatusCode == http.StatusTooManyRequests:
@@ -502,13 +502,13 @@ func (c *Client) replicate(ctx context.Context, m Member, id string, seq uint64,
 		if rr != nil {
 			drain(rr)
 		}
-		c.met.addReplicaFailed()
+		c.met.replicaFailures.Inc()
 		c.enqueueHint(m.Name, id, seq, body)
 	default:
 		// The replica answered and refused (seq gap, missing graph): replay
 		// cannot fix that — only a full-state transfer can.
 		drain(rr)
-		c.met.addReplicaFailed()
+		c.met.replicaFailures.Inc()
 		c.markDirtyReplica(m.Name, id)
 	}
 	return false
@@ -519,10 +519,10 @@ func (c *Client) replicate(ctx context.Context, m Member, id string, seq uint64,
 // — it is still a valid replay).
 func (c *Client) enqueueHint(member, id string, seq uint64, body []byte) {
 	if c.hints.enqueue(member, hint{graph: id, seq: seq, body: body}) {
-		c.met.addHintQueued()
+		c.met.hintsQueued.Inc()
 		return
 	}
-	c.met.addHintDropped()
+	c.met.hintsDropped.Inc()
 	c.markDirtyReplica(member, id)
 }
 
@@ -530,7 +530,7 @@ func (c *Client) enqueueHint(member, id string, seq uint64, body []byte) {
 // first-time detections as divergence.
 func (c *Client) markDirtyReplica(member, id string) {
 	if c.hints.markDirty(member, id) {
-		c.met.addDivergence()
+		c.met.divergence.Inc()
 	}
 }
 
@@ -577,7 +577,7 @@ func (c *Client) replayHints(name string) {
 		case err == nil && rr.StatusCode/100 == 2:
 			drain(rr)
 			c.hints.pop(name)
-			c.met.addHintReplayed()
+			c.met.hintsReplayed.Inc()
 		case err == nil && rr.StatusCode < http.StatusInternalServerError &&
 			rr.StatusCode != http.StatusTooManyRequests:
 			drain(rr)

@@ -30,7 +30,7 @@ type Gateway struct {
 func NewGateway(c *Client) *Gateway {
 	gw := &Gateway{c: c, mux: http.NewServeMux(), maxBody: 256 << 20}
 	gw.mux.HandleFunc("GET /healthz", gw.handleHealthz)
-	gw.mux.HandleFunc("GET /metrics", gw.handleMetrics)
+	gw.mux.Handle("GET /metrics", gw.c.met.reg)
 	gw.mux.HandleFunc("POST /v1/graphs", gw.handleRegister)
 	gw.mux.HandleFunc("GET /v1/graphs", gw.handleList)
 	gw.mux.HandleFunc("GET /v1/graphs/{id}", gw.handleGet)
@@ -416,29 +416,6 @@ func (gw *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"replication": gw.c.cfg.Replication,
 		"partitioned": len(gw.c.PartitionedIDs()),
 	})
-}
-
-func (gw *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	gauges := map[string]float64{
-		"kplistgw_ring_members":       float64(len(gw.c.cfg.Members)),
-		"kplistgw_ring_vnodes":        float64(gw.c.cfg.VNodes * len(gw.c.cfg.Members)),
-		"kplistgw_ring_replication":   float64(gw.c.cfg.Replication),
-		"kplistgw_partitioned_graphs": float64(len(gw.c.PartitionedIDs())),
-		"kplistgw_dirty_replicas":     float64(gw.c.hints.dirtyCount()),
-	}
-	for _, m := range gw.c.ring.Members() {
-		v := 0.0
-		if gw.c.MemberUp(m.Name) {
-			v = 1
-		}
-		gauges[fmt.Sprintf("kplistgw_member_up{member=%q}", m.Name)] = v
-		gauges[fmt.Sprintf("kplistgw_hint_queue_depth{member=%q}", m.Name)] =
-			float64(gw.c.hints.depth(m.Name))
-	}
-	var b strings.Builder
-	gw.c.met.Render(&b, gauges)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	io.WriteString(w, b.String())
 }
 
 // statusForClusterErr maps cluster errors to gateway HTTP statuses.

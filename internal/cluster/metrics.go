@@ -1,230 +1,103 @@
 package cluster
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
+	"strconv"
 	"time"
+
+	"kplist/internal/obs"
 )
-
-// latencyBounds are the per-member latency histogram bucket upper bounds
-// in seconds (the same ladder kplistd's /metrics uses, so dashboards can
-// overlay gateway and node latency).
-var latencyBounds = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
-
-type histogram struct {
-	buckets []int64
-	sum     float64
-	count   int64
-}
-
-func newHistogram() *histogram {
-	return &histogram{buckets: make([]int64, len(latencyBounds)+1)}
-}
-
-func (h *histogram) observe(sec float64) {
-	i := sort.SearchFloat64s(latencyBounds, sec)
-	h.buckets[i]++
-	h.sum += sec
-	h.count++
-}
-
-// memberStats accumulates one member's request outcomes as seen from the
-// gateway: the per-shard half of the observability story.
-type memberStats struct {
-	requests map[int]int64 // status class ("0" = transport error) → count
-	latency  *histogram
-}
 
 // Metrics is the gateway-side observability store: per-member request /
 // error / latency, replication fan-out outcomes, failover and
-// scatter–gather counters. Rendered on the gateway's /metrics in the
-// Prometheus text exposition format (hand-rolled, like kplistd's).
+// scatter–gather counters. Every family the gateway's /metrics renders
+// is declared once here on an obs registry, and the client increments
+// the fields directly.
 type Metrics struct {
-	started time.Time
+	reg      *obs.Registry
+	requests *obs.Vec[obs.Counter]   // member, status ("error" = transport failure)
+	latency  *obs.Vec[obs.Histogram] // member
 
-	mu      sync.Mutex
-	members map[string]*memberStats
-
-	failoverReads   int64 // reads answered by a non-owner replica
-	retries         int64 // candidate attempts beyond the first
-	replicaAcks     int64 // successful replica fan-out applies
-	replicaFailures int64 // failed replica fan-out applies (the lag counter)
-	scatterRequests int64 // scatter–gather listings served
-	scatterLines    int64 // merged NDJSON lines across all scatters
-	misdirected     int64 // requests refused because no candidate answered
+	failoverReads   *obs.Counter // reads answered by a non-owner replica
+	retries         *obs.Counter // candidate attempts beyond the first
+	replicaAcks     *obs.Counter // successful replica fan-out applies
+	replicaFailures *obs.Counter // failed replica fan-out applies (the lag counter)
+	scatterRequests *obs.Counter // scatter–gather listings served
+	scatterLines    *obs.Counter // merged NDJSON lines across all scatters
+	unroutable      *obs.Counter // requests refused because no candidate answered
 
 	// Approximate-tier counters (DESIGN.md §14): merged sketch answers
 	// served by the gateway, and the per-shard sketch fetches behind them.
-	sketchMerges       int64
-	sketchShardFetches int64
+	sketchMerges       *obs.Counter
+	sketchShardFetches *obs.Counter
 
 	// Self-healing replication counters (DESIGN.md §13).
-	hintsQueued       int64 // batches queued for a downed replica
-	hintsReplayed     int64 // queued batches delivered after recovery
-	hintsDropped      int64 // batches lost to queue overflow (replica went dirty)
-	divergence        int64 // (replica, graph) pairs newly detected out of sync
-	repairs           int64 // full-state transfers completed
-	repairFailures    int64 // full-state transfers that did not complete
-	sweeps            int64 // anti-entropy sweep passes
-	notFoundReprobes  int64 // 404 reads re-probed on the same member
-	notFoundRecovered int64 // re-probes that got a non-404 answer
+	hintsQueued       *obs.Counter // batches queued for a downed replica
+	hintsReplayed     *obs.Counter // queued batches delivered after recovery
+	hintsDropped      *obs.Counter // batches lost to queue overflow (replica went dirty)
+	divergence        *obs.Counter // (replica, graph) pairs newly detected out of sync
+	repairs           *obs.Counter // full-state transfers completed
+	repairFailures    *obs.Counter // full-state transfers that did not complete
+	sweeps            *obs.Counter // anti-entropy sweep passes
+	notFoundReprobes  *obs.Counter // 404 reads re-probed on the same member
+	notFoundRecovered *obs.Counter // re-probes that got a non-404 answer
 }
 
-// NewMetrics returns an empty metrics store.
-func NewMetrics() *Metrics {
-	return &Metrics{started: time.Now(), members: make(map[string]*memberStats)}
+// newMetrics declares the gateway's families, including the ring and
+// member-health gauges sampled from c at scrape time.
+func newMetrics(c *Client) *Metrics {
+	r := obs.NewRegistry()
+	r.Uptime("kplistgw_uptime_seconds", time.Now())
+	r.GaugeFunc("kplistgw_ring_members", func() float64 { return float64(len(c.cfg.Members)) })
+	r.GaugeFunc("kplistgw_ring_vnodes", func() float64 { return float64(c.cfg.VNodes * len(c.cfg.Members)) })
+	r.GaugeFunc("kplistgw_ring_replication", func() float64 { return float64(c.cfg.Replication) })
+	r.GaugeFunc("kplistgw_partitioned_graphs", func() float64 { return float64(len(c.PartitionedIDs())) })
+	r.GaugeFunc("kplistgw_dirty_replicas", func() float64 { return float64(c.hints.dirtyCount()) })
+	for _, m := range c.ring.Members() {
+		name := m.Name
+		r.GaugeFunc("kplistgw_member_up", func() float64 {
+			if c.MemberUp(name) {
+				return 1
+			}
+			return 0
+		}, "member", name)
+		r.GaugeFunc("kplistgw_hint_queue_depth", func() float64 { return float64(c.hints.depth(name)) }, "member", name)
+	}
+	return &Metrics{
+		reg:                r,
+		requests:           r.CounterVec("kplistgw_member_requests_total", "member", "status"),
+		latency:            r.HistogramVec("kplistgw_member_request_duration_seconds", "member"),
+		failoverReads:      r.Counter("kplistgw_failover_reads_total"),
+		retries:            r.Counter("kplistgw_retries_total"),
+		replicaAcks:        r.Counter("kplistgw_replica_acks_total"),
+		replicaFailures:    r.Counter("kplistgw_replication_lag_batches"),
+		scatterRequests:    r.Counter("kplistgw_scatter_requests_total"),
+		scatterLines:       r.Counter("kplistgw_scatter_merged_lines_total"),
+		unroutable:         r.Counter("kplistgw_unroutable_total"),
+		sketchMerges:       r.Counter("kplistgw_sketch_merges_total"),
+		sketchShardFetches: r.Counter("kplistgw_sketch_shard_fetches_total"),
+		hintsQueued:        r.Counter("kplistgw_hints_queued_total"),
+		hintsReplayed:      r.Counter("kplistgw_hints_replayed_total"),
+		hintsDropped:       r.Counter("kplistgw_hints_dropped_total"),
+		divergence:         r.Counter("kplistgw_divergence_detected_total"),
+		repairs:            r.Counter("kplistgw_repairs_total"),
+		repairFailures:     r.Counter("kplistgw_repair_failures_total"),
+		sweeps:             r.Counter("kplistgw_antientropy_sweeps_total"),
+		notFoundReprobes:   r.Counter("kplistgw_notfound_reprobes_total"),
+		notFoundRecovered:  r.Counter("kplistgw_notfound_reprobes_recovered_total"),
+	}
 }
 
 // record accounts one forwarded request to member; status 0 means the
 // transport failed before any response.
 func (m *Metrics) record(member string, status int, elapsed time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ms, ok := m.members[member]
-	if !ok {
-		ms = &memberStats{requests: make(map[int]int64), latency: newHistogram()}
-		m.members[member] = ms
+	label := "error"
+	if status != 0 {
+		label = strconv.Itoa(status)
 	}
-	ms.requests[status]++
-	ms.latency.observe(elapsed.Seconds())
+	m.requests.With(member, label).Inc()
+	m.latency.With(member).Observe(elapsed)
 }
-
-func (m *Metrics) addFailoverRead()  { m.mu.Lock(); m.failoverReads++; m.mu.Unlock() }
-func (m *Metrics) addRetry()         { m.mu.Lock(); m.retries++; m.mu.Unlock() }
-func (m *Metrics) addReplicaAck()    { m.mu.Lock(); m.replicaAcks++; m.mu.Unlock() }
-func (m *Metrics) addReplicaFailed() { m.mu.Lock(); m.replicaFailures++; m.mu.Unlock() }
-func (m *Metrics) addMisdirected()   { m.mu.Lock(); m.misdirected++; m.mu.Unlock() }
-
-func (m *Metrics) addHintQueued()        { m.mu.Lock(); m.hintsQueued++; m.mu.Unlock() }
-func (m *Metrics) addHintReplayed()      { m.mu.Lock(); m.hintsReplayed++; m.mu.Unlock() }
-func (m *Metrics) addHintDropped()       { m.mu.Lock(); m.hintsDropped++; m.mu.Unlock() }
-func (m *Metrics) addDivergence()        { m.mu.Lock(); m.divergence++; m.mu.Unlock() }
-func (m *Metrics) addRepair()            { m.mu.Lock(); m.repairs++; m.mu.Unlock() }
-func (m *Metrics) addRepairFailure()     { m.mu.Lock(); m.repairFailures++; m.mu.Unlock() }
-func (m *Metrics) addSweep()             { m.mu.Lock(); m.sweeps++; m.mu.Unlock() }
-func (m *Metrics) addNotFoundReprobe()   { m.mu.Lock(); m.notFoundReprobes++; m.mu.Unlock() }
-func (m *Metrics) addNotFoundRecovered() { m.mu.Lock(); m.notFoundRecovered++; m.mu.Unlock() }
 
 // Repairs returns the cumulative completed full-state transfers (tests
 // and the convergence harness assert on it).
-func (m *Metrics) Repairs() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.repairs
-}
-
-// HintsDropped returns the cumulative overflow drops.
-func (m *Metrics) HintsDropped() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hintsDropped
-}
-
-func (m *Metrics) addSketchMerge()      { m.mu.Lock(); m.sketchMerges++; m.mu.Unlock() }
-func (m *Metrics) addSketchShardFetch() { m.mu.Lock(); m.sketchShardFetches++; m.mu.Unlock() }
-
-func (m *Metrics) addScatter(lines int64) {
-	m.mu.Lock()
-	m.scatterRequests++
-	m.scatterLines += lines
-	m.mu.Unlock()
-}
-
-// ReplicationLag returns the cumulative count of replica applies the
-// gateway could not deliver — acknowledged writes a replica is missing
-// until its owner's WAL is re-replicated (DESIGN.md §12 failure modes).
-func (m *Metrics) ReplicationLag() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.replicaFailures
-}
-
-// Render writes the Prometheus text exposition. gauges carries sampled
-// cluster state (member up/down, ring size) keyed by fully-formed metric
-// lines; they are emitted sorted.
-func (m *Metrics) Render(w *strings.Builder, gauges map[string]float64) {
-	fmt.Fprintf(w, "# TYPE kplistgw_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "kplistgw_uptime_seconds %.3f\n", time.Since(m.started).Seconds())
-
-	names := make([]string, 0, len(gauges))
-	for name := range gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		// name may carry labels ("x{member=\"n1\"}"); the TYPE line wants
-		// the bare family name.
-		family := name
-		if i := strings.IndexByte(family, '{'); i >= 0 {
-			family = family[:i]
-		}
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", family, name, gauges[name])
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	members := make([]string, 0, len(m.members))
-	for name := range m.members {
-		members = append(members, name)
-	}
-	sort.Strings(members)
-
-	fmt.Fprintf(w, "# TYPE kplistgw_member_requests_total counter\n")
-	for _, name := range members {
-		statuses := make([]int, 0, len(m.members[name].requests))
-		for st := range m.members[name].requests {
-			statuses = append(statuses, st)
-		}
-		sort.Ints(statuses)
-		for _, st := range statuses {
-			label := fmt.Sprintf("%d", st)
-			if st == 0 {
-				label = "error"
-			}
-			fmt.Fprintf(w, "kplistgw_member_requests_total{member=%q,status=%q} %d\n",
-				name, label, m.members[name].requests[st])
-		}
-	}
-	fmt.Fprintf(w, "# TYPE kplistgw_member_request_duration_seconds histogram\n")
-	for _, name := range members {
-		h := m.members[name].latency
-		var cum int64
-		for i, bound := range latencyBounds {
-			cum += h.buckets[i]
-			fmt.Fprintf(w, "kplistgw_member_request_duration_seconds_bucket{member=%q,le=\"%g\"} %d\n",
-				name, bound, cum)
-		}
-		cum += h.buckets[len(latencyBounds)]
-		fmt.Fprintf(w, "kplistgw_member_request_duration_seconds_bucket{member=%q,le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(w, "kplistgw_member_request_duration_seconds_sum{member=%q} %g\n", name, h.sum)
-		fmt.Fprintf(w, "kplistgw_member_request_duration_seconds_count{member=%q} %d\n", name, h.count)
-	}
-
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"kplistgw_failover_reads_total", m.failoverReads},
-		{"kplistgw_retries_total", m.retries},
-		{"kplistgw_replica_acks_total", m.replicaAcks},
-		{"kplistgw_replication_lag_batches", m.replicaFailures},
-		{"kplistgw_scatter_requests_total", m.scatterRequests},
-		{"kplistgw_scatter_merged_lines_total", m.scatterLines},
-		{"kplistgw_sketch_merges_total", m.sketchMerges},
-		{"kplistgw_sketch_shard_fetches_total", m.sketchShardFetches},
-		{"kplistgw_unroutable_total", m.misdirected},
-		{"kplistgw_hints_queued_total", m.hintsQueued},
-		{"kplistgw_hints_replayed_total", m.hintsReplayed},
-		{"kplistgw_hints_dropped_total", m.hintsDropped},
-		{"kplistgw_divergence_detected_total", m.divergence},
-		{"kplistgw_repairs_total", m.repairs},
-		{"kplistgw_repair_failures_total", m.repairFailures},
-		{"kplistgw_antientropy_sweeps_total", m.sweeps},
-		{"kplistgw_notfound_reprobes_total", m.notFoundReprobes},
-		{"kplistgw_notfound_reprobes_recovered_total", m.notFoundRecovered},
-	} {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.v)
-	}
-}
+func (m *Metrics) Repairs() int64 { return m.repairs.Load() }

@@ -12,7 +12,9 @@ import (
 // TestGatewayMetricsSeriesGolden pins the gateway's /metrics series set:
 // every TYPE line and every sample's name and labels after an R=2
 // register, a read and a partitioned scatter on a 3-node loopback
-// cluster. Regenerate with
+// cluster. It also checks that each family has exactly one TYPE line,
+// ahead of its samples: the labelled member gauges once repeated it per
+// member. Regenerate with
 // go test ./internal/cluster -run TestGatewayMetricsSeriesGolden -update.
 func TestGatewayMetricsSeriesGolden(t *testing.T) {
 	h := newHarness(t, 3, 2, 7)
@@ -33,5 +35,6 @@ func TestGatewayMetricsSeriesGolden(t *testing.T) {
 	resp = do(t, http.MethodGet, h.gw.URL+"/metrics", nil)
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	obstest.CheckTypes(t, string(body))
 	obstest.Golden(t, "testdata/metrics_series.golden", obstest.Series(string(body)))
 }

@@ -315,14 +315,14 @@ func (c *Client) RegisterPartitioned(ctx context.Context, body []byte, p int) (G
 				continue
 			}
 			if err != nil || resp.StatusCode/100 != 2 {
-				c.met.addReplicaFailed()
+				c.met.replicaFailures.Inc()
 				if resp != nil {
 					drain(resp)
 				}
 				continue
 			}
 			drain(resp)
-			c.met.addReplicaAck()
+			c.met.replicaAcks.Inc()
 		}
 		pg.shardID[m.Name] = shardID
 		pg.shardM[m.Name] = len(shardEdges[m.Name])
@@ -522,6 +522,7 @@ func (c *Client) scatterCliques(ctx context.Context, pg *pgraph, p int, algo str
 			return lines, err
 		}
 	}
-	c.met.addScatter(lines)
+	c.met.scatterRequests.Inc()
+	c.met.scatterLines.Add(lines)
 	return lines, bw.Flush()
 }

@@ -96,7 +96,7 @@ func (c *Client) scatterSketch(ctx context.Context, pg *pgraph, p, precision int
 		if err := h.UnmarshalBinary(data); err != nil {
 			return nil, fmt.Errorf("cluster: shard %s sketch: %w", shardID, err)
 		}
-		c.met.addSketchShardFetch()
+		c.met.sketchShardFetches.Inc()
 		if merged == nil {
 			merged = &h
 			continue
@@ -108,7 +108,7 @@ func (c *Client) scatterSketch(ctx context.Context, pg *pgraph, p, precision int
 	if merged == nil {
 		return nil, fmt.Errorf("cluster: partitioned graph %s has no shards", pg.id)
 	}
-	c.met.addSketchMerge()
+	c.met.sketchMerges.Inc()
 	return merged, nil
 }
 

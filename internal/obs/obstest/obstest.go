@@ -34,8 +34,34 @@ func Series(text string) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
+// CheckTypes fails t unless every family in the exposition has exactly
+// one TYPE line and that line precedes the family's samples.
+func CheckTypes(t testing.TB, text string) {
+	t.Helper()
+	typed := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(f, " ")
+			if typed[name] {
+				t.Errorf("second TYPE line for %s", name)
+			}
+			typed[name] = true
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && typed[base] {
+				name = base
+			}
+		}
+		if !typed[name] {
+			t.Errorf("sample %q precedes its TYPE line", line)
+		}
+	}
+}
+
 // Golden fails t unless got equals the file at path. Run the test with
-// -update to rewrite the file instead.
+// -update to rewrite the file, then review its diff.
 func Golden(t testing.TB, path, got string) {
 	t.Helper()
 	if *update {
@@ -44,29 +70,7 @@ func Golden(t testing.TB, path, got string) {
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+	if want, err := os.ReadFile(path); err != nil || string(want) != got {
+		t.Errorf("%s is missing or stale (%v); rerun with -update and review the diff. Current output:\n%s", path, err, got)
 	}
-	if got != string(want) {
-		t.Errorf("%s differs from the current output (run with -update after an intended change)\nonly in output:\n%s\nonly in golden:\n%s",
-			path, minus(got, string(want)), minus(string(want), got))
-	}
-}
-
-// minus lists the lines of a that b lacks, counting repeats.
-func minus(a, b string) string {
-	have := map[string]int{}
-	for _, line := range strings.Split(b, "\n") {
-		have[line]++
-	}
-	var out []string
-	for _, line := range strings.Split(a, "\n") {
-		if have[line] > 0 {
-			have[line]--
-		} else {
-			out = append(out, line)
-		}
-	}
-	return strings.Join(out, "\n")
 }

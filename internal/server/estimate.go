@@ -140,7 +140,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, id strin
 		writeError(w, statusFor(err), err)
 		return
 	}
-	s.met.recordEstimate(res.Method)
+	s.met.estimates.With(res.Method).Inc()
 	writeJSON(w, http.StatusOK, estimateResponse{
 		Graph:        id,
 		P:            res.P,

@@ -446,7 +446,7 @@ func (s *Server) applyPatch(w http.ResponseWriter, r *http.Request, replica bool
 	if hdrSeq > 0 {
 		cur := seq.Load()
 		if hdrSeq <= cur {
-			s.met.recordReplicaDuplicate()
+			s.met.replicaDuplicates.Inc()
 			w.Header().Set(SeqHeader, strconv.FormatUint(cur, 10))
 			writeJSON(w, http.StatusOK, patchResponse{
 				Graph: id, Mutations: len(muts), Duplicate: true,
@@ -455,7 +455,7 @@ func (s *Server) applyPatch(w http.ResponseWriter, r *http.Request, replica bool
 			return
 		}
 		if hdrSeq != cur+1 {
-			s.met.recordReplicaGap()
+			s.met.replicaGaps.Inc()
 			writeError(w, http.StatusConflict,
 				fmt.Errorf("replica seq gap on graph %s: applied %d, got %d", id, cur, hdrSeq))
 			return
@@ -484,7 +484,8 @@ func (s *Server) applyPatch(w http.ResponseWriter, r *http.Request, replica bool
 			if err := st.AppendBatch(eff); err != nil {
 				return err
 			}
-			s.met.recordWALAppend(time.Since(t0))
+			s.met.walAppends.Inc()
+			s.met.walFsync.Observe(time.Since(t0))
 			return nil
 		})
 	}
@@ -498,9 +499,15 @@ func (s *Server) applyPatch(w http.ResponseWriter, r *http.Request, replica bool
 		writeError(w, statusFor(err), err)
 		return
 	}
-	s.met.recordMutation(len(muts), ar.Rebuilt, time.Since(start))
+	s.met.mutLatency.Observe(time.Since(start))
+	s.met.mutOps.Add(int64(len(muts)))
+	if ar.Rebuilt {
+		s.met.mutRebuild.Inc()
+	} else {
+		s.met.mutIncremental.Inc()
+	}
 	if replica {
-		s.met.recordReplicaApply()
+		s.met.replicaApplies.Inc()
 	}
 
 	// Publish the mutated snapshot: registry first (future session opens
@@ -524,10 +531,10 @@ func (s *Server) applyPatch(w http.ResponseWriter, r *http.Request, replica bool
 	// without bound, and the operator needs the signal.
 	if st != nil && st.ShouldCompact() {
 		if err := st.Compact(ar.Graph); err != nil {
-			s.met.recordCompactionFailure()
+			s.met.compactionFailures.Inc()
 			log.Printf("kplistd: compacting graph %s: %v", id, err)
 		} else {
-			s.met.recordCompaction()
+			s.met.compactions.Inc()
 		}
 	}
 

@@ -11,6 +11,8 @@ import (
 // TestMetricsSeriesGolden pins the node's /metrics series set: every TYPE
 // line and every sample's name and labels after a scripted mix of
 // register, query, patch, estimate and replica apply on a durable node.
+// It also checks that each family has exactly one TYPE line, ahead of
+// its samples.
 // Regenerate with go test ./internal/server -run TestMetricsSeriesGolden -update.
 func TestMetricsSeriesGolden(t *testing.T) {
 	_, ts := newTestServer(t, func(c *server.Config) { c.DataDir = t.TempDir() })
@@ -28,5 +30,6 @@ func TestMetricsSeriesGolden(t *testing.T) {
 		t.Fatalf("replica apply: %d %s", resp.StatusCode, body)
 	}
 	_, body := get(t, ts.URL+"/metrics")
+	obstest.CheckTypes(t, string(body))
 	obstest.Golden(t, "testdata/metrics_series.golden", obstest.Series(string(body)))
 }

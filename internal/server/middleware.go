@@ -2,14 +2,12 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"kplist/internal/obs"
 )
 
 // admission is the load-shedding front door: at most inFlight requests
@@ -126,169 +124,69 @@ func withDeadline(def, max time.Duration, h http.Handler) http.Handler {
 	})
 }
 
-// latencyBounds are the histogram bucket upper bounds in seconds.
-var latencyBounds = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
-
-type histogram struct {
-	buckets []int64 // len(latencyBounds)+1, last = +Inf
-	sum     float64
-	count   int64
-}
-
-func (h *histogram) observe(sec float64) {
-	i := sort.SearchFloat64s(latencyBounds, sec)
-	h.buckets[i]++
-	h.sum += sec
-	h.count++
-}
-
-// metrics is the per-endpoint observability store rendered by /metrics in
-// the Prometheus text exposition format (hand-rolled — no dependency).
+// metrics is the node's observability store: every family /metrics
+// renders is declared once here on an obs registry, and the handlers
+// increment the fields directly.
 type metrics struct {
-	started time.Time
+	started  time.Time
+	reg      *obs.Registry
+	requests *obs.Vec[obs.Counter]   // route, status
+	latency  *obs.Vec[obs.Histogram] // route
 
-	mu       sync.Mutex
-	requests map[string]map[int]int64 // route → status → count
-	latency  map[string]*histogram    // route → latency histogram
-
-	// Mutation-path counters (the PATCH /edges handler): applied edge
+	// Mutation path (PATCH /edges and the replica endpoint): applied edge
 	// mutations, batches split by how the incremental engine handled them,
-	// and the clique-delta (Session.Apply) latency histogram.
-	mutOps         int64
-	mutIncremental int64
-	mutRebuild     int64
-	mutLatency     *histogram
+	// and the clique-delta (Session.Apply) latency.
+	mutOps, mutIncremental, mutRebuild *obs.Counter
+	mutLatency                         *obs.Histogram
 
-	// Durability counters (the -data-dir path): committed WAL appends
-	// with their fsync-inclusive latency, and snapshot compactions.
-	walAppends         int64
-	walFsync           *histogram
-	compactions        int64
-	compactionFailures int64
+	// Durability (the -data-dir path): committed WAL appends with their
+	// fsync-inclusive latency, and snapshot compactions. Failed
+	// compactions let the WAL grow until one succeeds, so that counter is
+	// the operator's disk-pressure signal.
+	walAppends, compactions, compactionFailures *obs.Counter
+	walFsync                                    *obs.Histogram
 
-	// Estimate-path counters: mode=estimate queries split by the method
-	// that answered (exact / hll / sample) — the planner's decision mix is
-	// the operator's signal that budgets actually steer work off the exact
-	// kernel.
-	estimates map[string]int64
+	// estimates splits mode=estimate queries by the method that answered
+	// (exact / hll / sample): the planner's decision mix shows whether
+	// budgets actually steer work off the exact kernel.
+	estimates *obs.Vec[obs.Counter]
 
-	// Cluster counters: replica-apply batches accepted from a gateway, and
+	// Cluster: replica-apply batches accepted from a gateway; duplicates
+	// (sequence-tagged replays acknowledged without re-applying) and gaps
+	// (out-of-order applies refused because this replica missed batches);
 	// unmarked requests refused because this node does not host the graph.
-	// Duplicates are sequence-tagged replica applies acknowledged without
-	// re-applying (hinted-handoff replays); gaps are out-of-order replica
-	// applies refused because this replica missed acknowledged batches.
-	replicaApplies    int64
-	replicaDuplicates int64
-	replicaGaps       int64
-	misdirected       int64
+	replicaApplies, replicaDuplicates, replicaGaps, misdirected *obs.Counter
 }
 
 func newMetrics() *metrics {
-	return &metrics{
-		started:   time.Now(),
-		requests:  make(map[string]map[int]int64),
-		latency:   make(map[string]*histogram),
-		estimates: make(map[string]int64),
-		mutLatency: &histogram{
-			buckets: make([]int64, len(latencyBounds)+1),
-		},
-		walFsync: &histogram{
-			buckets: make([]int64, len(latencyBounds)+1),
-		},
+	r := obs.NewRegistry()
+	batches := r.CounterVec("kplistd_mutation_batches_total", "mode")
+	m := &metrics{
+		started:            time.Now(),
+		reg:                r,
+		requests:           r.CounterVec("kplistd_requests_total", "route", "status"),
+		latency:            r.HistogramVec("kplistd_request_duration_seconds", "route"),
+		mutOps:             r.Counter("kplistd_mutations_total"),
+		mutIncremental:     batches.With("incremental"),
+		mutRebuild:         batches.With("rebuild"),
+		mutLatency:         r.Histogram("kplistd_mutation_apply_seconds"),
+		walAppends:         r.Counter("kplistd_wal_appends_total"),
+		compactions:        r.Counter("kplistd_snapshot_compactions_total"),
+		compactionFailures: r.Counter("kplistd_snapshot_compaction_failures_total"),
+		walFsync:           r.Histogram("kplistd_wal_fsync_seconds"),
+		estimates:          r.CounterVec("kplistd_estimate_queries_total", "method"),
+		replicaApplies:     r.Counter("kplistd_replica_applies_total"),
+		replicaDuplicates:  r.Counter("kplistd_replica_duplicates_total"),
+		replicaGaps:        r.Counter("kplistd_replica_seq_gaps_total"),
+		misdirected:        r.Counter("kplistd_misdirected_total"),
 	}
-}
-
-// recordWALAppend accounts one durable WAL append (fsync included).
-func (m *metrics) recordWALAppend(elapsed time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.walAppends++
-	m.walFsync.observe(elapsed.Seconds())
-}
-
-// recordCompaction accounts one WAL-into-snapshot compaction.
-func (m *metrics) recordCompaction() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.compactions++
-}
-
-// recordCompactionFailure accounts one failed compaction attempt — the
-// WAL keeps growing until one succeeds, so the counter is the operator's
-// disk-pressure signal.
-func (m *metrics) recordCompactionFailure() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.compactionFailures++
-}
-
-// recordReplicaApply accounts one mutation batch applied through the
-// cluster replica endpoint.
-func (m *metrics) recordReplicaApply() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.replicaApplies++
-}
-
-// recordReplicaDuplicate accounts one already-applied sequence-tagged
-// batch acknowledged idempotently on the replica path.
-func (m *metrics) recordReplicaDuplicate() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.replicaDuplicates++
-}
-
-// recordReplicaGap accounts one replica apply refused because its
-// sequence number skipped past batches this replica never saw.
-func (m *metrics) recordReplicaGap() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.replicaGaps++
-}
-
-// recordMisdirect accounts one unmarked request refused with 421 because
-// this node does not host the requested graph.
-func (m *metrics) recordMisdirect() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.misdirected++
-}
-
-// recordEstimate accounts one mode=estimate query by answering method.
-func (m *metrics) recordEstimate(method string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.estimates[method]++
-}
-
-// recordMutation accounts one applied mutation batch.
-func (m *metrics) recordMutation(ops int, rebuilt bool, elapsed time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.mutOps += int64(ops)
-	if rebuilt {
-		m.mutRebuild++
-	} else {
-		m.mutIncremental++
+	r.Uptime("kplistd_uptime_seconds", m.started)
+	// The three planner methods render from the first scrape, zero
+	// included, so dashboards see a stable label set.
+	for _, method := range []string{"exact", "hll", "sample"} {
+		m.estimates.With(method)
 	}
-	m.mutLatency.observe(elapsed.Seconds())
-}
-
-func (m *metrics) record(route string, status int, elapsed time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byStatus, ok := m.requests[route]
-	if !ok {
-		byStatus = make(map[int]int64)
-		m.requests[route] = byStatus
-	}
-	byStatus[status]++
-	h, ok := m.latency[route]
-	if !ok {
-		h = &histogram{buckets: make([]int64, len(latencyBounds)+1)}
-		m.latency[route] = h
-	}
-	h.observe(elapsed.Seconds())
+	return m
 }
 
 // statusWriter captures the response status while passing Flush through —
@@ -325,123 +223,8 @@ func (m *metrics) instrument(route string, h http.Handler) http.Handler {
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		m.record(route, sw.status, time.Since(start))
+		elapsed := time.Since(start)
+		m.requests.With(route, strconv.Itoa(sw.status)).Inc()
+		m.latency.With(route).Observe(elapsed)
 	})
-}
-
-// render writes the Prometheus text exposition. Server-level gauges
-// (pool occupancy, registry size, admission counters) are sampled by the
-// caller and passed in so the metrics store stays free of server wiring.
-func (m *metrics) render(w *strings.Builder, gauges map[string]float64) {
-	fmt.Fprintf(w, "# TYPE kplistd_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "kplistd_uptime_seconds %.3f\n", time.Since(m.started).Seconds())
-
-	names := make([]string, 0, len(gauges))
-	for name := range gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", name, name, gauges[name])
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	routes := make([]string, 0, len(m.requests))
-	for route := range m.requests {
-		routes = append(routes, route)
-	}
-	sort.Strings(routes)
-
-	fmt.Fprintf(w, "# TYPE kplistd_requests_total counter\n")
-	for _, route := range routes {
-		statuses := make([]int, 0, len(m.requests[route]))
-		for st := range m.requests[route] {
-			statuses = append(statuses, st)
-		}
-		sort.Ints(statuses)
-		for _, st := range statuses {
-			fmt.Fprintf(w, "kplistd_requests_total{route=%q,status=\"%d\"} %d\n",
-				route, st, m.requests[route][st])
-		}
-	}
-
-	fmt.Fprintf(w, "# TYPE kplistd_request_duration_seconds histogram\n")
-	for _, route := range routes {
-		h := m.latency[route]
-		var cum int64
-		for i, bound := range latencyBounds {
-			cum += h.buckets[i]
-			fmt.Fprintf(w, "kplistd_request_duration_seconds_bucket{route=%q,le=\"%g\"} %d\n",
-				route, bound, cum)
-		}
-		cum += h.buckets[len(latencyBounds)]
-		fmt.Fprintf(w, "kplistd_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", route, cum)
-		fmt.Fprintf(w, "kplistd_request_duration_seconds_sum{route=%q} %g\n", route, h.sum)
-		fmt.Fprintf(w, "kplistd_request_duration_seconds_count{route=%q} %d\n", route, h.count)
-	}
-
-	fmt.Fprintf(w, "# TYPE kplistd_mutations_total counter\n")
-	fmt.Fprintf(w, "kplistd_mutations_total %d\n", m.mutOps)
-	fmt.Fprintf(w, "# TYPE kplistd_mutation_batches_total counter\n")
-	fmt.Fprintf(w, "kplistd_mutation_batches_total{mode=\"incremental\"} %d\n", m.mutIncremental)
-	fmt.Fprintf(w, "kplistd_mutation_batches_total{mode=\"rebuild\"} %d\n", m.mutRebuild)
-	fmt.Fprintf(w, "# TYPE kplistd_mutation_apply_seconds histogram\n")
-	{
-		h := m.mutLatency
-		var cum int64
-		for i, bound := range latencyBounds {
-			cum += h.buckets[i]
-			fmt.Fprintf(w, "kplistd_mutation_apply_seconds_bucket{le=\"%g\"} %d\n", bound, cum)
-		}
-		cum += h.buckets[len(latencyBounds)]
-		fmt.Fprintf(w, "kplistd_mutation_apply_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-		fmt.Fprintf(w, "kplistd_mutation_apply_seconds_sum %g\n", h.sum)
-		fmt.Fprintf(w, "kplistd_mutation_apply_seconds_count %d\n", h.count)
-	}
-
-	fmt.Fprintf(w, "# TYPE kplistd_estimate_queries_total counter\n")
-	// The three planner methods always render (zero included) so dashboards
-	// see a stable label set from first scrape.
-	methods := []string{"exact", "hll", "sample"}
-	for method := range m.estimates {
-		switch method {
-		case "exact", "hll", "sample":
-		default:
-			methods = append(methods, method)
-		}
-	}
-	sort.Strings(methods)
-	for _, method := range methods {
-		fmt.Fprintf(w, "kplistd_estimate_queries_total{method=%q} %d\n", method, m.estimates[method])
-	}
-
-	fmt.Fprintf(w, "# TYPE kplistd_replica_applies_total counter\n")
-	fmt.Fprintf(w, "kplistd_replica_applies_total %d\n", m.replicaApplies)
-	fmt.Fprintf(w, "# TYPE kplistd_replica_duplicates_total counter\n")
-	fmt.Fprintf(w, "kplistd_replica_duplicates_total %d\n", m.replicaDuplicates)
-	fmt.Fprintf(w, "# TYPE kplistd_replica_seq_gaps_total counter\n")
-	fmt.Fprintf(w, "kplistd_replica_seq_gaps_total %d\n", m.replicaGaps)
-	fmt.Fprintf(w, "# TYPE kplistd_misdirected_total counter\n")
-	fmt.Fprintf(w, "kplistd_misdirected_total %d\n", m.misdirected)
-
-	fmt.Fprintf(w, "# TYPE kplistd_wal_appends_total counter\n")
-	fmt.Fprintf(w, "kplistd_wal_appends_total %d\n", m.walAppends)
-	fmt.Fprintf(w, "# TYPE kplistd_snapshot_compactions_total counter\n")
-	fmt.Fprintf(w, "kplistd_snapshot_compactions_total %d\n", m.compactions)
-	fmt.Fprintf(w, "# TYPE kplistd_snapshot_compaction_failures_total counter\n")
-	fmt.Fprintf(w, "kplistd_snapshot_compaction_failures_total %d\n", m.compactionFailures)
-	fmt.Fprintf(w, "# TYPE kplistd_wal_fsync_seconds histogram\n")
-	{
-		h := m.walFsync
-		var cum int64
-		for i, bound := range latencyBounds {
-			cum += h.buckets[i]
-			fmt.Fprintf(w, "kplistd_wal_fsync_seconds_bucket{le=\"%g\"} %d\n", bound, cum)
-		}
-		cum += h.buckets[len(latencyBounds)]
-		fmt.Fprintf(w, "kplistd_wal_fsync_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-		fmt.Fprintf(w, "kplistd_wal_fsync_seconds_sum %g\n", h.sum)
-		fmt.Fprintf(w, "kplistd_wal_fsync_seconds_count %d\n", h.count)
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -183,11 +182,12 @@ func Open(cfg Config) (*Server, error) {
 			s.appliedSeq(id).Store(seq)
 		}
 	}
+	s.registerSampled()
 	s.mux = http.NewServeMux()
 	// Health and metrics bypass admission: they must answer precisely
 	// when the serving path is saturated.
 	s.route("GET /healthz", http.HandlerFunc(s.handleHealthz), false)
-	s.route("GET /metrics", http.HandlerFunc(s.handleMetrics), false)
+	s.route("GET /metrics", s.met.reg, false)
 	s.route("POST /v1/graphs", s.clusterGate(http.HandlerFunc(s.handleRegister), true), true)
 	s.route("GET /v1/graphs", http.HandlerFunc(s.handleList), true)
 	s.route("GET /v1/graphs/{id}", s.clusterGate(http.HandlerFunc(s.handleGet), false), true)
@@ -221,7 +221,7 @@ func (s *Server) clusterGate(h http.Handler, write bool) http.Handler {
 		if id == "" {
 			// POST /v1/graphs: external registration must go through the
 			// gateway — node-local IDs would diverge from cluster placement.
-			s.met.recordMisdirect()
+			s.met.misdirected.Inc()
 			writeJSON(w, http.StatusMisdirectedRequest, map[string]any{
 				"error": "cluster mode: register graphs through the gateway",
 			})
@@ -241,7 +241,7 @@ func (s *Server) clusterGate(h http.Handler, write bool) http.Handler {
 			h.ServeHTTP(w, r)
 			return
 		}
-		s.met.recordMisdirect()
+		s.met.misdirected.Inc()
 		writeJSON(w, http.StatusMisdirectedRequest, map[string]any{
 			"error":     fmt.Sprintf("graph %s is not hosted here", id),
 			"owner":     owner.Name,
@@ -283,36 +283,29 @@ func (s *Server) Pool() *SessionPool { return s.pool }
 // Registry exposes the graph registry (experiments and tests inspect it).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// gauges samples the server-level gauges rendered by /metrics.
-func (s *Server) gauges() map[string]float64 {
-	ps := s.pool.Stats()
-	g := map[string]float64{
-		"kplistd_graphs":                      float64(s.reg.Len()),
-		"kplistd_pool_capacity":               float64(s.cfg.PoolSize),
-		"kplistd_pool_open_sessions":          float64(ps.Open),
-		"kplistd_pool_hits_total":             float64(ps.Hits),
-		"kplistd_pool_misses_total":           float64(ps.Misses),
-		"kplistd_pool_evictions_total":        float64(ps.Evictions),
-		"kplistd_session_queries_total":       float64(ps.SessionQueries),
-		"kplistd_session_cache_hits_total":    float64(ps.SessionHits),
-		"kplistd_session_cache_misses_total":  float64(ps.SessionMisses),
-		"kplistd_admission_shed_total":        float64(s.adm.shed.Load()),
-		"kplistd_admission_queue_timeouts":    float64(s.adm.timedOut.Load()),
-		"kplistd_admission_waiting":           float64(s.adm.waiting.Load()),
-		"kplistd_admission_inflight_capacity": float64(s.cfg.MaxInFlight),
-	}
+// registerSampled declares the series /metrics reads from other
+// components at scrape time: registry size, pool occupancy and counters,
+// admission state and, when durable, what boot recovery replayed.
+func (s *Server) registerSampled() {
+	r := s.met.reg
+	r.GaugeFunc("kplistd_graphs", func() float64 { return float64(s.reg.Len()) })
+	r.GaugeFunc("kplistd_pool_capacity", func() float64 { return float64(s.cfg.PoolSize) })
+	r.GaugeFunc("kplistd_pool_open_sessions", func() float64 { return float64(s.pool.Stats().Open) })
+	r.CounterFunc("kplistd_pool_hits_total", func() float64 { return float64(s.pool.Stats().Hits) })
+	r.CounterFunc("kplistd_pool_misses_total", func() float64 { return float64(s.pool.Stats().Misses) })
+	r.CounterFunc("kplistd_pool_evictions_total", func() float64 { return float64(s.pool.Stats().Evictions) })
+	r.CounterFunc("kplistd_session_queries_total", func() float64 { return float64(s.pool.Stats().SessionQueries) })
+	r.CounterFunc("kplistd_session_cache_hits_total", func() float64 { return float64(s.pool.Stats().SessionHits) })
+	r.CounterFunc("kplistd_session_cache_misses_total", func() float64 { return float64(s.pool.Stats().SessionMisses) })
+	r.CounterFunc("kplistd_admission_shed_total", func() float64 { return float64(s.adm.shed.Load()) })
+	r.CounterFunc("kplistd_admission_queue_timeouts", func() float64 { return float64(s.adm.timedOut.Load()) })
+	r.GaugeFunc("kplistd_admission_waiting", func() float64 { return float64(s.adm.waiting.Load()) })
+	r.GaugeFunc("kplistd_admission_inflight_capacity", func() float64 { return float64(s.cfg.MaxInFlight) })
 	if s.persist != nil {
-		g["kplistd_persistence_enabled"] = 1
-		g["kplistd_recovery_duration_seconds"] = s.recovery.Elapsed.Seconds()
-		g["kplistd_recovery_graphs"] = float64(s.recovery.Graphs)
-		g["kplistd_recovery_wal_records_replayed"] = float64(s.recovery.WALRecordsReplayed)
+		rep := s.recovery
+		r.GaugeFunc("kplistd_persistence_enabled", func() float64 { return 1 })
+		r.GaugeFunc("kplistd_recovery_duration_seconds", func() float64 { return rep.Elapsed.Seconds() })
+		r.GaugeFunc("kplistd_recovery_graphs", func() float64 { return float64(rep.Graphs) })
+		r.GaugeFunc("kplistd_recovery_wal_records_replayed", func() float64 { return float64(rep.WALRecordsReplayed) })
 	}
-	return g
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var b strings.Builder
-	s.met.render(&b, s.gauges())
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
 }
