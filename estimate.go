@@ -219,7 +219,7 @@ func (s *Session) sketchFresh(key sketchKey, g *Graph) bool {
 }
 
 // sketchFor returns the sketch for key against the snapshot st, coalescing
-// concurrent first builds exactly like groundTruthFor. The second return
+// concurrent first builds exactly like truthFor. The second return
 // reports that this request rebuilt a deletion-staled sketch.
 func (s *Session) sketchFor(ctx context.Context, key sketchKey, st *sessionState) (*sketch.CliqueHLL, bool, error) {
 	s.skMu.Lock()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"kplist/internal/graph"
 )
 
 // Gateway is the scatter–gather HTTP front: it mirrors kplistd's /v1 API
@@ -57,8 +60,9 @@ func gwError(w http.ResponseWriter, status int, err error) {
 }
 
 // relay copies a node response through to the gateway client: status,
-// content headers, the X-Kplist-* result headers, and the body (flushed
-// periodically so NDJSON streams keep flowing).
+// content headers, the X-Kplist-* result headers, and the body, on the
+// NDJSON stream policy — read into a graph.StreamBufferSize buffer that
+// goes out to the client each time it fills, and once at the end.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	for _, h := range []string{"Content-Type"} {
@@ -72,12 +76,14 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
+	bw := bufio.NewWriterSize(w, graph.StreamBufferSize)
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
 	for {
-		n, err := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
+		// Read straight into the buffer's free space.
+		n, err := resp.Body.Read(bw.AvailableBuffer()[:bw.Available()])
+		bw.Write(bw.AvailableBuffer()[:n])
+		if bw.Available() == 0 || err != nil {
+			if bw.Flush() != nil {
 				return
 			}
 			if flusher != nil {

@@ -1,7 +1,9 @@
 package cluster_test
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -11,8 +13,8 @@ import (
 
 // TestGatewayMetricsSeriesGolden pins the gateway's /metrics series set:
 // every TYPE line and every sample's name and labels after an R=2
-// register, a read and a partitioned scatter on a 3-node loopback
-// cluster. It also checks that each family has exactly one TYPE line,
+// register, a read, and a partitioned registration and scatter on a
+// 3-node loopback cluster. It also checks that each family has exactly one TYPE line,
 // ahead of its samples: the labelled member gauges once repeated it per
 // member. Regenerate with
 // go test ./internal/cluster -run TestGatewayMetricsSeriesGolden -update.
@@ -24,15 +26,23 @@ func TestGatewayMetricsSeriesGolden(t *testing.T) {
 	}
 	stream(t, h.gw.URL, meta["id"].(string), 3, "")
 
-	buf, _ := json.Marshal(workloadBody("grid", 64, 1))
-	resp := do(t, http.MethodPost, h.gw.URL+"/v1/graphs?partitioned=1&p=3", buf)
-	if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil || resp.StatusCode != http.StatusCreated {
-		t.Fatalf("partitioned register: %d %v", resp.StatusCode, err)
+	// The scatter opens legs only to members that own a signature, so
+	// the graph ID is chosen to give every member one: a random ID would
+	// make the per-member series depend on the placement.
+	id := ""
+	for i := 0; i < 1000 && id == ""; i++ {
+		if len(h.client.SignatureCounts(fmt.Sprint("cgolden", i), 3)) == 3 {
+			id = fmt.Sprint("cgolden", i)
+		}
 	}
-	resp.Body.Close()
-	stream(t, h.gw.URL, meta["id"].(string), 3, "")
+	buf, _ := json.Marshal(workloadBody("grid", 64, 1))
+	pmeta, err := h.client.RegisterPartitionedAs(context.Background(), id, buf, 3)
+	if err != nil {
+		t.Fatalf("partitioned register: %v", err)
+	}
+	stream(t, h.gw.URL, pmeta.ID, 3, "")
 
-	resp = do(t, http.MethodGet, h.gw.URL+"/metrics", nil)
+	resp := do(t, http.MethodGet, h.gw.URL+"/metrics", nil)
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	obstest.CheckTypes(t, string(body))

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kplist/internal/graph"
+	"kplist/internal/partition"
 )
 
 func testConfig(n int) Config {
@@ -212,8 +213,11 @@ func TestParseConfigErrors(t *testing.T) {
 	}
 }
 
+// TestSignatures checks the ring keys of a registration's signatures:
+// one distinct key per sorted part multiset (the ranks themselves are
+// partition.SigIndex's, tested there).
 func TestSignatures(t *testing.T) {
-	sigs := signatures(3, 2)
+	sigs := partition.Signatures(3, 2)
 	// C(3+2-1, 2) = 6 sorted multisets.
 	if len(sigs) != 6 {
 		t.Fatalf("got %d signatures, want 6: %v", len(sigs), sigs)
@@ -227,22 +231,6 @@ func TestSignatures(t *testing.T) {
 		seen[k] = true
 		if !strings.Contains("0.0 0.1 0.2 1.1 1.2 2.2", k) {
 			t.Fatalf("unexpected signature %s", k)
-		}
-	}
-	// The filter's integer index ranks each signature at its position in
-	// the enumeration, for every shape a registration can take.
-	for tt := 1; tt <= 5; tt++ {
-		for p := 1; p <= 6; p++ {
-			ix := newSigIndex(tt, p)
-			for i, sig := range signatures(tt, p) {
-				s32 := make([]int32, len(sig))
-				for j, part := range sig {
-					s32[j] = int32(part)
-				}
-				if r := ix.rank(s32); r != i {
-					t.Fatalf("t=%d p=%d: rank(%v) = %d, want %d", tt, p, sig, r, i)
-				}
-			}
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -28,11 +29,12 @@ import (
 // the ring member that owns the key id+"/tuple/"+sig. A member's shard
 // subgraph carries exactly the edges whose part pair occurs inside at
 // least one of its signatures, so every clique with an owned signature is
-// fully present on its owner. Listing scatters to all shards, filters
-// each shard's (lexicographically sorted) stream down to the cliques
-// whose signature that shard owns — making the shard outputs disjoint —
-// and k-way-merges them, which reproduces the single-node NDJSON stream
-// byte for byte. See DESIGN.md §12.
+// fully present on its owner. Listing scatters to the shards that own a
+// signature; each leg carries its shard's partition.Filter, so the node
+// streams only the cliques whose signature that shard owns, sorted
+// lexicographically — the shard outputs are disjoint — and the gateway
+// k-way-merges them, which reproduces the single-node NDJSON stream byte
+// for byte. See DESIGN.md §12.
 //
 // ErrPartitionMismatch reports a listing query whose p differs from the
 // p the partitioned graph was registered with.
@@ -49,16 +51,15 @@ type pgraph struct {
 	family string
 	p      int // clique size fixed at registration
 	n, m   int
-	parts  int     // T = number of members at registration
-	partOf []int32 // vertex → part
-	// sigs ranks a clique's signature; sigOwner maps the rank to the
-	// owning member's index in the cluster config's member list.
-	sigs     sigIndex
-	sigOwner []int32
+	parts  int // T = number of members at registration
 	// shardID maps a member name to its shard graph's cluster-wide ID.
 	shardID map[string]string
 	// shardM maps a member name to its shard subgraph's edge count.
 	shardM map[string]int
+	// filter maps a member that owns at least one signature to the
+	// filter its scatter leg carries. The other members' shards are
+	// edgeless and get no leg.
+	filter map[string]partition.Filter
 }
 
 func (c *Client) partitionedGraph(id string) *pgraph {
@@ -112,77 +113,6 @@ func sigKey(sig []int) string {
 	return string(b)
 }
 
-// signatures enumerates every sorted p-multiset over parts [0,t) — the
-// possible clique signatures, C(t+p−1, p) of them — in lexicographic
-// order, so the i-th signature has sigIndex rank i.
-func signatures(t, p int) [][]int {
-	var out [][]int
-	sig := make([]int, p)
-	var rec func(pos, lo int)
-	rec = func(pos, lo int) {
-		if pos == p {
-			out = append(out, append([]int(nil), sig...))
-			return
-		}
-		for part := lo; part < t; part++ {
-			sig[pos] = part
-			rec(pos+1, part)
-		}
-	}
-	rec(0, 0)
-	return out
-}
-
-// sigIndex ranks signatures without building a key: rank(sig) is sig's
-// position in signatures(t, p). Counting the sorted multisets that
-// precede sig position by position, the ones whose i-th part x lies in
-// [sig[i−1], sig[i]) number M(t−x, r) each, where r = p−1−i and
-// M(k, r) = C(k+r−1, r) counts the sorted r-multisets over k parts. cum
-// holds their prefix sums, so a rank costs p lookups; the table is
-// p×(t+1) integers, not the t^p a dense signature table would take.
-type sigIndex struct {
-	t, p int
-	// cum[r*(t+1)+x] = Σ_{y<x} M(t−y, r).
-	cum []int
-}
-
-func newSigIndex(t, p int) sigIndex {
-	// multi[r][k] = M(k, r), by M(k, r) = M(k−1, r) + M(k, r−1): the
-	// multisets that skip the smallest of k parts, plus those that hold
-	// it at least once.
-	multi := make([][]int, p)
-	for r := range multi {
-		multi[r] = make([]int, t+1)
-		for k := range multi[r] {
-			switch {
-			case r == 0:
-				multi[r][k] = 1
-			case k > 0:
-				multi[r][k] = multi[r][k-1] + multi[r-1][k]
-			}
-		}
-	}
-	ix := sigIndex{t: t, p: p, cum: make([]int, p*(t+1))}
-	for r := 0; r < p; r++ {
-		row := ix.cum[r*(t+1) : (r+1)*(t+1)]
-		for x := 0; x < t; x++ {
-			row[x+1] = row[x] + multi[r][t-x]
-		}
-	}
-	return ix
-}
-
-// rank returns the position of the sorted p-multiset sig over [0,t).
-func (ix sigIndex) rank(sig []int32) int {
-	rank, prev := 0, 0
-	for i, s := range sig {
-		row := ix.cum[(ix.p-1-i)*(ix.t+1):]
-		rank += row[s] - row[prev]
-		prev = int(s)
-	}
-	return rank
-}
-
 // registerWire mirrors kplistd's register request body (plus the cluster
 // ID extension) without importing internal/server.
 type registerWire struct {
@@ -199,6 +129,25 @@ type registerWire struct {
 // to members through the ring, and registers each member's shard subgraph
 // on that member (replicated to its ring successors).
 func (c *Client) RegisterPartitioned(ctx context.Context, body []byte, p int) (GraphMeta, error) {
+	return c.registerPartitioned(ctx, NewGraphID(), body, p)
+}
+
+// signatureOwners assigns each signature to the ring member that owns the
+// key id+"/tuple/"+sig: owner[rank] is that member's index in the
+// cluster config's member list.
+func (c *Client) signatureOwners(id string, sigs [][]int) []int32 {
+	memberIndex := make(map[string]int32, len(c.cfg.Members))
+	for i, m := range c.cfg.Members {
+		memberIndex[m.Name] = int32(i)
+	}
+	owner := make([]int32, len(sigs))
+	for rank, sig := range sigs {
+		owner[rank] = memberIndex[c.ring.Owner(id+"/tuple/"+sigKey(sig)).Name]
+	}
+	return owner
+}
+
+func (c *Client) registerPartitioned(ctx context.Context, id string, body []byte, p int) (GraphMeta, error) {
 	if p < 2 {
 		return GraphMeta{}, fmt.Errorf("cluster: partitioned registration needs p >= 2, got %d", p)
 	}
@@ -206,7 +155,6 @@ func (c *Client) RegisterPartitioned(ctx context.Context, body []byte, p int) (G
 	if err := json.Unmarshal(body, &req); err != nil {
 		return GraphMeta{}, fmt.Errorf("cluster: bad register body: %w", err)
 	}
-	id := NewGraphID()
 	n, edges, family := req.N, make([]edgePair, 0, len(req.Edges)), ""
 	name := req.Name
 	if req.Workload != nil {
@@ -230,68 +178,72 @@ func (c *Client) RegisterPartitioned(ctx context.Context, body []byte, p int) (G
 
 	t := len(c.cfg.Members)
 	// Seed the partition from the cluster seed and the graph ID so the
-	// split is reproducible but distinct per graph.
+	// split is reproducible but distinct per graph. The seed travels in
+	// every leg's filter, and the node redraws the same partition from it.
 	h := fnv.New64a()
 	h.Write([]byte(id))
-	rng := rand.New(rand.NewSource(c.cfg.Seed ^ int64(h.Sum64())))
-	part := partition.Random(n, t, rng)
+	seed := c.cfg.Seed ^ int64(h.Sum64())
+	part := partition.Random(n, t, rand.New(rand.NewSource(seed)))
 
 	pg := &pgraph{
 		id: id, name: name, family: family, p: p, n: n, m: len(edges),
 		parts:   t,
-		partOf:  part.PartOf,
-		sigs:    newSigIndex(t, p),
 		shardID: make(map[string]string, t),
 		shardM:  make(map[string]int, t),
+		filter:  make(map[string]partition.Filter, t),
 	}
 
 	// Assign every signature to a ring member, and derive each member's
 	// allowed part-pair matrix: pair (a,b), a≠b, is allowed when some
 	// owned signature contains both parts; (a,a) needs multiplicity ≥ 2.
-	allowed := make(map[string][]bool, t)
-	for _, m := range c.cfg.Members {
-		allowed[m.Name] = make([]bool, partition.NumPairs(t))
+	sigs := partition.Signatures(t, p)
+	owned := make([][]bool, t)
+	allowed := make([][]bool, t)
+	for i := range c.cfg.Members {
+		owned[i] = make([]bool, len(sigs))
+		allowed[i] = make([]bool, partition.NumPairs(t))
 	}
-	memberIndex := make(map[string]int32, t)
-	for i, m := range c.cfg.Members {
-		memberIndex[m.Name] = int32(i)
-	}
-	sigs := signatures(t, p)
-	pg.sigOwner = make([]int32, len(sigs))
-	for rank, sig := range sigs {
-		owner := c.ring.Owner(id + "/tuple/" + sigKey(sig)).Name
-		pg.sigOwner[rank] = memberIndex[owner]
+	for rank, owner := range c.signatureOwners(id, sigs) {
+		owned[owner][rank] = true
+		sig := sigs[rank]
 		for i := 0; i < len(sig); i++ {
 			for j := i + 1; j < len(sig); j++ {
 				allowed[owner][partition.PairIndex(sig[i], sig[j], t)] = true
 			}
 		}
 	}
+	for i, m := range c.cfg.Members {
+		if slices.Contains(owned[i], true) {
+			pg.filter[m.Name] = partition.NewFilter(seed, t, owned[i])
+		}
+	}
 
 	// Split the edges: an edge goes to every member whose allowed matrix
-	// admits its part pair (members can overlap — the signature filter at
-	// merge time restores disjointness of the clique streams).
-	shardEdges := make(map[string][]edgePair, t)
+	// admits its part pair (members can overlap — the nodes' signature
+	// filters restore disjointness of the clique streams).
+	shardEdges := make([][]edgePair, t)
 	for _, e := range edges {
 		pi := partition.PairIndex(int(part.PartOf[e[0]]), int(part.PartOf[e[1]]), t)
-		for _, m := range c.cfg.Members {
-			if allowed[m.Name][pi] {
-				shardEdges[m.Name] = append(shardEdges[m.Name], e)
+		for i := range c.cfg.Members {
+			if allowed[i][pi] {
+				shardEdges[i] = append(shardEdges[i], e)
 			}
 		}
 	}
 
 	// Register each shard subgraph pinned to its member (first), then
-	// best-effort on the member's ring successors for failover.
-	for _, m := range c.cfg.Members {
+	// best-effort on the member's ring successors for failover. A member
+	// that owns no signature still gets its edgeless shard, so every
+	// member answers for its shard ID; scatters just never read it.
+	for mi, m := range c.cfg.Members {
 		shardID := id + ShardIDSuffix + m.Name
 		wire := registerWire{
 			ID:    shardID,
 			Name:  name + "/shard/" + m.Name,
 			N:     n,
-			Edges: make([][2]int32, 0, len(shardEdges[m.Name])),
+			Edges: make([][2]int32, 0, len(shardEdges[mi])),
 		}
-		for _, e := range shardEdges[m.Name] {
+		for _, e := range shardEdges[mi] {
 			wire.Edges = append(wire.Edges, [2]int32{e[0], e[1]})
 		}
 		buf, err := json.Marshal(wire)
@@ -325,7 +277,7 @@ func (c *Client) RegisterPartitioned(ctx context.Context, body []byte, p int) (G
 			c.met.replicaAcks.Inc()
 		}
 		pg.shardID[m.Name] = shardID
-		pg.shardM[m.Name] = len(shardEdges[m.Name])
+		pg.shardM[m.Name] = len(shardEdges[mi])
 	}
 
 	c.pgMu.Lock()
@@ -357,12 +309,11 @@ func (c *Client) deletePartitioned(ctx context.Context, pg *pgraph) error {
 
 type edgePair = [2]int32
 
-// shardStream pulls one shard's filtered NDJSON clique stream: lines
-// arrive lexicographically sorted from the node (the kernel's order), and
-// the stream keeps only cliques whose signature this shard owns.
+// shardStream pulls one shard's NDJSON clique stream: the node has
+// already filtered it down to the cliques whose signature the shard owns,
+// and sends them lexicographically sorted (the kernel's order).
 type shardStream struct {
 	member string
-	index  int32 // member's index in the cluster config
 	resp   *http.Response
 	sc     *bufio.Scanner
 	pg     *pgraph
@@ -371,42 +322,25 @@ type shardStream struct {
 	// its parsed vertices.
 	head  []byte
 	verts graph.Clique
-	// parts is scratch for the sorted signature of the line in hand.
-	parts []int32
 	done  bool
 }
 
-// advance moves to the next owned line; afterwards done || head is valid.
-// A line that is not a p-clique over [0,n) is an error, never a panic: the
+// advance moves to the next line; afterwards done || head is valid. A
+// line that is not a p-clique over [0,n) is an error, never a panic: the
 // bytes come from another process.
 func (s *shardStream) advance() error {
-	pg := s.pg
 	for s.sc.Scan() {
 		line := s.sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		verts, err := graph.ParseCliqueLine(line, s.verts[:0], pg.n)
+		verts, err := graph.ParseCliqueLine(line, s.verts[:0], s.pg.n)
 		s.verts = verts
-		if err == nil && len(verts) != pg.p {
-			err = fmt.Errorf("clique line %q has %d vertices, want %d", line, len(verts), pg.p)
+		if err == nil && len(verts) != s.pg.p {
+			err = fmt.Errorf("clique line %q has %d vertices, want %d", line, len(verts), s.pg.p)
 		}
 		if err != nil {
 			return fmt.Errorf("cluster: shard %s stream: %w", s.member, err)
-		}
-		// Insertion sort: p is small and the parts arrive nearly sorted.
-		s.parts = s.parts[:0]
-		for _, v := range verts {
-			part := pg.partOf[v]
-			j := len(s.parts)
-			s.parts = append(s.parts, part)
-			for ; j > 0 && s.parts[j-1] > part; j-- {
-				s.parts[j] = s.parts[j-1]
-			}
-			s.parts[j] = part
-		}
-		if pg.sigOwner[pg.sigs.rank(s.parts)] != s.index {
-			continue
 		}
 		s.head = line
 		return nil
@@ -433,29 +367,34 @@ func lessVerts(a, b []int32) bool {
 }
 
 // scatterCliques streams the partitioned graph's p-clique listing into w:
-// one filtered stream per shard (failover across the shard's successor
-// placement), k-way merged lexicographically. Output goes out on the
-// nodes' policy — a graph.StreamBufferSize buffer flushed, through w's
-// http.Flusher when it has one, every graph.StreamFlushEvery lines.
-// Returns the merged line count; when a shard stream fails after lines
-// were merged, those lines are written out before the error returns, so
-// w holds a prefix of the listing.
+// one node-filtered stream per shard that owns a signature (failover
+// across the shard's successor placement), k-way merged
+// lexicographically. The merge checks that every line it writes is
+// strictly greater than the one before, so a shard that ignores its
+// filter (or sends out of order) fails the request instead of duplicating
+// output. Output goes out on the nodes' policy — a graph.StreamBufferSize
+// buffer flushed, through w's http.Flusher when it has one, every
+// graph.StreamFlushEvery lines. Returns the merged line count; when a
+// shard stream fails after lines were merged, those lines are written out
+// before the error returns, so w holds a prefix of the listing.
 func (c *Client) scatterCliques(ctx context.Context, pg *pgraph, p int, algo string, w io.Writer) (int64, error) {
 	if p != pg.p {
 		return 0, fmt.Errorf("%w: registered p=%d, queried p=%d", ErrPartitionMismatch, pg.p, p)
 	}
-	streams := make([]*shardStream, 0, len(pg.shardID))
+	streams := make([]*shardStream, 0, len(pg.filter))
 	defer func() {
 		for _, s := range streams {
 			s.close()
 		}
 	}()
-	for i, m := range c.cfg.Members {
-		shardID, ok := pg.shardID[m.Name]
+	for _, m := range c.cfg.Members {
+		f, ok := pg.filter[m.Name]
 		if !ok {
 			continue
 		}
-		q := fmt.Sprintf("/v1/graphs/%s/cliques?p=%d&stream=1", shardID, p)
+		shardID := pg.shardID[m.Name]
+		q := fmt.Sprintf("/v1/graphs/%s/cliques?p=%d&stream=1&%s=%d&%s=%d&%s=%s", shardID, p,
+			partition.FilterSeedParam, f.Seed, partition.FilterPartsParam, f.T, partition.FilterOwnedParam, f.Owned)
 		if algo != "" {
 			q += "&algo=" + algo
 		}
@@ -476,7 +415,7 @@ func (c *Client) scatterCliques(ctx context.Context, pg *pgraph, p int, algo str
 		}
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 64<<10), 1<<20)
-		s := &shardStream{member: m.Name, index: int32(i), resp: resp, sc: sc, pg: pg}
+		s := &shardStream{member: m.Name, resp: resp, sc: sc, pg: pg}
 		if err := s.advance(); err != nil {
 			resp.Body.Close()
 			return 0, err
@@ -495,7 +434,10 @@ func (c *Client) scatterCliques(ctx context.Context, pg *pgraph, p int, algo str
 		}
 		return nil
 	}
-	var lines int64
+	var (
+		lines int64
+		prev  graph.Clique // the last merged clique
+	)
 	for {
 		var best *shardStream
 		for _, s := range streams {
@@ -509,6 +451,12 @@ func (c *Client) scatterCliques(ctx context.Context, pg *pgraph, p int, algo str
 		if best == nil {
 			break
 		}
+		if lines > 0 && !lessVerts(prev, best.verts) {
+			flush()
+			return lines, fmt.Errorf("cluster: shard %s stream: clique %v does not follow %v: shard streams overlap or are out of order",
+				best.member, best.verts, prev)
+		}
+		prev = append(prev[:0], best.verts...)
 		bw.Write(best.head)
 		bw.WriteByte('\n')
 		lines++

@@ -4,15 +4,18 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"kplist/internal/graph"
+	"kplist/internal/partition"
 )
 
 // cannedShard is a fake node: it accepts shard registrations and answers
@@ -54,6 +57,8 @@ func TestScatterRejectsBadShardLines(t *testing.T) {
 		{"garbage first", "{\"error\":\"x\"}\n", http.StatusBadGateway, ""},
 		{"out of range later", "[0,1]\n[2,99]\n", http.StatusOK, "[0,1]\n"},
 		{"negative later", "[0,1]\n[1,2]\n[-3,2]\n", http.StatusOK, "[0,1]\n[1,2]\n"},
+		{"duplicate later", "[0,1]\n[1,2]\n[1,2]\n", http.StatusOK, "[0,1]\n[1,2]\n"},
+		{"out of order later", "[1,2]\n[0,1]\n", http.StatusOK, "[1,2]\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			node := cannedShard(t, tc.body)
@@ -100,6 +105,48 @@ func TestScatterRejectsBadShardLines(t *testing.T) {
 	}
 }
 
+// TestScatterRejectsOverlappingShards: two shards that both ignore their
+// filter send the same cliques. The merge refuses the second copy of the
+// first line, so the client reads one line and then a truncated stream,
+// never duplicated output.
+func TestScatterRejectsOverlappingShards(t *testing.T) {
+	const body = "[0,1]\n[1,2]\n[2,3]\n"
+	c, err := NewClient(Config{Members: []Member{
+		{Name: "n1", Addr: cannedShard(t, body).URL}, {Name: "n2", Addr: cannedShard(t, body).URL},
+	}, Replication: 1}, ClientOptions{RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pick an ID whose placement gives both members a signature, so both
+	// get a leg.
+	id := ""
+	for i := 0; i < 1000 && id == ""; i++ {
+		owners := c.signatureOwners(fmt.Sprint("overlap", i), partition.Signatures(2, 2))
+		if slices.Contains(owners, 0) && slices.Contains(owners, 1) {
+			id = fmt.Sprint("overlap", i)
+		}
+	}
+	if id == "" {
+		t.Fatal("no graph ID in 1000 gives both members a signature")
+	}
+	reg, _ := json.Marshal(map[string]any{"n": 4, "edges": [][2]int{{0, 1}, {1, 2}, {2, 3}}})
+	meta, err := c.registerPartitioned(context.Background(), id, reg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(NewGateway(c))
+	defer gw.Close()
+	resp, err := http.Get(gw.URL + "/v1/graphs/" + meta.ID + "/cliques?p=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, readErr := io.ReadAll(resp.Body)
+	if readErr == nil || string(got) != "[0,1]\n" {
+		t.Fatalf("read %q, %v; want the first line and then a truncated stream", got, readErr)
+	}
+}
+
 // loopReader replays b forever, so a scanner over it never ends.
 type loopReader struct {
 	b   []byte
@@ -112,10 +159,10 @@ func (r *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// benchShardStream builds one shard's filtered stream over the sorted
-// 4-cliques of a planted graph split three ways, replayed endlessly.
+// benchShardStream builds one shard's stream over the sorted 4-cliques of
+// a planted graph, replayed endlessly.
 func benchShardStream(tb testing.TB) *shardStream {
-	const n, t, p = 2048, 3, 4
+	const n, p = 2048, 4
 	g, _ := graph.PlantedCliques(n, 6, 40, 0.02, rand.New(rand.NewSource(9)))
 	var body []byte
 	for _, c := range g.ListCliques(p) {
@@ -124,27 +171,18 @@ func benchShardStream(tb testing.TB) *shardStream {
 	if len(body) == 0 {
 		tb.Fatal("degenerate benchmark graph: no K4s")
 	}
-	rng := rand.New(rand.NewSource(3))
-	pg := &pgraph{n: n, p: p, parts: t, partOf: make([]int32, n), sigs: newSigIndex(t, p)}
-	for v := range pg.partOf {
-		pg.partOf[v] = int32(rng.Intn(t))
-	}
-	for range signatures(t, p) {
-		pg.sigOwner = append(pg.sigOwner, int32(rng.Intn(t)))
-	}
 	sc := bufio.NewScanner(&loopReader{b: body})
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	s := &shardStream{member: "n1", index: 0, sc: sc, pg: pg}
+	s := &shardStream{member: "n1", sc: sc, pg: &pgraph{n: n, p: p}}
 	if err := s.advance(); err != nil {
 		tb.Fatal(err)
 	}
 	return s
 }
 
-// TestShardStreamSteadyStateZeroAlloc is the scatter filter's alloc
+// TestShardStreamSteadyStateZeroAlloc is the scatter merge's alloc
 // canary, pinned by the CI bench-smoke job: once warm, moving a shard
-// stream to its next owned clique (scan, parse, rank, owner lookup)
-// allocates nothing.
+// stream to its next clique (scan, parse, check) allocates nothing.
 func TestShardStreamSteadyStateZeroAlloc(t *testing.T) {
 	s := benchShardStream(t)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -157,8 +195,8 @@ func TestShardStreamSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkShardStreamAdvance times the scatter filter per owned line:
-// about a third of the lines it reads belong to the shard.
+// BenchmarkShardStreamAdvance times the scatter merge's read of one shard
+// line.
 func BenchmarkShardStreamAdvance(b *testing.B) {
 	s := benchShardStream(b)
 	b.ReportAllocs()

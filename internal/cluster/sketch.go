@@ -72,10 +72,11 @@ func (c *Client) scatterSketch(ctx context.Context, pg *pgraph, p, precision int
 	}
 	var merged *sketch.CliqueHLL
 	for _, m := range c.cfg.Members {
-		shardID, ok := pg.shardID[m.Name]
-		if !ok {
+		// A shard that owns no signature is edgeless: its sketch is empty.
+		if _, ok := pg.filter[m.Name]; !ok {
 			continue
 		}
+		shardID := pg.shardID[m.Name]
 		q := fmt.Sprintf("/v1/graphs/%s/sketch?p=%d&precision=%d&seed=%d", shardID, p, precision, seed)
 		resp, _, err := c.readFrom(ctx, c.ring.SuccessorSet(m.Name, c.cfg.Replication), m.Name, http.MethodGet, q, nil)
 		if err != nil {

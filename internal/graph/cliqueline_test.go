@@ -39,6 +39,9 @@ func TestAppendLineMatchesJSON(t *testing.T) {
 		if n := len(c.AppendLine(nil)); n > MaxLineLen(len(c)) {
 			t.Errorf("line of %v is %d bytes, over MaxLineLen %d", []V(c), n, MaxLineLen(len(c)))
 		}
+		if n := len(want); c.LineLen() != n {
+			t.Errorf("LineLen(%v) = %d, the line is %d bytes", []V(c), c.LineLen(), n)
+		}
 		pre := []byte("prefix")
 		if got := c.AppendLine(pre); !bytes.HasPrefix(got, pre) {
 			t.Errorf("AppendLine(%v) overwrote the buffer it appends to", []V(c))

@@ -96,6 +96,24 @@ func (c Clique) AppendLine(dst []byte) []byte {
 	return b[:n+2]
 }
 
+// LineLen is the length of the NDJSON line AppendLine writes for c, so a
+// caller can size one buffer for many lines exactly.
+func (c Clique) LineLen() int {
+	n := 2 + len(c) // brackets and newline, plus one separator per vertex but the last
+	if len(c) == 0 {
+		n = 3
+	}
+	for _, v := range c {
+		u := uint32(v)
+		if v < 0 {
+			n++
+			u = -u
+		}
+		n += decimalLen(u)
+	}
+	return n
+}
+
 // putUint32 writes u in decimal at b[n:], two digits per division, and
 // returns the index just past it.
 func putUint32(b []byte, n int, u uint32) int {

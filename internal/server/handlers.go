@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -15,6 +16,7 @@ import (
 
 	"kplist"
 	"kplist/internal/graph"
+	"kplist/internal/partition"
 )
 
 // errorResponse is the JSON error envelope every non-2xx body uses.
@@ -614,6 +616,17 @@ func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	truth, document, lex := qv.Get("algo") == "truth", qv.Get("stream") == "0", qv.Get("order") == "lex"
+	filter, err := shardFilter(qv, p)
+	if err == nil && !filter.IsZero() && (document || truth && !lex) {
+		// Only the lexicographic NDJSON streams are what a scatter leg
+		// reads; the filter means nothing to the other forms.
+		err = errors.New("a shard filter needs an NDJSON stream in lexicographic order (order=lex for algo=truth)")
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	sess, release, err := s.acquireChecked(r.Context(), id, rg.G)
 	if err != nil {
 		writeError(w, statusFor(err), err)
@@ -624,8 +637,8 @@ func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
 	// algo=truth streams the sequential ground-truth kernel directly:
 	// no engine run, no round bill, and — with stream=1 — no []Clique is
 	// ever materialized, whatever the output size.
-	if qv.Get("algo") == "truth" {
-		s.serveTruthCliques(w, r, sess, id, p, qv.Get("stream") == "0", qv.Get("order") == "lex")
+	if truth {
+		s.serveTruthCliques(w, r, sess, id, p, document, lex, filter)
 		return
 	}
 
@@ -636,10 +649,20 @@ func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	w.Header().Set("X-Kplist-Clique-Count", strconv.Itoa(len(res.Cliques)))
+	cliques := res.Cliques
+	if !filter.IsZero() {
+		m := filter.Matcher(rg.G.N(), p)
+		cliques = make([]kplist.Clique, 0, len(res.Cliques))
+		for _, c := range res.Cliques {
+			if m.Owns(c) {
+				cliques = append(cliques, c)
+			}
+		}
+	}
+	w.Header().Set("X-Kplist-Clique-Count", strconv.Itoa(len(cliques)))
 	w.Header().Set("X-Kplist-Rounds", strconv.FormatInt(res.Rounds, 10))
 	w.Header().Set("X-Kplist-Messages", strconv.FormatInt(res.Messages, 10))
-	if qv.Get("stream") == "0" {
+	if document {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"graph": id, "p": p, "count": len(res.Cliques),
 			"rounds": res.Rounds, "messages": res.Messages,
@@ -651,7 +674,7 @@ func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
 	// NDJSON: one clique per line in the result's lexicographic order, so
 	// the byte stream is deterministic and never materialized whole.
 	cs := newCliqueStream(w)
-	for _, c := range res.Cliques {
+	for _, c := range cliques {
 		if !cs.emit(c) {
 			return
 		}
@@ -659,18 +682,41 @@ func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
 	cs.close()
 }
 
+// shardFilter reads the partition filter a scatter leg of a partitioned
+// graph carries — all three of its parameters, or none for the zero
+// filter — and validates it against p.
+func shardFilter(qv url.Values, p int) (kplist.ShardFilter, error) {
+	seed, parts, owned := qv.Get(partition.FilterSeedParam), qv.Get(partition.FilterPartsParam), qv.Get(partition.FilterOwnedParam)
+	if seed == "" && parts == "" && owned == "" {
+		return kplist.ShardFilter{}, nil
+	}
+	f := kplist.ShardFilter{Owned: owned}
+	var err error
+	if f.Seed, err = strconv.ParseInt(seed, 10, 64); err != nil {
+		return f, fmt.Errorf("bad shard filter %s: %q", partition.FilterSeedParam, seed)
+	}
+	if f.T, err = strconv.Atoi(parts); err != nil {
+		return f, fmt.Errorf("bad shard filter %s: %q", partition.FilterPartsParam, parts)
+	}
+	if err := f.Validate(p); err != nil {
+		return f, fmt.Errorf("bad shard filter: %w", err)
+	}
+	return f, nil
+}
+
 // serveTruthCliques answers /cliques?algo=truth. The document form
-// (stream=0) rides the session's memoized ground truth; the NDJSON form
+// (stream=0) decodes the session's memoized ground truth; the NDJSON form
 // streams straight off the enumeration kernel's visitor through a
 // cliqueStream, in the kernel's deterministic enumeration order — so the
 // response is byte-identical across requests without the server ever
-// holding the listing. With order=lex the stream rides the memoized
-// lexicographically sorted listing instead: visit order depends on the
-// graph's degeneracy structure, so only the lexicographic form is
-// comparable across different graphs covering the same cliques — which is
-// what the cluster gateway's scatter–gather merge needs for byte-identical
-// output.
-func (s *Server) serveTruthCliques(w http.ResponseWriter, r *http.Request, sess *kplist.Session, id string, p int, document, lex bool) {
+// holding the listing. With order=lex the stream is the memoized
+// lexicographically sorted listing instead, already encoded: visit order
+// depends on the graph's degeneracy structure, so only the lexicographic
+// form is comparable across different graphs covering the same cliques —
+// which is what the cluster gateway's scatter–gather merge needs for
+// byte-identical output. A scatter leg's shard filter restricts that
+// listing to the cliques its shard owns.
+func (s *Server) serveTruthCliques(w http.ResponseWriter, r *http.Request, sess *kplist.Session, id string, p int, document, lex bool, filter kplist.ShardFilter) {
 	if p < 1 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("ground truth requires p ≥ 1, got %d", p))
 		return
@@ -685,27 +731,40 @@ func (s *Server) serveTruthCliques(w http.ResponseWriter, r *http.Request, sess 
 		})
 		return
 	}
-	cs := newCliqueStream(w)
 	if lex {
-		// The memoized listing is a plain slice walk, so the context is
-		// only looked at every graph.StreamFlushEvery cliques, as the kernel
-		// visit below does.
-		ctx := r.Context()
-		for i, c := range sess.GroundTruth(p) {
-			if (i+1)%graph.StreamFlushEvery == 0 && ctx.Err() != nil {
-				return
-			}
-			if !cs.emit(c) {
-				return
-			}
+		lines, err := sess.GroundTruthLines(p, filter)
+		if err != nil {
+			writeError(w, statusFor(err), err)
+			return
 		}
-		cs.close()
+		writeLines(r.Context(), w, lines)
 		return
 	}
+	cs := newCliqueStream(w)
 	if err := sess.VisitGroundTruth(r.Context(), p, cs.emit); err != nil {
 		return // headers already sent; the truncated stream is the signal
 	}
 	cs.close()
+}
+
+// writeLines sends an already encoded NDJSON listing on the stream
+// policy: one write and one flush per graph.StreamBufferSize bytes, with
+// the request context checked between them.
+func writeLines(ctx context.Context, w http.ResponseWriter, lines []byte) {
+	flusher := startNDJSON(w)
+	for len(lines) > 0 {
+		if ctx.Err() != nil {
+			return
+		}
+		n := min(len(lines), graph.StreamBufferSize)
+		if _, err := w.Write(lines[:n]); err != nil {
+			return
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		lines = lines[n:]
+	}
 }
 
 // cliqueStream writes an NDJSON clique response, the one writer behind
@@ -718,11 +777,18 @@ type cliqueStream struct {
 	lines   int
 }
 
-// newCliqueStream sends the 200 NDJSON headers and returns the stream.
-func newCliqueStream(w http.ResponseWriter) *cliqueStream {
+// startNDJSON sends the 200 NDJSON headers and returns w's flusher, if
+// it has one.
+func startNDJSON(w http.ResponseWriter) http.Flusher {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	return flusher
+}
+
+// newCliqueStream sends the 200 NDJSON headers and returns the stream.
+func newCliqueStream(w http.ResponseWriter) *cliqueStream {
+	flusher := startNDJSON(w)
 	return &cliqueStream{bw: bufio.NewWriterSize(w, graph.StreamBufferSize), flusher: flusher}
 }
 

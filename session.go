@@ -1,6 +1,7 @@
 package kplist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"kplist/internal/graph"
+	"kplist/internal/partition"
 )
 
 // Algorithm selects which listing engine a Session query runs.
@@ -166,13 +168,23 @@ type sessionEntry struct {
 	err  error
 }
 
+// gtEntry is the memoized ground truth of one clique size: the
+// lexicographically sorted listing, encoded once as NDJSON. The bytes are
+// the only copy — about half the footprint of the []Clique they encode —
+// and GroundTruth decodes a fresh slice for the callers that need one.
 type gtEntry struct {
 	done chan struct{}
 	// g is the graph snapshot the listing was (or is being) computed
 	// from: a lookup hits only on pointer match, so a memo from an older
 	// mutation prefix is never served for a newer one and vice versa.
-	g  *Graph
-	cs []Clique
+	g *Graph
+	// filter is the shard filter the listing was restricted to (the zero
+	// ShardFilter keeps every clique); a lookup hits only on equality.
+	filter ShardFilter
+	// lines holds one Clique.AppendLine per clique, sized exactly, and
+	// count the number of lines.
+	lines []byte
+	count int
 }
 
 // NewSession opens a session on g, paying the shared preprocessing once:
@@ -455,31 +467,114 @@ func (s *Session) run(ctx context.Context, q Query, st *sessionState) (*Result, 
 }
 
 // GroundTruth returns the sequential enumeration of Kp for the session's
-// current graph, computed once per p and shared by every verifying query.
+// current graph, in lexicographic order. The listing is computed once per
+// p and memoized as NDJSON bytes shared by every caller (see
+// GroundTruthLines); each call decodes a fresh slice the caller owns.
 // Concurrent first calls for the same p coalesce onto one enumeration;
 // distinct p values enumerate concurrently (the lock guards only the map).
 func (s *Session) GroundTruth(p int) []Clique {
 	return s.groundTruthFor(s.state.Load().g, p)
 }
 
-// groundTruthFor memoizes the Kp listing per (p, graph snapshot): the
-// memo hits only when it was computed from exactly the snapshot asked
-// for, so a verifying query racing an Apply always compares against the
-// listing of the graph it actually ran on, while the mutation-free case
-// keeps full memoization.
+// ShardFilter restricts a ground-truth listing to the cliques one shard of
+// a partitioned graph owns; the zero ShardFilter keeps every clique.
+type ShardFilter = partition.Filter
+
+// GroundTruthLines returns the session's current Kp listing as NDJSON —
+// one line per clique, byte for byte what Clique.AppendLine writes, in
+// lexicographic order — restricted to the cliques f owns. The bytes are
+// encoded once per (p, graph snapshot, filter) and shared: callers must
+// not modify them. The memo holds one entry per p, so a request with
+// another filter replaces the entry rather than adding one. A filter
+// that does not fit p wraps ErrInvalidQuery.
+func (s *Session) GroundTruthLines(p int, f ShardFilter) ([]byte, error) {
+	e, err := s.truthFor(s.state.Load().g, p, f)
+	if err != nil {
+		return nil, err
+	}
+	return e.lines, nil
+}
+
+// groundTruthFor decodes the memoized unfiltered Kp listing of snapshot g.
 func (s *Session) groundTruthFor(g *Graph, p int) []Clique {
+	e, _ := s.truthFor(g, p, ShardFilter{}) // the zero filter is always valid
+	return decodeLines(e.lines, e.count, p, g.N())
+}
+
+// truthFor memoizes the encoded Kp listing per (p, graph snapshot,
+// filter): the memo hits only when it was computed from exactly the
+// snapshot asked for, so a verifying query racing an Apply always
+// compares against the listing of the graph it actually ran on, while the
+// mutation-free case keeps full memoization.
+func (s *Session) truthFor(g *Graph, p int, f ShardFilter) (*gtEntry, error) {
 	s.gtMu.Lock()
-	if e, ok := s.gt[p]; ok && e.g == g {
+	if e, ok := s.gt[p]; ok && e.g == g && e.filter == f {
 		s.gtMu.Unlock()
 		<-e.done
-		return e.cs
+		return e, nil
 	}
-	e := &gtEntry{done: make(chan struct{}), g: g}
+	if !f.IsZero() {
+		if err := f.Validate(p); err != nil {
+			s.gtMu.Unlock()
+			return nil, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
+		}
+	}
+	e := &gtEntry{done: make(chan struct{}), g: g, filter: f}
 	s.gt[p] = e
 	s.gtMu.Unlock()
-	e.cs = g.ListCliques(p)
+	e.lines, e.count = encodeListing(g, p, f)
 	close(e.done)
-	return e.cs
+	return e, nil
+}
+
+// encodeListing lists g's p-cliques, keeps the ones f owns, and encodes
+// them into one exactly sized NDJSON buffer.
+func encodeListing(g *Graph, p int, f ShardFilter) ([]byte, int) {
+	cs := g.ListCliques(p)
+	if !f.IsZero() {
+		m := f.Matcher(g.N(), p)
+		kept := cs[:0]
+		for _, c := range cs {
+			if m.Owns(c) {
+				kept = append(kept, c)
+			}
+		}
+		cs = kept
+	}
+	size := 0
+	for _, c := range cs {
+		size += c.LineLen()
+	}
+	lines := make([]byte, 0, size)
+	scratch := make([]byte, 0, graph.MaxLineLen(p))
+	for _, c := range cs {
+		// Through scratch: AppendLine grows its destination by a whole
+		// MaxLineLen, which would reallocate lines near its end.
+		lines = append(lines, c.AppendLine(scratch[:0])...)
+	}
+	return lines, len(cs)
+}
+
+// decodeLines reverses encodeListing: count cliques of p vertices over
+// [0,n), sharing one flat backing array. No lines decode to nil, as
+// Graph.ListCliques returns for an empty listing.
+func decodeLines(lines []byte, count, p, n int) []Clique {
+	if count == 0 {
+		return nil
+	}
+	flat := make([]V, 0, count*p)
+	out := make([]Clique, count)
+	for i := range out {
+		end := bytes.IndexByte(lines, '\n')
+		start := len(flat)
+		var err error
+		if flat, err = graph.ParseCliqueLine(lines[:end], flat, n); err != nil {
+			panic(fmt.Sprintf("kplist: corrupt ground-truth memo: %v", err))
+		}
+		out[i] = flat[start:len(flat):len(flat)]
+		lines = lines[end+1:]
+	}
+	return out
 }
 
 // visitCtxCheckEvery is how many streamed cliques go by between context

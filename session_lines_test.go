@@ -1,0 +1,192 @@
+package kplist
+
+import (
+	"bytes"
+	"context"
+	"strings"
+	"sync"
+	"testing"
+
+	"kplist/internal/graph"
+	"kplist/internal/partition"
+)
+
+// encodeCliques is the reference NDJSON encoding of a listing.
+func encodeCliques(cs []Clique) string {
+	var b []byte
+	for _, c := range cs {
+		b = c.AppendLine(b)
+	}
+	return string(b)
+}
+
+// TestSessionTruthLinesTrackApply checks the encoded memo against a fresh
+// encoding of ListCliques on the new snapshot after a batch that leaves
+// the triangles alone (the memo is re-keyed, the very same bytes) and
+// after one that adds a triangle (the memo is dropped and re-encoded).
+func TestSessionTruthLinesTrackApply(t *testing.T) {
+	s := NewSession(twoTriangleGraph(t), SessionConfig{})
+	defer s.Close()
+	lines := func() []byte {
+		b, err := s.GroundTruthLines(3, ShardFilter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeCliques(s.Graph().ListCliques(3)); string(b) != want {
+			t.Fatalf("memo %q, want %q", b, want)
+		}
+		return b
+	}
+	before := lines()
+
+	ar, err := s.Apply(context.Background(), []Mutation{AddEdgeMutation(6, 7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ar.InvalidatedTruths != 0 {
+		t.Fatalf("a batch outside every triangle dropped the memo: %+v", ar)
+	}
+	if after := lines(); &after[0] != &before[0] {
+		t.Fatal("the re-keyed memo was re-encoded instead of served")
+	}
+
+	ar, err = s.Apply(context.Background(), []Mutation{AddEdgeMutation(7, 8), AddEdgeMutation(6, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ar.InvalidatedTruths != 1 {
+		t.Fatalf("a batch adding a triangle kept the memo: %+v", ar)
+	}
+	if got := strings.Count(string(lines()), "\n"); got != 3 {
+		t.Fatalf("%d triangles after the batch, want 3", got)
+	}
+
+	// A shard filter's share of the listing tracks the snapshot too.
+	sigs := partition.Signatures(2, 3)
+	owned := make([]bool, len(sigs))
+	owned[0], owned[len(sigs)-1] = true, true
+	f := partition.NewFilter(9, 2, owned)
+	got, err := s.GroundTruthLines(3, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := f.Matcher(s.Graph().N(), 3)
+	var kept []Clique
+	for _, c := range s.Graph().ListCliques(3) {
+		if m.Owns(c) {
+			kept = append(kept, c)
+		}
+	}
+	if string(got) != encodeCliques(kept) {
+		t.Fatalf("filtered memo %q, want %q", got, encodeCliques(kept))
+	}
+	if _, err := s.GroundTruthLines(3, ShardFilter{T: 2, Owned: "0000"}); err == nil {
+		t.Fatal("a filter mask of the wrong length was accepted")
+	}
+}
+
+// TestSessionGroundTruthDecodesFresh: GroundTruth decodes the memo into a
+// slice the caller owns.
+func TestSessionGroundTruthDecodesFresh(t *testing.T) {
+	s := NewSession(twoTriangleGraph(t), SessionConfig{})
+	defer s.Close()
+	a := s.GroundTruth(3)
+	a[0][0] = 9
+	if b := s.GroundTruth(3); b[0][0] != 0 || encodeCliques(b) != encodeCliques(s.Graph().ListCliques(3)) {
+		t.Fatalf("GroundTruth shares its slice: %v", b)
+	}
+	if s.GroundTruth(5) != nil {
+		t.Fatal("an empty listing decodes to nil, as ListCliques returns it")
+	}
+}
+
+// TestSessionVerifyRejectsMismatch: a verifying session still refuses a
+// result that disagrees with the decoded memo. The memo is trimmed by
+// one clique, which makes the engine's (correct) result the wrong one.
+func TestSessionVerifyRejectsMismatch(t *testing.T) {
+	s := NewSession(ErdosRenyi(40, 0.3, 3), SessionConfig{Verify: true})
+	defer s.Close()
+	if _, err := s.Query(Query{P: 3, Algo: AlgoCongestedClique, Seed: 1}); err != nil {
+		t.Fatalf("verifying query against the true memo: %v", err)
+	}
+	s.gtMu.Lock()
+	e := s.gt[3]
+	last := bytes.LastIndexByte(e.lines[:len(e.lines)-1], '\n')
+	e.lines, e.count = e.lines[:last+1], e.count-1
+	s.gtMu.Unlock()
+	_, err := s.Query(Query{P: 3, Algo: AlgoCongestedClique, Seed: 2})
+	if err == nil || !strings.Contains(err.Error(), "verify failed") {
+		t.Fatalf("verifying query against a trimmed memo: %v, want a verify failure", err)
+	}
+}
+
+// TestSessionTruthLinesRaceApply races memo readers (lex bytes, a
+// filtered share, decoded slices) against mutation batches: every read
+// must be the encoding of some prefix of the batch history. CI runs it
+// under -race.
+func TestSessionTruthLinesRaceApply(t *testing.T) {
+	g := ErdosRenyi(48, 0.25, 5)
+	s := NewSession(g, SessionConfig{})
+	defer s.Close()
+	batches := [][]Mutation{
+		{AddEdgeMutation(0, 1), AddEdgeMutation(1, 2), AddEdgeMutation(0, 2)},
+		{DelEdgeMutation(0, 1)},
+		{AddEdgeMutation(3, 4), DelEdgeMutation(1, 2)},
+		{AddEdgeMutation(0, 1), AddEdgeMutation(5, 6)},
+	}
+	valid := map[string]bool{encodeCliques(g.ListCliques(3)): true}
+	dyn := graph.NewDynGraph(g, graph.DynConfig{})
+	for _, b := range batches {
+		if _, err := dyn.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		valid[encodeCliques(dyn.Snapshot().ListCliques(3))] = true
+	}
+	f := partition.NewFilter(3, 1, []bool{true}) // one part, owning everything
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan string, 16)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var got string
+				switch w % 3 {
+				case 0:
+					b, _ := s.GroundTruthLines(3, ShardFilter{})
+					got = string(b)
+				case 1:
+					b, _ := s.GroundTruthLines(3, f)
+					got = string(b)
+				case 2:
+					got = encodeCliques(s.GroundTruth(3))
+				}
+				if !valid[got] {
+					select {
+					case errs <- got:
+					default:
+					}
+					return
+				}
+			}
+		}(w)
+	}
+	for _, b := range batches {
+		if _, err := s.Apply(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for got := range errs {
+		t.Fatalf("a memo read matches no prefix of the batch history: %d lines", strings.Count(got, "\n"))
+	}
+}
