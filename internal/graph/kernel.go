@@ -418,10 +418,18 @@ func (k *kernel) countExpand(cands []V, depth, need int, a *kernelArena) int64 {
 	return total
 }
 
+// empty reports that the kernel has no p-clique to enumerate: p < 2, no
+// vertices, or p > maxOut+1 — a p-clique's lowest-rank vertex has the
+// other p−1 among its out-neighbours. The entry points check it before
+// borrowing an arena, which is O(p) in size: a huge p costs nothing.
+func (k *kernel) empty(p int) bool {
+	return p < 2 || k.n == 0 || p > k.maxOut+1
+}
+
 // visitSeq is the sequential whole-range visit used by the streaming
 // surfaces: deterministic enumeration order, abortable via yield.
 func (k *kernel) visitSeq(p int, yield func(Clique) bool) bool {
-	if p < 2 || k.n == 0 {
+	if k.empty(p) {
 		return true
 	}
 	a := k.getArena(p)
@@ -448,7 +456,7 @@ func kernelWorkers(workers, roots int) int {
 // count enumerates in parallel over root vertices and returns the total
 // number of p-cliques. workers ≤ 0 means GOMAXPROCS.
 func (k *kernel) count(p, workers int) int64 {
-	if p < 2 || k.n == 0 {
+	if k.empty(p) {
 		return 0
 	}
 	workers = kernelWorkers(workers, k.n)
@@ -560,7 +568,7 @@ func (k *kernel) collectExpand(cands []V, depth, need int, a *kernelArena, c *cl
 // vectors are pairwise distinct, so the final sort fully determines the
 // order regardless of how the dynamic root chunks interleaved.
 func (k *kernel) list(p, workers int) []Clique {
-	if p < 2 || k.n == 0 {
+	if k.empty(p) {
 		return nil
 	}
 	workers = kernelWorkers(workers, k.n)

@@ -149,3 +149,34 @@ func TestKernelDegenerateInputs(t *testing.T) {
 		t.Errorf("p=2 listed %v, want the 3 edges", got)
 	}
 }
+
+// TestKernelHugePIsFree: a clique size past the degeneracy bound is an
+// empty listing answered before any O(p) arena is borrowed, for Graph and
+// LocalLister alike; the bound itself is tight on a complete graph.
+func TestKernelHugePIsFree(t *testing.T) {
+	g := ErdosRenyi(40, 0.3, rand.New(rand.NewSource(5)))
+	ll := NewLocalLister(g.Edges())
+	for _, p := range []int{g.Degeneracy().Degeneracy + 2, 1 << 30} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if n := g.CountCliques(p); n != 0 {
+				t.Fatalf("CountCliques(%d) = %d", p, n)
+			}
+			if cs := g.ListCliques(p); cs != nil {
+				t.Fatalf("ListCliques(%d) = %d cliques", p, len(cs))
+			}
+			if !g.VisitCliquesUntil(p, func(Clique) bool { t.Fatalf("VisitCliquesUntil(%d) yielded", p); return false }) {
+				t.Fatalf("VisitCliquesUntil(%d) did not complete", p)
+			}
+			if cs := ll.ListCliques(p); cs != nil {
+				t.Fatalf("LocalLister.ListCliques(%d) = %d cliques", p, len(cs))
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("p=%d: %.0f allocations for an empty listing", p, allocs)
+		}
+	}
+	k6 := Complete(6) // degeneracy 5: one K6, no K7
+	if n, m := k6.CountCliques(6), k6.CountCliques(7); n != 1 || m != 0 {
+		t.Fatalf("K6: %d K6s and %d K7s, want 1 and 0", n, m)
+	}
+}

@@ -634,9 +634,8 @@ func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// algo=truth streams the sequential ground-truth kernel directly:
-	// no engine run, no round bill, and — with stream=1 — no []Clique is
-	// ever materialized, whatever the output size.
+	// algo=truth serves the sequential ground truth: no engine run, no
+	// round bill, and with stream=1 no []Clique is ever materialized.
 	if truth {
 		s.serveTruthCliques(w, r, sess, id, p, document, lex, filter)
 		return
@@ -705,17 +704,19 @@ func shardFilter(qv url.Values, p int) (kplist.ShardFilter, error) {
 }
 
 // serveTruthCliques answers /cliques?algo=truth. The document form
-// (stream=0) decodes the session's memoized ground truth; the NDJSON form
-// streams straight off the enumeration kernel's visitor through a
-// cliqueStream, in the kernel's deterministic enumeration order — so the
-// response is byte-identical across requests without the server ever
-// holding the listing. With order=lex the stream is the memoized
-// lexicographically sorted listing instead, already encoded: visit order
-// depends on the graph's degeneracy structure, so only the lexicographic
-// form is comparable across different graphs covering the same cliques —
-// which is what the cluster gateway's scatter–gather merge needs for
-// byte-identical output. A scatter leg's shard filter restricts that
-// listing to the cliques its shard owns.
+// (stream=0) decodes the session's memoized lexicographic ground truth.
+// Both NDJSON forms are a write of the session's memoized encoding
+// (Session.GroundTruthChunks) through writeLines: the default in the
+// kernel's deterministic enumeration order, byte-identical across
+// requests on one snapshot, and with order=lex the lexicographically
+// sorted listing. Visit order depends on the graph's degeneracy
+// structure, so only the lexicographic form is comparable across
+// different graphs covering the same cliques — which is what the cluster
+// gateway's scatter–gather merge needs for byte-identical output. A
+// scatter leg's shard filter restricts that listing to the cliques its
+// shard owns. A visit-order listing too large for the memo streams
+// straight off the kernel's visitor through a cliqueStream instead,
+// holding nothing.
 func (s *Server) serveTruthCliques(w http.ResponseWriter, r *http.Request, sess *kplist.Session, id string, p int, document, lex bool, filter kplist.ShardFilter) {
 	if p < 1 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("ground truth requires p ≥ 1, got %d", p))
@@ -731,13 +732,13 @@ func (s *Server) serveTruthCliques(w http.ResponseWriter, r *http.Request, sess 
 		})
 		return
 	}
-	if lex {
-		lines, err := sess.GroundTruthLines(p, filter)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeLines(r.Context(), w, lines)
+	chunks, memoized, err := sess.GroundTruthChunks(p, lex, filter)
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	if memoized {
+		writeLines(r.Context(), w, chunks)
 		return
 	}
 	cs := newCliqueStream(w)
@@ -748,22 +749,20 @@ func (s *Server) serveTruthCliques(w http.ResponseWriter, r *http.Request, sess 
 }
 
 // writeLines sends an already encoded NDJSON listing on the stream
-// policy: one write and one flush per graph.StreamBufferSize bytes, with
-// the request context checked between them.
-func writeLines(ctx context.Context, w http.ResponseWriter, lines []byte) {
+// policy: one write and one flush per chunk (graph.StreamBufferSize
+// bytes), with the request context checked between them.
+func writeLines(ctx context.Context, w http.ResponseWriter, chunks [][]byte) {
 	flusher := startNDJSON(w)
-	for len(lines) > 0 {
+	for _, c := range chunks {
 		if ctx.Err() != nil {
 			return
 		}
-		n := min(len(lines), graph.StreamBufferSize)
-		if _, err := w.Write(lines[:n]); err != nil {
+		if _, err := w.Write(c); err != nil {
 			return
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		lines = lines[n:]
 	}
 }
 

@@ -188,10 +188,10 @@ func (d *discardWriter) WriteHeader(status int)      { d.status = status }
 func (d *discardWriter) Write(b []byte) (int, error) { d.n += len(b); return len(b), nil }
 func (d *discardWriter) Flush()                      {}
 
-// lexFixture registers a planted-clique graph of n vertices straight
-// through the handler and warms its lex memo; serve then answers one
-// memo-hit lex stream into a discard writer.
-func lexFixture(tb testing.TB, h http.Handler, n int) (serve func() *discardWriter) {
+// streamFixture registers a planted-clique graph of n vertices straight
+// through the handler and warms the memo of the truth stream the query
+// names; serve then answers one memo-hit stream into a discard writer.
+func streamFixture(tb testing.TB, h http.Handler, n int, query string) (serve func() *discardWriter) {
 	tb.Helper()
 	rec := httptest.NewRecorder()
 	body := fmt.Sprintf(`{"workload":{"family":"planted-clique","n":%d,"seed":42,"cliqueSize":6}}`, n)
@@ -203,7 +203,7 @@ func lexFixture(tb testing.TB, h http.Handler, n int) (serve func() *discardWrit
 	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
 		tb.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodGet, "/v1/graphs/"+info.ID+"/cliques?p=4&algo=truth&order=lex", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/graphs/"+info.ID+"/cliques?"+query, nil)
 	dw := &discardWriter{h: make(http.Header)}
 	serve = func() *discardWriter {
 		dw.status, dw.n = 0, 0
@@ -212,30 +212,44 @@ func lexFixture(tb testing.TB, h http.Handler, n int) (serve func() *discardWrit
 		return dw
 	}
 	if dw := serve(); dw.status != http.StatusOK || dw.n == 0 {
-		tb.Fatalf("lex stream: status %d, %d bytes", dw.status, dw.n)
+		tb.Fatalf("%s stream: status %d, %d bytes", query, dw.status, dw.n)
 	}
 	return serve
 }
 
-// TestLexStreamAllocsFlat is the memo-hit lex stream's alloc canary,
-// pinned by the CI bench-smoke job: serving the memoized listing writes
-// the stored bytes, so its allocations do not grow with the clique count.
-func TestLexStreamAllocsFlat(t *testing.T) {
+const (
+	lexQuery   = "p=4&algo=truth&order=lex"
+	visitQuery = "p=4&algo=truth"
+)
+
+// assertStreamAllocsFlat checks that a memo-hit stream's allocations do
+// not grow with the clique count: serving the memoized listing writes the
+// stored bytes.
+func assertStreamAllocsFlat(t *testing.T, query string) {
+	t.Helper()
 	h := server.New(server.Config{}).Handler()
-	small, large := lexFixture(t, h, 200), lexFixture(t, h, 2000)
+	small, large := streamFixture(t, h, 200, query), streamFixture(t, h, 2000, query)
 	if s, l := small().n, large().n; l < 10*s {
 		t.Fatalf("fixture: large stream %d bytes is not 10x the small one's %d", l, s)
 	}
 	a, b := testing.AllocsPerRun(50, func() { small() }), testing.AllocsPerRun(50, func() { large() })
 	if b > a {
-		t.Fatalf("memo-hit lex stream allocs grew with the listing: %.1f objects for the small graph, %.1f for the 10x one", a, b)
+		t.Fatalf("memo-hit %s stream allocs grew with the listing: %.1f objects for the small graph, %.1f for the 10x one", query, a, b)
 	}
 }
 
-// BenchmarkServerLexStream times one memo-hit order=lex stream through
-// the handler into a discard writer.
-func BenchmarkServerLexStream(b *testing.B) {
-	serve := lexFixture(b, server.New(server.Config{}).Handler(), 2000)
+// TestLexStreamAllocsFlat is the memo-hit lex stream's alloc canary,
+// pinned by the CI bench-smoke job.
+func TestLexStreamAllocsFlat(t *testing.T) { assertStreamAllocsFlat(t, lexQuery) }
+
+// TestVisitStreamAllocsFlat is the same canary for the default
+// visit-order stream.
+func TestVisitStreamAllocsFlat(t *testing.T) { assertStreamAllocsFlat(t, visitQuery) }
+
+// benchmarkStream times one memo-hit stream through the handler into a
+// discard writer.
+func benchmarkStream(b *testing.B, query string) {
+	serve := streamFixture(b, server.New(server.Config{}).Handler(), 2000, query)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var bytes int
@@ -244,3 +258,9 @@ func BenchmarkServerLexStream(b *testing.B) {
 	}
 	b.SetBytes(int64(bytes))
 }
+
+// BenchmarkServerLexStream times one memo-hit order=lex stream.
+func BenchmarkServerLexStream(b *testing.B) { benchmarkStream(b, lexQuery) }
+
+// BenchmarkServerVisitStream times one memo-hit visit-order stream.
+func BenchmarkServerVisitStream(b *testing.B) { benchmarkStream(b, visitQuery) }

@@ -56,6 +56,8 @@ type ApplyResult struct {
 	// results and ground-truth memos the batch dropped; cached listings
 	// the batch provably did not change are retained (their round bills
 	// describe the pre-apply prefix — exact listings, historical costs).
+	// Visit-order ground-truth memos are dropped by every effective
+	// batch, since a batch can reorder a listing it does not change.
 	InvalidatedResults int `json:"invalidatedResults"`
 	InvalidatedTruths  int `json:"invalidatedTruths"`
 	// N and M describe the post-apply graph; Graph is its immutable
@@ -91,8 +93,10 @@ func (s *Session) SetMutationHook(h func([]Mutation) error) {
 // engine checks whether any removed edge supported a p-clique (in the old
 // graph) or any inserted edge completes one (in the new graph) — a local
 // frontier enumeration, independent of the total clique population — and
-// only affected entries are dropped. Batches past the density threshold
-// skip the per-size analysis and flush everything (ApplyResult.Rebuilt).
+// only affected entries are dropped. Visit-order ground-truth memos are
+// the exception: every effective batch drops them (see
+// ApplyResult.InvalidatedTruths). Batches past the density threshold skip
+// the per-size analysis and flush everything (ApplyResult.Rebuilt).
 func (s *Session) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, error) {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
@@ -137,8 +141,10 @@ func (s *Session) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, err
 	}
 	s.mu.Unlock()
 	s.gtMu.Lock()
-	for p := range s.gt {
-		ps[p] = true
+	for key := range s.gt {
+		if !key.visit {
+			ps[key.p] = true
+		}
 	}
 	s.gtMu.Unlock()
 	affected := make(map[int]bool, len(ps))
@@ -160,12 +166,15 @@ func (s *Session) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, err
 	}
 	s.stats.Unique = len(s.entries)
 	s.gtMu.Lock()
-	for p, e := range s.gt {
-		if aff, known := affected[p]; !known || aff {
-			delete(s.gt, p)
+	for key, e := range s.gt {
+		if aff, known := affected[key.p]; key.visit || !known || aff {
+			// Visit entries always go: visit order follows the
+			// snapshot's degeneracy ranking, which a batch can change
+			// while leaving the listing itself alone.
+			delete(s.gt, key)
 			res.InvalidatedTruths++
 		} else {
-			// The p-listing provably did not change, so the encoded
+			// The p-listing provably did not change, so the encoded lex
 			// memo (and any shard filter's share of it) stays valid for
 			// the new snapshot — re-key it (the compute goroutine never
 			// touches e.g, and e.g is only read under gtMu) so post-apply

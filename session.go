@@ -148,7 +148,7 @@ type Session struct {
 	mutHook func([]Mutation) error
 
 	gtMu sync.Mutex
-	gt   map[int]*gtEntry
+	gt   map[gtKey]*gtEntry
 
 	// skMu guards the maintained clique sketches (estimate.go), keyed by
 	// (p, precision, seed) and snapshot-pointer checked like gt.
@@ -168,24 +168,51 @@ type sessionEntry struct {
 	err  error
 }
 
-// gtEntry is the memoized ground truth of one clique size: the
-// lexicographically sorted listing, encoded once as NDJSON. The bytes are
-// the only copy — about half the footprint of the []Clique they encode —
-// and GroundTruth decodes a fresh slice for the callers that need one.
+// gtKey names one memoized ground-truth listing: its clique size and
+// its order.
+type gtKey struct {
+	p int
+	// visit selects the kernel's enumeration order (VisitCliques); false
+	// is lexicographic (ListCliques).
+	visit bool
+}
+
+// gtEntry is the memoized ground truth of one clique size in one order,
+// encoded once as NDJSON. The bytes are the only copy — about half the
+// footprint of the []Clique they encode — and GroundTruth decodes a fresh
+// slice for the callers that need one.
 type gtEntry struct {
 	done chan struct{}
 	// g is the graph snapshot the listing was (or is being) computed
 	// from: a lookup hits only on pointer match, so a memo from an older
 	// mutation prefix is never served for a newer one and vice versa.
 	g *Graph
-	// filter is the shard filter the listing was restricted to (the zero
-	// ShardFilter keeps every clique); a lookup hits only on equality.
+	// filter is the shard filter a lex listing was restricted to (the
+	// zero ShardFilter keeps every clique); a lookup hits only on
+	// equality. Visit entries are never filtered.
 	filter ShardFilter
-	// lines holds one Clique.AppendLine per clique, sized exactly, and
-	// count the number of lines.
+	// lines holds a lex listing, one Clique.AppendLine per clique, sized
+	// exactly, and count the number of its lines.
 	lines []byte
 	count int
+	// chunks is the listing in pieces of at most graph.StreamBufferSize
+	// bytes, the unit a stream writes: sub-slices of lines for lex, and
+	// for visit the only copy, each chunk allocated once at its full size.
+	chunks [][]byte
+	// over marks a visit listing past visitMemoCeiling: the entry holds
+	// no bytes, and its snapshot's visit streams run the kernel instead.
+	over bool
 }
+
+// noTruth is the shared empty listing of a clique size no Kp can have
+// (p < 1 or p > degeneracy+1). Such sizes get no memo entry, so distinct
+// p values cannot grow the memo.
+var noTruth = &gtEntry{}
+
+// visitMemoCeiling bounds the bytes one visit-order memo entry may hold.
+// A listing past it is not memoized: its streams run the kernel through
+// the constant-memory visitor, as every visit stream once did.
+var visitMemoCeiling = 64 << 20
 
 // NewSession opens a session on g, paying the shared preprocessing once:
 // the degeneracy peel (degree order + coreness, the artefact every
@@ -201,7 +228,7 @@ func NewSession(g *Graph, cfg SessionConfig) *Session {
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		entries:  make(map[Query]*sessionEntry),
-		gt:       make(map[int]*gtEntry),
+		gt:       make(map[gtKey]*gtEntry),
 		sketches: make(map[sketchKey]*sketchEntry),
 	}
 	s.state.Store(&sessionState{g: g, degen: g.Degeneracy()})
@@ -457,7 +484,7 @@ func (s *Session) run(ctx context.Context, q Query, st *sessionState) (*Result, 
 		// Verification compares against the same snapshot the engine ran
 		// on; the memo is keyed by that snapshot, so a concurrent Apply
 		// can never substitute a later mutation prefix.
-		want := graph.NewCliqueSet(s.groundTruthFor(st.g, q.P))
+		want := graph.NewCliqueSet(s.groundTruthFor(st, q.P))
 		if !graph.NewCliqueSet(res.Cliques).Equal(want) {
 			return nil, fmt.Errorf("kplist: session verify failed for %+v: got %d cliques, want %d",
 				q, len(res.Cliques), want.Len())
@@ -473,7 +500,7 @@ func (s *Session) run(ctx context.Context, q Query, st *sessionState) (*Result, 
 // Concurrent first calls for the same p coalesce onto one enumeration;
 // distinct p values enumerate concurrently (the lock guards only the map).
 func (s *Session) GroundTruth(p int) []Clique {
-	return s.groundTruthFor(s.state.Load().g, p)
+	return s.groundTruthFor(s.state.Load(), p)
 }
 
 // ShardFilter restricts a ground-truth listing to the cliques one shard of
@@ -484,45 +511,79 @@ type ShardFilter = partition.Filter
 // one line per clique, byte for byte what Clique.AppendLine writes, in
 // lexicographic order — restricted to the cliques f owns. The bytes are
 // encoded once per (p, graph snapshot, filter) and shared: callers must
-// not modify them. The memo holds one entry per p, so a request with
+// not modify them. The memo holds one lex entry per p, so a request with
 // another filter replaces the entry rather than adding one. A filter
 // that does not fit p wraps ErrInvalidQuery.
 func (s *Session) GroundTruthLines(p int, f ShardFilter) ([]byte, error) {
-	e, err := s.truthFor(s.state.Load().g, p, f)
+	e, err := s.truthFor(s.state.Load(), gtKey{p: p}, f)
 	if err != nil {
 		return nil, err
 	}
 	return e.lines, nil
 }
 
-// groundTruthFor decodes the memoized unfiltered Kp listing of snapshot g.
-func (s *Session) groundTruthFor(g *Graph, p int) []Clique {
-	e, _ := s.truthFor(g, p, ShardFilter{}) // the zero filter is always valid
-	return decodeLines(e.lines, e.count, p, g.N())
+// GroundTruthChunks returns the session's current Kp listing as NDJSON in
+// pieces of at most graph.StreamBufferSize bytes (more only for a single
+// longer line) that concatenate to the whole listing. With lex it is
+// GroundTruthLines(p, f), sliced without a copy. Otherwise it is the
+// kernel's visit order — byte for byte the encoding of what
+// VisitGroundTruth yields — and f must be the zero filter. Either order
+// is encoded once per (p, graph snapshot) and shared: callers must not
+// modify the chunks. ok is false when a visit-order listing passes the
+// memo's byte ceiling; the caller then streams VisitGroundTruth, which
+// holds nothing. A filter that does not fit wraps ErrInvalidQuery.
+func (s *Session) GroundTruthChunks(p int, lex bool, f ShardFilter) (chunks [][]byte, ok bool, err error) {
+	if !lex && !f.IsZero() {
+		return nil, false, fmt.Errorf("%w: a shard filter needs lexicographic order", ErrInvalidQuery)
+	}
+	e, err := s.truthFor(s.state.Load(), gtKey{p: p, visit: !lex}, f)
+	if err != nil {
+		return nil, false, err
+	}
+	return e.chunks, !e.over, nil
 }
 
-// truthFor memoizes the encoded Kp listing per (p, graph snapshot,
+// groundTruthFor decodes the memoized unfiltered lex Kp listing of
+// snapshot st.
+func (s *Session) groundTruthFor(st *sessionState, p int) []Clique {
+	e, _ := s.truthFor(st, gtKey{p: p}, ShardFilter{}) // the zero filter is always valid
+	return decodeLines(e.lines, e.count, p, st.g.N())
+}
+
+// truthFor memoizes the encoded listing per (p, order, graph snapshot,
 // filter): the memo hits only when it was computed from exactly the
 // snapshot asked for, so a verifying query racing an Apply always
 // compares against the listing of the graph it actually ran on, while the
-// mutation-free case keeps full memoization.
-func (s *Session) truthFor(g *Graph, p int, f ShardFilter) (*gtEntry, error) {
+// mutation-free case keeps full memoization. Concurrent first requests
+// coalesce on the entry's done channel.
+func (s *Session) truthFor(st *sessionState, key gtKey, f ShardFilter) (*gtEntry, error) {
+	if !f.IsZero() {
+		if err := f.Validate(key.p); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
+		}
+	}
+	if key.p < 1 || key.p > st.degen.Degeneracy+1 {
+		return noTruth, nil
+	}
 	s.gtMu.Lock()
-	if e, ok := s.gt[p]; ok && e.g == g && e.filter == f {
+	if e, ok := s.gt[key]; ok && e.g == st.g && e.filter == f {
 		s.gtMu.Unlock()
 		<-e.done
 		return e, nil
 	}
-	if !f.IsZero() {
-		if err := f.Validate(p); err != nil {
-			s.gtMu.Unlock()
-			return nil, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
+	e := &gtEntry{done: make(chan struct{}), g: st.g, filter: f}
+	s.gt[key] = e
+	s.gtMu.Unlock()
+	if key.visit {
+		e.chunks, e.over = encodeVisit(st.g, key.p)
+	} else {
+		e.lines, e.count = encodeListing(st.g, key.p, f)
+		for rest := e.lines; len(rest) > 0; {
+			n := min(len(rest), graph.StreamBufferSize)
+			e.chunks = append(e.chunks, rest[:n:n])
+			rest = rest[n:]
 		}
 	}
-	e := &gtEntry{done: make(chan struct{}), g: g, filter: f}
-	s.gt[p] = e
-	s.gtMu.Unlock()
-	e.lines, e.count = encodeListing(g, p, f)
 	close(e.done)
 	return e, nil
 }
@@ -553,6 +614,37 @@ func encodeListing(g *Graph, p int, f ShardFilter) ([]byte, int) {
 		lines = append(lines, c.AppendLine(scratch[:0])...)
 	}
 	return lines, len(cs)
+}
+
+// encodeVisit encodes g's p-cliques in the kernel's visit order straight
+// off the visitor, into chunks of graph.StreamBufferSize bytes (or one
+// line, if longer) that are each allocated once and filled with whole
+// lines; only the last is copied, to its length. Once the lines pass
+// visitMemoCeiling bytes it stops, drops what it holds and reports over.
+func encodeVisit(g *Graph, p int) (chunks [][]byte, over bool) {
+	maxLine := graph.MaxLineLen(p)
+	var cur []byte
+	held := 0
+	g.VisitCliquesUntil(p, func(c Clique) bool {
+		if cap(cur)-len(cur) < maxLine {
+			if len(cur) > 0 {
+				chunks = append(chunks, cur)
+			}
+			cur = make([]byte, 0, max(graph.StreamBufferSize, maxLine))
+		}
+		n := len(cur)
+		cur = c.AppendLine(cur)
+		held += len(cur) - n
+		over = held > visitMemoCeiling
+		return !over
+	})
+	if over {
+		return nil, true
+	}
+	if len(cur) > 0 {
+		chunks = append(chunks, bytes.Clone(cur))
+	}
+	return chunks, false
 }
 
 // decodeLines reverses encodeListing: count cliques of p vertices over
@@ -587,8 +679,10 @@ const visitCtxCheckEvery = 1024
 // reused — copy to retain) in the kernel's deterministic enumeration
 // order, and nothing is ever materialized. Enumeration stops early when
 // yield returns false (not an error) or when ctx expires (its error is
-// returned). This is the serving path behind kplistd's ground-truth
-// NDJSON streaming: constant memory no matter how many cliques go by.
+// returned). It runs the kernel on every call; GroundTruthChunks serves
+// the same listing, encoded, from the memo. kplistd streams through
+// VisitGroundTruth only a listing too large to memoize: constant memory
+// no matter how many cliques go by.
 func (s *Session) VisitGroundTruth(ctx context.Context, p int, yield func(Clique) bool) error {
 	s.mu.Lock()
 	closed := s.closed

@@ -3,6 +3,7 @@ package kplist
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -110,7 +111,7 @@ func TestSessionVerifyRejectsMismatch(t *testing.T) {
 		t.Fatalf("verifying query against the true memo: %v", err)
 	}
 	s.gtMu.Lock()
-	e := s.gt[3]
+	e := s.gt[gtKey{p: 3}]
 	last := bytes.LastIndexByte(e.lines[:len(e.lines)-1], '\n')
 	e.lines, e.count = e.lines[:last+1], e.count-1
 	s.gtMu.Unlock()
@@ -188,5 +189,96 @@ func TestSessionTruthLinesRaceApply(t *testing.T) {
 	close(errs)
 	for got := range errs {
 		t.Fatalf("a memo read matches no prefix of the batch history: %d lines", strings.Count(got, "\n"))
+	}
+}
+
+// visitCliques is the reference encoding of a visit-order listing.
+func visitCliques(g *Graph, p int) string {
+	var b []byte
+	g.VisitCliques(p, func(c Clique) { b = c.AppendLine(b) })
+	return string(b)
+}
+
+// TestSessionVisitLinesRaceApply races visit-order memo readers against
+// mutation batches: every read must be the visit-order encoding of some
+// snapshot of the batch history. CI runs it under -race.
+func TestSessionVisitLinesRaceApply(t *testing.T) {
+	g := ErdosRenyi(48, 0.25, 5)
+	s := NewSession(g, SessionConfig{})
+	defer s.Close()
+	batches := [][]Mutation{
+		{AddEdgeMutation(0, 1), AddEdgeMutation(1, 2), AddEdgeMutation(0, 2)},
+		{DelEdgeMutation(0, 1)},
+		{AddEdgeMutation(3, 4), DelEdgeMutation(1, 2)},
+		{AddEdgeMutation(0, 1), AddEdgeMutation(5, 6)},
+	}
+	valid := map[string]bool{visitCliques(g, 3): true}
+	dyn := graph.NewDynGraph(g, graph.DynConfig{})
+	for _, b := range batches {
+		if _, err := dyn.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		valid[visitCliques(dyn.Snapshot(), 3)] = true
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan string, 16)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				chunks, ok, err := s.GroundTruthChunks(3, false, ShardFilter{})
+				if err != nil || !ok {
+					errs <- fmt.Sprintf("GroundTruthChunks: ok %v, err %v", ok, err)
+					return
+				}
+				if got := string(bytes.Join(chunks, nil)); !valid[got] {
+					select {
+					case errs <- fmt.Sprintf("a visit read matches no snapshot of the batch history: %d lines", strings.Count(got, "\n")):
+					default:
+					}
+					return
+				}
+			}
+		}()
+	}
+	for _, b := range batches {
+		if _, err := s.Apply(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
+}
+
+// TestSessionTruthHugeP: a clique size no Kp can have is an empty
+// listing in either order and leaves no memo entry behind.
+func TestSessionTruthHugeP(t *testing.T) {
+	s := NewSession(twoTriangleGraph(t), SessionConfig{})
+	defer s.Close()
+	for _, p := range []int{4, 1 << 30} {
+		for _, lex := range []bool{true, false} {
+			chunks, ok, err := s.GroundTruthChunks(p, lex, ShardFilter{})
+			if err != nil || !ok || len(chunks) != 0 {
+				t.Fatalf("p=%d lex=%v: %d chunks, ok %v, err %v; want an empty listing", p, lex, len(chunks), ok, err)
+			}
+		}
+		if s.GroundTruth(p) != nil {
+			t.Fatalf("p=%d: GroundTruth is not empty", p)
+		}
+	}
+	if len(s.gt) != 0 {
+		t.Fatalf("empty listings left %d memo entries", len(s.gt))
 	}
 }
