@@ -326,3 +326,40 @@ func BenchmarkSubstrates(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSessionColdQuery is the serving cold path the node-read-cold
+// workload exercises: each op opens a fresh Session per graph (so no
+// result is cached) and runs that workload's four engine queries — CONGEST
+// p=4, fast K4, congested clique p=3 and CONGEST p=5 — on small graphs of
+// its four families. Engine listing, bag merge and the one sort per
+// result dominate.
+func BenchmarkSessionColdQuery(b *testing.B) {
+	var graphs []*Graph
+	for i, fam := range []string{WorkloadStochasticBlock, WorkloadPlantedClique,
+		WorkloadBarabasiAlbert, WorkloadKronecker} {
+		inst, err := GenerateWorkload(WorkloadSpec{Family: fam, N: 256, Seed: int64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs = append(graphs, inst.G)
+	}
+	keys := []Query{
+		{P: 4, Algo: AlgoCONGEST, Seed: 1},
+		{P: 4, Algo: AlgoFastK4, Seed: 1},
+		{P: 3, Algo: AlgoCongestedClique, Seed: 1},
+		{P: 5, Algo: AlgoCONGEST, Seed: 1},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			s := NewSession(g, SessionConfig{})
+			for _, q := range keys {
+				if _, err := s.Query(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s.Close()
+		}
+	}
+}

@@ -2,6 +2,7 @@ package kplist
 
 import (
 	"fmt"
+	"slices"
 
 	"kplist/internal/algebraic"
 	"kplist/internal/congest"
@@ -25,7 +26,7 @@ func DetectCONGEST(g *Graph, p int, opt Options) (bool, *Result, error) {
 	}
 	found := len(res.Cliques) > 0
 	if found {
-		res.Cliques = res.Cliques[:1]
+		res.Cliques = witness(res.Cliques)
 	}
 	return found, res, nil
 }
@@ -66,9 +67,15 @@ func DetectCongestedClique(g *Graph, p int, opt Options) (bool, *Result, error) 
 	}
 	found := len(res.Cliques) > 0
 	if found {
-		res.Cliques = res.Cliques[:1]
+		res.Cliques = witness(res.Cliques)
 	}
 	return found, res, nil
+}
+
+// witness copies the first clique of a listing, so a detection result
+// does not keep the whole listing's backing array alive.
+func witness(cs []Clique) []Clique {
+	return []Clique{slices.Clone(cs[0])}
 }
 
 // String renders a compact one-line summary of a result.

@@ -1,6 +1,7 @@
 package kplist
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -79,6 +80,31 @@ func TestDetectCongestedClique(t *testing.T) {
 	}
 	if !found || len(res.Cliques) != 1 {
 		t.Error("planted K5 should be detected with one witness")
+	}
+}
+
+// TestDetectWitnessIsCopied: both detectors return their witness as a
+// copy, the first clique of the listing, so the result holds neither the
+// listing's []Clique nor its shared vertex array.
+func TestDetectWitnessIsCopied(t *testing.T) {
+	g := Complete(7)
+	want := GroundTruth(g, 4)[0]
+	for name, detect := range map[string]func(*Graph, int, Options) (bool, *Result, error){
+		"congest":          DetectCONGEST,
+		"congested-clique": DetectCongestedClique,
+	} {
+		found, res, err := detect(g, 4, Options{Seed: 1})
+		if err != nil || !found {
+			t.Fatalf("%s: found=%v err=%v", name, found, err)
+		}
+		if len(res.Cliques) != 1 || cap(res.Cliques) != 1 || !slices.Equal(res.Cliques[0], want) ||
+			cap(res.Cliques[0]) != 4 {
+			t.Errorf("%s: witness %v (cap %d), want the one clique %v", name, res.Cliques, cap(res.Cliques), want)
+		}
+	}
+	listing := GroundTruth(g, 4)
+	if w := witness(listing); &w[0][0] == &listing[0][0] {
+		t.Error("witness shares the listing's vertex array")
 	}
 }
 

@@ -15,10 +15,11 @@ import (
 
 // ArbResult is the outcome of one ARB-LIST pass (Theorem 2.9).
 type ArbResult struct {
-	// Cliques are all Kp listed by this pass: every Kp with at least one
-	// goal edge (EmHat) is guaranteed present; Kp discovered incidentally
-	// may appear too, which only helps.
-	Cliques graph.CliqueSet
+	// Cliques are all Kp listed by this pass, appended in cluster order
+	// (a clique may appear more than once; Cliques() sorts and dedups):
+	// every Kp with at least one goal edge (EmHat) is guaranteed present;
+	// Kp discovered incidentally may appear too, which only helps.
+	Cliques *graph.CliqueBag
 	// EmHat are the goal edges: cluster edges minus bad edges. All their
 	// Kp instances are listed, so they can be removed from the graph.
 	EmHat graph.EdgeList
@@ -105,12 +106,12 @@ func ArbList(n int, es graph.EdgeList, esOrient *graph.Orientation, er graph.Edg
 		BadThresh:   badThr,
 		ClusterThr:  clusterThr,
 	}
-	cliques := make(graph.CliqueSet)
+	cliques := graph.NewCliqueBag(prm.P)
 	var badEdgesAll graph.EdgeList
 
 	// Per-cluster phases run in parallel across clusters in the paper's
 	// model, and we simulate them the same way: each cluster is processed
-	// on its own host goroutine against a private ledger / clique set /
+	// on its own host goroutine against a private ledger / clique bag /
 	// stats census, and the results are folded in cluster order, so the
 	// outcome is bit-identical to the sequential loop at any worker count.
 	// Every per-cluster phase charges with ChargeMax, so folding the
@@ -118,7 +119,7 @@ func ArbList(n int, es graph.EdgeList, esOrient *graph.Orientation, er graph.Edg
 	// super-phase bill (max rounds across clusters, messages summed).
 	type clusterOut struct {
 		bad     graph.EdgeList
-		cliques graph.CliqueSet
+		cliques *graph.CliqueBag
 		stats   ArbStats
 		ledger  *congest.Ledger
 		err     error
@@ -130,7 +131,7 @@ func ArbList(n int, es graph.EdgeList, esOrient *graph.Orientation, er graph.Edg
 			return
 		}
 		out := &outs[i]
-		out.cliques = make(graph.CliqueSet)
+		out.cliques = graph.NewCliqueBag(prm.P)
 		out.ledger = &congest.Ledger{}
 		out.bad, out.err = processCluster(n, fullGraph, fullOrient, decomp.Clusters[i],
 			prm, heavyThr, badThr, cm, out.ledger, out.cliques, &out.stats)
@@ -170,9 +171,7 @@ func ArbList(n int, es graph.EdgeList, esOrient *graph.Orientation, er graph.Edg
 	local := &congest.Ledger{}
 	for i := range decomp.Clusters {
 		out := &outs[i]
-		for key := range out.cliques {
-			cliques[key] = struct{}{}
-		}
+		cliques.AddBag(out.cliques)
 		stats.HeavyNodes += out.stats.HeavyNodes
 		stats.LightNodes += out.stats.LightNodes
 		stats.BadNodes += out.stats.BadNodes
@@ -213,7 +212,7 @@ func ArbList(n int, es graph.EdgeList, esOrient *graph.Orientation, er graph.Edg
 // (moved to ErHat by the caller).
 func processCluster(n int, g *graph.Graph, fullOrient *graph.Orientation, cl *expander.Cluster,
 	prm Params, heavyThr, badThr int, cm congest.CostModel, local *congest.Ledger,
-	cliques graph.CliqueSet, stats *ArbStats) (graph.EdgeList, error) {
+	cliques *graph.CliqueBag, stats *ArbStats) (graph.EdgeList, error) {
 
 	// Classification (§2.4.1). Every member broadcasts its cluster ID to
 	// its outside neighbors: one round; each outside node counts its
@@ -378,9 +377,7 @@ func processCluster(n int, g *graph.Graph, fullOrient *graph.Orientation, cl *ex
 	if err != nil {
 		return nil, err
 	}
-	for key := range res.Cliques {
-		cliques[key] = struct{}{}
-	}
+	cliques.AddBag(res.Cliques)
 	return badEdges, nil
 }
 
@@ -389,7 +386,7 @@ func processCluster(n int, g *graph.Graph, fullOrient *graph.Orientation, cl *ex
 // neighbors, learns which are adjacent, and lists the K4s it sees. Charged
 // additively per cluster (the pass is sequential over clusters).
 func fastK4LightPass(n int, g *graph.Graph, decomp *expander.Decomposition, heavyThr int,
-	ledger *congest.Ledger, cliques graph.CliqueSet) error {
+	ledger *congest.Ledger, cliques *graph.CliqueBag) error {
 	for _, cl := range decomp.Clusters {
 		// Identify light nodes of this cluster.
 		gvC := make(map[graph.V][]graph.V)
@@ -427,7 +424,7 @@ func fastK4LightPass(n int, g *graph.Graph, decomp *expander.Decomposition, heav
 					}
 				}
 			}
-			graph.NewLocalLister(known).AddCliques(4, cliques)
+			graph.NewLocalLister(known).AddCliques(cliques)
 		}
 		// Rounds for this cluster: each light node broadcasts |Cn| IDs and
 		// receives as many replies per edge, all lights in parallel.

@@ -43,14 +43,15 @@ func checkArbContract(t *testing.T, n int, es, er graph.EdgeList, res *ArbResult
 	if err != nil {
 		t.Fatal(err)
 	}
+	listed := res.Cliques.Cliques()
+	listedSet := graph.NewCliqueSet(listed)
 	for _, c := range g.ListCliques(p) {
-		if cliqueTouches(c, res.EmHat) && !res.Cliques.Has(c) {
+		if cliqueTouches(c, res.EmHat) && !listedSet.Has(c) {
 			t.Fatalf("K%d %v has a goal edge but was not listed", p, c)
 		}
 	}
 	// Soundness: everything listed is a real clique of the working graph.
-	for key := range res.Cliques {
-		c := graph.CliqueFromKey(key)
+	for _, c := range listed {
 		for i := 0; i < len(c); i++ {
 			for j := i + 1; j < len(c); j++ {
 				if !g.HasEdge(c[i], c[j]) {
@@ -173,9 +174,10 @@ func TestListContract(t *testing.T) {
 		t.Fatal("Es contains foreign edges")
 	}
 	// Contract: every K4 with at least one edge outside Es is listed.
+	listed := graph.NewCliqueSet(res.Cliques.Cliques())
 	for _, c := range g.ListCliques(4) {
 		removed := graph.Subtract(edges, res.Es)
-		if cliqueTouches(c, removed) && !res.Cliques.Has(c) {
+		if cliqueTouches(c, removed) && !listed.Has(c) {
 			t.Fatalf("K4 %v touches removed edges but was not listed", c)
 		}
 	}
@@ -239,7 +241,7 @@ func TestListEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("List: %v", err)
 	}
-	if res.Cliques.Len() != 0 || len(res.Es) != 0 || res.Iterations != 0 {
+	if len(res.Cliques.Cliques()) != 0 || len(res.Es) != 0 || res.Iterations != 0 {
 		t.Error("empty input should be a no-op")
 	}
 }
@@ -257,9 +259,10 @@ func TestListFallbackOnIterationCap(t *testing.T) {
 		t.Skip("Er emptied in one pass; fallback not exercised")
 	}
 	// Even with the fallback, the full contract holds.
+	listed := graph.NewCliqueSet(res.Cliques.Cliques())
 	for _, c := range g.ListCliques(4) {
 		removed := graph.Subtract(edges, res.Es)
-		if cliqueTouches(c, removed) && !res.Cliques.Has(c) {
+		if cliqueTouches(c, removed) && !listed.Has(c) {
 			t.Fatalf("K4 %v not listed despite fallback", c)
 		}
 	}

@@ -10,9 +10,10 @@ import (
 
 // ListResult is the outcome of Algorithm LIST (Theorem 2.8).
 type ListResult struct {
-	// Cliques are all Kp listed: every Kp with at least one edge outside
-	// the returned Es is guaranteed present.
-	Cliques graph.CliqueSet
+	// Cliques are all Kp listed, appended pass by pass (duplicates
+	// possible; Cliques() sorts and dedups): every Kp with at least one
+	// edge outside the returned Es is guaranteed present.
+	Cliques *graph.CliqueBag
 	// Es is the surviving sparse edge set (the theorem's Ẽs); its
 	// certified orientation bounds the new arboricity.
 	Es graph.EdgeList
@@ -47,7 +48,7 @@ func List(n int, edges graph.EdgeList, prm Params, cm congest.CostModel, ledger 
 		return nil, err
 	}
 	er := edges
-	out := &ListResult{Cliques: make(graph.CliqueSet)}
+	out := &ListResult{Cliques: graph.NewCliqueBag(prm.P)}
 	cap := prm.maxIterations(n)
 	for iter := 0; len(er) > 0 && iter < cap; iter++ {
 		if err := congest.CtxErr(prm.Ctx); err != nil {
@@ -60,9 +61,7 @@ func List(n int, edges graph.EdgeList, prm Params, cm congest.CostModel, ledger 
 		if err != nil {
 			return nil, fmt.Errorf("arblist: pass %d: %w", iter, err)
 		}
-		for key := range res.Cliques {
-			out.Cliques[key] = struct{}{}
-		}
+		out.Cliques.AddBag(res.Cliques)
 		out.PassStats = append(out.PassStats, res.Stats)
 		out.Iterations++
 		if len(res.ErHat) >= len(er) {
@@ -85,9 +84,7 @@ func List(n int, edges graph.EdgeList, prm Params, cm congest.CostModel, ledger 
 		if err != nil {
 			return nil, fmt.Errorf("arblist: fallback: %w", err)
 		}
-		for key := range cliques {
-			out.Cliques[key] = struct{}{}
-		}
+		out.Cliques.AddBag(cliques)
 		// Everything left is now listed; Er is consumed, Es survives as
 		// the sparse remainder contract.
 	}

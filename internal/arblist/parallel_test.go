@@ -3,6 +3,7 @@ package arblist
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"kplist/internal/congest"
@@ -30,7 +31,7 @@ func TestArbListWorkersEquivalent(t *testing.T) {
 		seqRes, seqPhases := run(1)
 		for _, workers := range []int{2, 8} {
 			parRes, parPhases := run(workers)
-			if !seqRes.Cliques.Equal(parRes.Cliques) {
+			if !slices.EqualFunc(seqRes.Cliques.Cliques(), parRes.Cliques.Cliques(), slices.Equal) {
 				t.Fatalf("workers=%d: clique sets differ", workers)
 			}
 			if !reflect.DeepEqual(seqRes.EmHat, parRes.EmHat) ||
@@ -66,7 +67,7 @@ func TestListWorkersEquivalent(t *testing.T) {
 	}
 	seq := run(1)
 	par := run(4)
-	if !seq.Cliques.Equal(par.Cliques) {
+	if !slices.EqualFunc(seq.Cliques.Cliques(), par.Cliques.Cliques(), slices.Equal) {
 		t.Fatal("clique sets differ between worker counts")
 	}
 	if seq.Iterations != par.Iterations || !reflect.DeepEqual(seq.ErSizes, par.ErSizes) {

@@ -23,8 +23,9 @@ import (
 // The bill is maxOutDegree rounds (each node pushes its ≤ maxOutDegree
 // out-edges down every incident edge, one word per round). The local
 // enumeration is performed once globally — per-node enumeration would
-// produce the identical union at the identical bill.
-func BroadcastList(n int, edges graph.EdgeList, orient *graph.Orientation, p int, cm congest.CostModel, ledger *congest.Ledger) (graph.CliqueSet, error) {
+// produce the identical union at the identical bill — so the returned bag
+// holds each clique exactly once.
+func BroadcastList(n int, edges graph.EdgeList, orient *graph.Orientation, p int, cm congest.CostModel, ledger *congest.Ledger) (*graph.CliqueBag, error) {
 	if p < 2 {
 		return nil, fmt.Errorf("baseline: p=%d < 2", p)
 	}
@@ -52,13 +53,13 @@ func BroadcastList(n int, edges graph.EdgeList, orient *graph.Orientation, p int
 	}
 	ledger.Charge("broadcast-listing", rounds, msgs)
 
-	cliques := make(graph.CliqueSet)
-	graph.NewLocalLister(edges).AddCliques(p, cliques)
+	cliques := graph.NewCliqueBag(p)
+	graph.NewLocalLister(edges).AddCliques(cliques)
 	return cliques, nil
 }
 
 // BroadcastListGraph is BroadcastList over a whole graph with its
 // degeneracy orientation.
-func BroadcastListGraph(g *graph.Graph, p int, cm congest.CostModel, ledger *congest.Ledger) (graph.CliqueSet, error) {
+func BroadcastListGraph(g *graph.Graph, p int, cm congest.CostModel, ledger *congest.Ledger) (*graph.CliqueBag, error) {
 	return BroadcastList(g.N(), graph.NewEdgeList(g.Edges()), g.DegeneracyOrientation(), p, cm, ledger)
 }

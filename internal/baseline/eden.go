@@ -42,10 +42,13 @@ type EdenK4Params struct {
 // The simplifications (documented in DESIGN.md) preserve the cost
 // structure that makes the baseline Ω(n^{5/6})-shaped: full-neighborhood
 // imports and non-sparsity-aware listing.
-func EdenK4List(g *graph.Graph, prm EdenK4Params, cm congest.CostModel, ledger *congest.Ledger) (graph.CliqueSet, error) {
+//
+// The returned bag holds every K4, appended cluster by cluster and then by
+// the final phase, so a K4 may appear more than once; Cliques() dedups.
+func EdenK4List(g *graph.Graph, prm EdenK4Params, cm congest.CostModel, ledger *congest.Ledger) (*graph.CliqueBag, error) {
 	n := g.N()
 	if n == 0 {
-		return make(graph.CliqueSet), nil
+		return graph.NewCliqueBag(4), nil
 	}
 	if prm.HeavyThreshold <= 0 {
 		prm.HeavyThreshold = int(math.Ceil(math.Sqrt(float64(n))))
@@ -62,7 +65,7 @@ func EdenK4List(g *graph.Graph, prm EdenK4Params, cm congest.CostModel, ledger *
 		maxIter = int(4*congest.Log2Ceil(n)) + 8
 	}
 
-	cliques := make(graph.CliqueSet)
+	cliques := graph.NewCliqueBag(4)
 	er := graph.NewEdgeList(g.Edges())
 	var esAll graph.EdgeList
 	for iter := 0; len(er) > 0 && iter < maxIter; iter++ {
@@ -99,9 +102,7 @@ func EdenK4List(g *graph.Graph, prm EdenK4Params, cm congest.CostModel, ledger *
 		if err != nil {
 			return nil, err
 		}
-		for key := range got {
-			cliques[key] = struct{}{}
-		}
+		cliques.AddBag(got)
 	}
 	// The per-cluster passes above over-approximate: intersect against
 	// reality is unnecessary (all edges checked against g), but cliques
@@ -112,7 +113,7 @@ func EdenK4List(g *graph.Graph, prm EdenK4Params, cm congest.CostModel, ledger *
 
 // edenCluster processes one cluster in the Eden style.
 func edenCluster(n int, g *graph.Graph, cl *expander.Cluster, heavyThr int,
-	cm congest.CostModel, local *congest.Ledger, cliques graph.CliqueSet) error {
+	cm congest.CostModel, local *congest.Ledger, cliques *graph.CliqueBag) error {
 	gvC := make(map[graph.V][]graph.V)
 	var boundaryWords int64
 	for _, u := range cl.Nodes {
@@ -167,7 +168,7 @@ func edenCluster(n int, g *graph.Graph, cl *expander.Cluster, heavyThr int,
 	if err := rt.ChargeLoads(local, "eden-naive-listing", sent, recv); err != nil {
 		return err
 	}
-	graph.NewLocalLister(known).AddCliques(4, cliques)
+	graph.NewLocalLister(known).AddCliques(cliques)
 
 	// Light nodes list the K4s they share with the cluster: each light
 	// node broadcasts each cluster neighbor to all its neighbors and
@@ -193,7 +194,7 @@ func edenCluster(n int, g *graph.Graph, cl *expander.Cluster, heavyThr int,
 				}
 			}
 		}
-		graph.NewLocalLister(localKnown).AddCliques(4, cliques)
+		graph.NewLocalLister(localKnown).AddCliques(cliques)
 	}
 	local.ChargeMax("eden-light-list", 2*maxCn, lightWords)
 	return nil

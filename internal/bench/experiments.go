@@ -181,7 +181,7 @@ func E1Theorem11(cfg Config) ([]Series, error) {
 				}
 				sumRounds += ledger.Rounds()
 				sumMsgs += ledger.Messages()
-				sumCliques += float64(res.Cliques.Len())
+				sumCliques += float64(len(res.Cliques.Cliques()))
 				sumOuter += float64(res.OuterIterations)
 			}
 			rep := int64(cfg.Repeats)
@@ -226,7 +226,7 @@ func E2FastK4(cfg Config) ([]Series, error) {
 				}
 				sumRounds += ledger.Rounds()
 				sumMsgs += ledger.Messages()
-				sumCliques += float64(res.Cliques.Len())
+				sumCliques += float64(len(res.Cliques.Cliques()))
 			}
 			rep := int64(cfg.Repeats)
 			mode.series.Points = append(mode.series.Points, Point{
@@ -278,7 +278,7 @@ func E3CongestedClique(cfg Config) ([]Series, error) {
 				Rounds:   ledger.Rounds(),
 				Messages: ledger.Messages(),
 				Meta: map[string]float64{
-					"cliques":   float64(res.Cliques.Len()),
+					"cliques":   float64(len(res.Cliques.Cliques())),
 					"predicted": math.Max(1, float64(m)/crossover),
 				},
 			})
@@ -327,7 +327,7 @@ func E4Comparison(cfg Config) ([]Series, error) {
 			}
 			a4.rounds += l1.Rounds()
 			a4.msgs += l1.Messages()
-			a4.cliques += float64(r1.Cliques.Len())
+			a4.cliques += float64(len(r1.Cliques.Cliques()))
 			var l5 congest.Ledger
 			r5, err := core.ListCliques(g, core.Params{
 				P: 5, Seed: seed, FinalExponent: cfg.FinalExponent,
@@ -338,7 +338,7 @@ func E4Comparison(cfg Config) ([]Series, error) {
 			}
 			a5.rounds += l5.Rounds()
 			a5.msgs += l5.Messages()
-			a5.cliques += float64(r5.Cliques.Len())
+			a5.cliques += float64(len(r5.Cliques.Cliques()))
 			var l2 congest.Ledger
 			r2, err := baseline.EdenK4List(g, baseline.EdenK4Params{Seed: seed, ClusterThreshold: thr},
 				congest.UnitCosts(), &l2)
@@ -347,7 +347,7 @@ func E4Comparison(cfg Config) ([]Series, error) {
 			}
 			ae.rounds += l2.Rounds()
 			ae.msgs += l2.Messages()
-			ae.cliques += float64(r2.Len())
+			ae.cliques += float64(len(r2.Cliques()))
 			var l3 congest.Ledger
 			r3, err := baseline.BroadcastListGraph(g, 4, congest.UnitCosts(), &l3)
 			if err != nil {
@@ -355,7 +355,7 @@ func E4Comparison(cfg Config) ([]Series, error) {
 			}
 			ab.rounds += l3.Rounds()
 			ab.msgs += l3.Messages()
-			ab.cliques += float64(r3.Len())
+			ab.cliques += float64(len(r3.Cliques()))
 		}
 		rep := int64(cfg.Repeats)
 		for _, pair := range []struct {
@@ -566,8 +566,8 @@ func E8CountingVsListing(n int, seed int64, workers int) ([]Series, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E8 list m=%d: %w", m, err)
 		}
-		if int64(res.Cliques.Len()) != count {
-			return nil, fmt.Errorf("E8 m=%d: lister found %d triangles, counter %d", m, res.Cliques.Len(), count)
+		if listed := len(res.Cliques.Cliques()); int64(listed) != count {
+			return nil, fmt.Errorf("E8 m=%d: lister found %d triangles, counter %d", m, listed, count)
 		}
 		listing.Points = append(listing.Points, Point{
 			X: float64(m), Rounds: ll.Rounds(), Messages: ll.Messages(),

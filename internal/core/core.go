@@ -70,8 +70,10 @@ func (p Params) finalExponent() float64 {
 
 // Result is the outcome of a full Kp-listing run.
 type Result struct {
-	// Cliques is the exact set of Kp instances of the input graph.
-	Cliques graph.CliqueSet
+	// Cliques holds every Kp instance of the input graph, appended
+	// iteration by iteration and then by the final phase; a clique may
+	// appear more than once, and Cliques() gives the exact sorted set.
+	Cliques *graph.CliqueBag
 	// OuterIterations counts LIST invocations (the §2.2 halving ladder).
 	OuterIterations int
 	// ArboricityLadder traces the orientation out-degree bound before each
@@ -86,8 +88,8 @@ type Result struct {
 
 // ListCliques runs the full pipeline of Theorem 1.1 (or Theorem 1.2 when
 // prm.FastK4) on g, charging every phase to the ledger. The returned clique
-// set is exact: integration tests compare it against sequential ground
-// truth with set equality.
+// bag is exact: integration tests compare its sorted cliques against
+// sequential ground truth.
 func ListCliques(g *graph.Graph, prm Params, cm congest.CostModel, ledger *congest.Ledger) (*Result, error) {
 	if prm.P < 4 {
 		return nil, fmt.Errorf("core: p=%d < 4 (Theorem 1.1 covers p ≥ 4)", prm.P)
@@ -97,7 +99,7 @@ func ListCliques(g *graph.Graph, prm Params, cm congest.CostModel, ledger *conge
 	}
 	n := g.N()
 	if n == 0 {
-		return &Result{Cliques: make(graph.CliqueSet)}, nil
+		return &Result{Cliques: graph.NewCliqueBag(prm.P)}, nil
 	}
 	edges := graph.NewEdgeList(g.Edges())
 	finalThr := int(math.Ceil(math.Pow(float64(n), prm.finalExponent())))
@@ -106,7 +108,7 @@ func ListCliques(g *graph.Graph, prm Params, cm congest.CostModel, ledger *conge
 		maxOuter = int(congest.Log2Ceil(n)) + 4
 	}
 
-	out := &Result{Cliques: make(graph.CliqueSet)}
+	out := &Result{Cliques: graph.NewCliqueBag(prm.P)}
 	arbBound := currentArbBound(n, edges)
 	for iter := 0; iter < maxOuter && len(edges) > 0 && arbBound > finalThr; iter++ {
 		if err := congest.CtxErr(prm.Ctx); err != nil {
@@ -134,9 +136,7 @@ func ListCliques(g *graph.Graph, prm Params, cm congest.CostModel, ledger *conge
 		if err != nil {
 			return nil, fmt.Errorf("core: outer iteration %d: %w", iter, err)
 		}
-		for key := range res.Cliques {
-			out.Cliques[key] = struct{}{}
-		}
+		out.Cliques.AddBag(res.Cliques)
 		out.ListResults = append(out.ListResults, res)
 		out.OuterIterations++
 		edges = res.Es
@@ -166,9 +166,7 @@ func ListCliques(g *graph.Graph, prm Params, cm congest.CostModel, ledger *conge
 		if err != nil {
 			return nil, fmt.Errorf("core: final phase: %w", err)
 		}
-		for key := range cliques {
-			out.Cliques[key] = struct{}{}
-		}
+		out.Cliques.AddBag(cliques)
 	}
 	return out, nil
 }

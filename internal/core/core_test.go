@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,11 +18,10 @@ func runExact(t *testing.T, g *graph.Graph, prm Params) (*Result, *congest.Ledge
 	if err != nil {
 		t.Fatalf("ListCliques(p=%d): %v", prm.P, err)
 	}
-	want := graph.NewCliqueSet(g.ListCliques(prm.P))
-	if !res.Cliques.Equal(want) {
+	if got, want := res.Cliques.Cliques(), g.ListCliques(prm.P); !slices.EqualFunc(got, want, slices.Equal) {
+		gs, ws := graph.NewCliqueSet(got), graph.NewCliqueSet(want)
 		t.Fatalf("p=%d: got %d cliques, want %d; missing=%v extra=%v",
-			prm.P, res.Cliques.Len(), want.Len(),
-			want.Minus(res.Cliques), res.Cliques.Minus(want))
+			prm.P, len(got), len(want), ws.Minus(gs), gs.Minus(ws))
 	}
 	return res, &ledger
 }
@@ -61,8 +61,9 @@ func TestPlantedCliquesListedExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, planted := graph.PlantedCliques(150, 6, 4, 0.08, rng)
 	res, _ := runExact(t, g, Params{P: 6, Seed: 33})
+	listed := graph.NewCliqueSet(res.Cliques.Cliques())
 	for _, c := range planted {
-		if !res.Cliques.Has(graph.Clique(c)) {
+		if !listed.Has(graph.Clique(c)) {
 			t.Errorf("planted K6 %v missing", c)
 		}
 	}
@@ -108,8 +109,8 @@ func TestEmptyAndErrorCases(t *testing.T) {
 	var ledger congest.Ledger
 	empty := graph.MustNew(0, nil)
 	res, err := ListCliques(empty, Params{P: 4, Seed: 1}, congest.UnitCosts(), &ledger)
-	if err != nil || res.Cliques.Len() != 0 {
-		t.Errorf("empty graph: %v, %d cliques", err, res.Cliques.Len())
+	if err != nil || len(res.Cliques.Cliques()) != 0 {
+		t.Errorf("empty graph: %v, %d cliques", err, len(res.Cliques.Cliques()))
 	}
 	g := graph.Complete(5)
 	if _, err := ListCliques(g, Params{P: 3}, congest.UnitCosts(), &ledger); err == nil {
@@ -157,7 +158,7 @@ func TestQuickPipelineExact(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.Cliques.Equal(graph.NewCliqueSet(g.ListCliques(p)))
+		return slices.EqualFunc(res.Cliques.Cliques(), g.ListCliques(p), slices.Equal)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
@@ -193,7 +194,7 @@ func TestClusterThresholdOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Cliques.Equal(graph.NewCliqueSet(g.ListCliques(4))) {
+	if !slices.EqualFunc(res.Cliques.Cliques(), g.ListCliques(4), slices.Equal) {
 		t.Fatal("override run not exact")
 	}
 	found := false
@@ -222,7 +223,7 @@ func TestMaxOuterCap(t *testing.T) {
 		t.Errorf("MaxOuter=1 but ran %d iterations", res.OuterIterations)
 	}
 	// The final broadcast phase must still make the output exact.
-	if !res.Cliques.Equal(graph.NewCliqueSet(g.ListCliques(4))) {
+	if !slices.EqualFunc(res.Cliques.Cliques(), g.ListCliques(4), slices.Equal) {
 		t.Error("capped run not exact")
 	}
 }

@@ -201,7 +201,8 @@ func badLine(line []byte, why string) error {
 }
 
 // CliqueSet is a set of cliques, used to compare algorithm output against
-// ground truth exactly.
+// ground truth exactly and to track a dynamic graph's listings. The
+// engines accumulate into a CliqueBag instead, which is cheaper to fill.
 type CliqueSet map[string]struct{}
 
 // NewCliqueSet builds a set from a list of cliques, sorting each.
@@ -507,16 +508,14 @@ func (ll *LocalLister) VisitCliques(p int, yield func(Clique)) {
 	})
 }
 
-// AddCliques enumerates every p-clique and inserts them into set; the
-// engines' local-listing hot path.
-func (ll *LocalLister) AddCliques(p int, set CliqueSet) {
-	if p < 2 {
+// AddCliques enumerates every bag.P()-clique within the known edges and
+// appends each to bag; the engines' local-listing hot path.
+func (ll *LocalLister) AddCliques(bag *CliqueBag) {
+	if bag.P() < 2 {
 		return
 	}
-	var kbuf [64]byte
-	ll.kern.visitSeq(p, func(c Clique) bool {
-		// Kernel output is already sorted: key it directly.
-		set[string(c.AppendKey(kbuf[:0]))] = struct{}{}
+	ll.kern.visitSeq(bag.P(), func(c Clique) bool {
+		bag.Add(c)
 		return true
 	})
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -109,19 +110,22 @@ func TestLocalListerSparseIDs(t *testing.T) {
 	}
 }
 
-// TestLocalListerAddCliques: the keyed fast path must build exactly the
-// set VisitCliques + CliqueSet.Add would.
+// TestLocalListerAddCliques: the bag AddCliques fills holds exactly what
+// VisitCliques yields, in its order, and sorts to ListCliques.
 func TestLocalListerAddCliques(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := ErdosRenyi(50, 0.3, rng)
 	ll := NewLocalLister(g.Edges())
 	for p := 3; p <= 4; p++ {
-		fast := make(CliqueSet)
-		ll.AddCliques(p, fast)
-		slow := make(CliqueSet)
-		ll.VisitCliques(p, func(c Clique) { slow.Add(c) })
-		if !fast.Equal(slow) {
-			t.Fatalf("p=%d: AddCliques diverges from VisitCliques (%d vs %d)", p, fast.Len(), slow.Len())
+		bag := NewCliqueBag(p)
+		ll.AddCliques(bag)
+		var visited []Clique
+		ll.VisitCliques(p, func(c Clique) { visited = append(visited, slices.Clone(c)) })
+		if got := slices.Collect(bag.All()); !slices.EqualFunc(got, visited, slices.Equal) {
+			t.Fatalf("p=%d: AddCliques diverges from VisitCliques (%d vs %d)", p, len(got), len(visited))
+		}
+		if got, want := bag.Cliques(), ll.ListCliques(p); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("p=%d: sorted bag diverges from ListCliques (%d vs %d)", p, len(got), len(want))
 		}
 	}
 }

@@ -7,6 +7,7 @@ package integration
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kplist/internal/algebraic"
@@ -53,11 +54,12 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 	for name, g := range workloads(t) {
 		g := g
 		t.Run(name, func(t *testing.T) {
-			want := graph.NewCliqueSet(g.ListCliques(4))
-			check := func(algo string, got graph.CliqueSet) {
-				if !got.Equal(want) {
+			want := g.ListCliques(4)
+			check := func(algo string, bag *graph.CliqueBag) {
+				if got := bag.Cliques(); !slices.EqualFunc(got, want, slices.Equal) {
+					gs, ws := graph.NewCliqueSet(got), graph.NewCliqueSet(want)
 					t.Errorf("%s on %s: %d cliques, want %d; missing=%v extra=%v",
-						algo, name, got.Len(), want.Len(), want.Minus(got), got.Minus(want))
+						algo, name, len(got), len(want), ws.Minus(gs), gs.Minus(ws))
 				}
 			}
 			var l1 congest.Ledger
@@ -105,22 +107,22 @@ func TestHigherCliquesAgree(t *testing.T) {
 		g := g
 		for p := 5; p <= 6; p++ {
 			t.Run(fmt.Sprintf("%s/p=%d", name, p), func(t *testing.T) {
-				want := graph.NewCliqueSet(g.ListCliques(p))
+				want := g.ListCliques(p)
 				var l1 congest.Ledger
 				r1, err := core.ListCliques(g, core.Params{P: p, Seed: 13}, congest.UnitCosts(), &l1)
 				if err != nil {
 					t.Fatalf("congest: %v", err)
 				}
-				if !r1.Cliques.Equal(want) {
-					t.Errorf("congest disagrees with ground truth: %d vs %d", r1.Cliques.Len(), want.Len())
+				if got := r1.Cliques.Cliques(); !slices.EqualFunc(got, want, slices.Equal) {
+					t.Errorf("congest disagrees with ground truth: %d vs %d", len(got), len(want))
 				}
 				var l2 congest.Ledger
 				r2, err := sparselist.CongestedCliqueOnGraph(g, p, 13, 0, congest.UnitCosts(), &l2)
 				if err != nil {
 					t.Fatalf("cclique: %v", err)
 				}
-				if !r2.Cliques.Equal(want) {
-					t.Errorf("cclique disagrees with ground truth: %d vs %d", r2.Cliques.Len(), want.Len())
+				if got := r2.Cliques.Cliques(); !slices.EqualFunc(got, want, slices.Equal) {
+					t.Errorf("cclique disagrees with ground truth: %d vs %d", len(got), len(want))
 				}
 			})
 		}
@@ -144,8 +146,8 @@ func TestTriangleRoutesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if int64(res.Cliques.Len()) != count {
-			t.Errorf("%s: lister %d vs counter %d", name, res.Cliques.Len(), count)
+		if got := len(res.Cliques.Cliques()); int64(got) != count {
+			t.Errorf("%s: lister %d vs counter %d", name, got, count)
 		}
 	}
 }
@@ -161,7 +163,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ledger.Rounds(), ledger.Messages(), res.Cliques.Len()
+		return ledger.Rounds(), ledger.Messages(), len(res.Cliques.Cliques())
 	}
 	r1, m1, c1 := run()
 	r2, m2, c2 := run()

@@ -87,6 +87,14 @@ func (ix SigIndex) Rank(sig []int32) int {
 	return rank
 }
 
+// Count returns C(t+p−1, p), the number of signatures: every rank lies
+// in [0, Count()).
+func (ix SigIndex) Count() int {
+	// The signatures whose first part is x number M(t−x, p−1); row p−1's
+	// last prefix sum adds them up over every x.
+	return ix.cum[(ix.p-1)*(ix.t+1)+ix.t]
+}
+
 // numSignatures returns C(t+p−1, p), or limit+1 once it exceeds limit, so
 // that an absurd (t, p) pair costs neither an overflow nor a long loop.
 func numSignatures(t, p, limit int) int {

@@ -452,6 +452,44 @@ func TestStreamNonStreaming(t *testing.T) {
 	}
 }
 
+// TestEngineDocumentEmptyCliques: an engine query's document form on a
+// graph with no Kp renders the listing as [], never null, for every
+// engine.
+func TestEngineDocumentEmptyCliques(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	resp, body := postJSON(t, ts.URL+"/v1/graphs", map[string]any{
+		"name": "c6", "n": 6,
+		"edges": [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}},
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: %d %s", resp.StatusCode, body)
+	}
+	var info server.GraphInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"p=4&algo=congest", "p=4&algo=fastk4", "p=3&algo=congested-clique", "p=3&algo=broadcast",
+	} {
+		resp, body := get(t, ts.URL+"/v1/graphs/"+info.ID+"/cliques?stream=0&"+q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", q, resp.StatusCode, body)
+		}
+		var doc struct {
+			Rounds int64 `json:"rounds"`
+		}
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Rounds == 0 {
+			t.Errorf("%s: no rounds billed, so no engine ran: %s", q, body)
+		}
+		if !bytes.Contains(body, []byte(`"cliques":[]`)) || !bytes.Contains(body, []byte(`"count":0`)) {
+			t.Errorf("%s: document %s, want an empty \"cliques\":[] listing", q, body)
+		}
+	}
+}
+
 // TestTruthStreaming exercises the algo=truth path: the NDJSON stream
 // must carry exactly the ground-truth clique set, be byte-identical
 // across repeated requests (the kernel's enumeration order is

@@ -2,6 +2,7 @@ package sparselist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kplist/internal/congest"
@@ -25,7 +26,7 @@ func TestListingWorkersEquivalent(t *testing.T) {
 	seqRes, seqRounds := run(1)
 	for _, workers := range []int{3, 8} {
 		parRes, parRounds := run(workers)
-		if !seqRes.Cliques.Equal(parRes.Cliques) {
+		if !slices.EqualFunc(seqRes.Cliques.Cliques(), parRes.Cliques.Cliques(), slices.Equal) {
 			t.Fatalf("workers=%d: clique sets differ", workers)
 		}
 		if seqRes.MaxNodeLoad != parRes.MaxNodeLoad || seqRes.TotalMessages != parRes.TotalMessages ||

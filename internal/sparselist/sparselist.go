@@ -21,7 +21,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -69,7 +69,9 @@ func (in Input) workers() int {
 // Result carries the listed cliques and the load statistics the cost model
 // charged for.
 type Result struct {
-	Cliques graph.CliqueSet
+	// Cliques holds every listed Kp, each exactly once: the listing nodes
+	// keep only the cliques whose signature they own. Cliques() sorts it.
+	Cliques *graph.CliqueBag
 	// MaxNodeLoad is the busiest node's sent+received word count.
 	MaxNodeLoad int64
 	// TotalMessages is the total number of edge-words delivered.
@@ -274,22 +276,29 @@ func runListing(p int, realEdges, fakeEdges graph.EdgeList,
 	// Local listing: nodes with the same part multiset see the same edges,
 	// so we list once per distinct multiset (outputs are identical to
 	// every node listing independently; the bill above already reflects
-	// the full redundant delivery). In the paper the listing nodes work in
-	// parallel; the simulation spreads the distinct multisets across host
-	// goroutines the same way — each lists into a private set, merged in
-	// multiset order, so the output is identical at any worker count.
-	seenMultiset := make(map[string]bool)
-	total := partition.TupleCount(t, p)
-	var distinct []int
-	for id := 0; id < total; id++ {
-		key := multisetKey(asg.Tuples[id])
-		if seenMultiset[key] {
-			continue
+	// the full redundant delivery). A clique whose parts repeat, such as
+	// {a,a,b}, is visible to every tuple holding its part pairs, so each
+	// listing node keeps only the cliques whose signature — the sorted
+	// multiset of their vertices' parts — is its own multiset: every
+	// p-multiset over t parts is some tuple, so each clique is kept by
+	// exactly one of them (the rule the cluster gateway's shards use,
+	// DESIGN.md §12). In the paper the listing nodes work in parallel;
+	// the simulation spreads the distinct multisets across host
+	// goroutines the same way — each lists into a private bag, appended
+	// in multiset order, so the output is identical at any worker count.
+	sigs := partition.NewSigIndex(t, p)
+	seen := make([]bool, sigs.Count())
+	sig := make([]int32, p)
+	var distinct, owns []int // a tuple ID per multiset, and the signature rank it owns
+	for id := 0; id < partition.TupleCount(t, p); id++ {
+		copy(sig, asg.Tuples[id])
+		slices.Sort(sig)
+		if r := sigs.Rank(sig); !seen[r] {
+			seen[r] = true
+			distinct, owns = append(distinct, id), append(owns, r)
 		}
-		seenMultiset[key] = true
-		distinct = append(distinct, id)
 	}
-	perTuple := make([]graph.CliqueSet, len(distinct))
+	perTuple := make([]*graph.CliqueBag, len(distinct))
 	listTuple := func(j int) {
 		tup := asg.Tuples[distinct[j]]
 		var local []graph.Edge
@@ -304,8 +313,17 @@ func runListing(p int, realEdges, fakeEdges graph.EdgeList,
 				local = append(local, edgesByPair[pi]...)
 			}
 		}
-		out := make(graph.CliqueSet)
-		graph.NewLocalLister(local).AddCliques(p, out)
+		sig := make([]int32, p)
+		out := graph.NewCliqueBag(p)
+		graph.NewLocalLister(local).VisitCliques(p, func(c graph.Clique) {
+			for i, v := range c {
+				sig[i] = part.PartOf[v]
+			}
+			slices.Sort(sig)
+			if sigs.Rank(sig) == owns[j] {
+				out.Add(c)
+			}
+		})
 		perTuple[j] = out
 	}
 	if workers > len(distinct) {
@@ -333,11 +351,9 @@ func runListing(p int, realEdges, fakeEdges graph.EdgeList,
 		}
 		wg.Wait()
 	}
-	cliques := make(graph.CliqueSet)
+	cliques := graph.NewCliqueBag(p)
 	for _, out := range perTuple {
-		for key := range out {
-			cliques[key] = struct{}{}
-		}
+		cliques.AddBag(out)
 	}
 	return &Result{
 		Cliques:       cliques,
@@ -345,17 +361,6 @@ func runListing(p int, realEdges, fakeEdges graph.EdgeList,
 		TotalMessages: totalMsgs,
 		MaxPairEdges:  maxPair,
 	}, nil
-}
-
-func multisetKey(tup partition.Tuple) string {
-	s := make([]int32, len(tup))
-	copy(s, tup)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	b := make([]byte, 0, len(s)*2)
-	for _, d := range s {
-		b = append(b, byte(d), byte(d>>8))
-	}
-	return string(b)
 }
 
 // padFakeEdges implements the §4 padding: if m/n^{1/p} < 20·n·log n, add
@@ -400,15 +405,23 @@ func CongestedCliqueOnGraphCtx(ctx context.Context, g *graph.Graph, p int, seed 
 	if err != nil {
 		return nil, err
 	}
-	for key := range res.Cliques {
-		c := graph.CliqueFromKey(key)
+	if err := checkCliques(g, res.Cliques); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// checkCliques verifies that every tuple in bag is a clique of g, so a
+// listing bug can never fabricate output.
+func checkCliques(g *graph.Graph, bag *graph.CliqueBag) error {
+	for c := range bag.All() {
 		for i := 0; i < len(c); i++ {
 			for j := i + 1; j < len(c); j++ {
 				if !g.HasEdge(c[i], c[j]) {
-					return nil, fmt.Errorf("sparselist: fabricated clique %v", c)
+					return fmt.Errorf("sparselist: fabricated clique %v", c)
 				}
 			}
 		}
 	}
-	return res, nil
+	return nil
 }

@@ -2,6 +2,8 @@ package sparselist
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,11 +32,16 @@ func TestCongestedCliqueMatchesGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d p=%d: %v", tc.n, tc.p, err)
 		}
-		want := graph.NewCliqueSet(g.ListCliques(tc.p))
-		if !res.Cliques.Equal(want) {
+		got, want := res.Cliques.Cliques(), g.ListCliques(tc.p)
+		if !slices.EqualFunc(got, want, slices.Equal) {
+			gs, ws := graph.NewCliqueSet(got), graph.NewCliqueSet(want)
 			t.Errorf("n=%d p=%d: got %d cliques, want %d; missing=%v extra=%v",
-				tc.n, tc.p, res.Cliques.Len(), want.Len(),
-				want.Minus(res.Cliques), res.Cliques.Minus(want))
+				tc.n, tc.p, len(got), len(want), ws.Minus(gs), gs.Minus(ws))
+		}
+		// Each listing node keeps only the cliques whose signature it
+		// owns, so no clique reaches the bag twice.
+		if rows := len(slices.Collect(res.Cliques.All())); rows != len(want) {
+			t.Errorf("n=%d p=%d: %d cliques emitted for %d distinct", tc.n, tc.p, rows, len(want))
 		}
 		if ledger.Rounds() < 1 {
 			t.Error("listing should cost at least one round")
@@ -50,8 +57,9 @@ func TestCongestedCliquePlantedCliques(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	listed := graph.NewCliqueSet(res.Cliques.Cliques())
 	for _, c := range planted {
-		if !res.Cliques.Has(graph.Clique(c)) {
+		if !listed.Has(graph.Clique(c)) {
 			t.Errorf("planted K6 %v not listed", c)
 		}
 	}
@@ -64,7 +72,7 @@ func TestCongestedCliqueEmptyAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty graph: %v", err)
 	}
-	if res.Cliques.Len() != 0 {
+	if len(res.Cliques.Cliques()) != 0 {
 		t.Error("empty graph has no cliques")
 	}
 	if _, err := CongestedClique(Input{N: 0, P: 3}, false, congest.UnitCosts(), &ledger); err == nil {
@@ -117,7 +125,7 @@ func TestFakeEdgePaddingOnlyAffectsBill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plain.Cliques.Equal(padded.Cliques) {
+	if !slices.EqualFunc(plain.Cliques.Cliques(), padded.Cliques.Cliques(), slices.Equal) {
 		t.Error("padding changed the output")
 	}
 	if l2.Rounds() < l1.Rounds() {
@@ -140,7 +148,7 @@ func TestQuickCongestedCliqueExact(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.Cliques.Equal(graph.NewCliqueSet(g.ListCliques(p)))
+		return slices.EqualFunc(res.Cliques.Cliques(), g.ListCliques(p), slices.Equal)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -189,10 +197,10 @@ func TestInClusterListsEverythingItKnows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("InCluster: %v", err)
 	}
-	want := graph.NewCliqueSet(g.ListCliques(4))
-	if !res.Cliques.Equal(want) {
+	got, want := res.Cliques.Cliques(), g.ListCliques(4)
+	if !slices.EqualFunc(got, want, slices.Equal) {
 		t.Errorf("in-cluster listing: got %d cliques, want %d (cluster k=%d)",
-			res.Cliques.Len(), want.Len(), cl.K())
+			len(got), len(want), cl.K())
 	}
 	if ledger.Phase("cluster-partition-broadcast").Rounds == 0 {
 		t.Error("partition broadcast not billed")
@@ -252,7 +260,7 @@ func TestCongestedCliqueDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ledger.Rounds(), res.Cliques.Len()
+		return ledger.Rounds(), len(res.Cliques.Cliques())
 	}
 	r1, c1 := run()
 	r2, c2 := run()
@@ -270,7 +278,24 @@ func TestInClusterEmptyHolders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty holders should be a valid (empty) problem: %v", err)
 	}
-	if res.Cliques.Len() != 0 {
+	if len(res.Cliques.Cliques()) != 0 {
 		t.Error("no edges means no cliques")
+	}
+}
+
+// TestCheckCliquesRejectsFabricated: the guard CongestedCliqueOnGraph runs
+// over every listed tuple refuses a bag holding one that is not a clique
+// of the graph, and accepts the graph's own listing.
+func TestCheckCliquesRejectsFabricated(t *testing.T) {
+	g := graph.MustNew(4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3}})
+	bag := graph.NewCliqueBag(3)
+	bag.Add(graph.Clique{0, 1, 2})
+	if err := checkCliques(g, bag); err != nil {
+		t.Fatalf("the graph's only triangle: %v", err)
+	}
+	bag.Add(graph.Clique{1, 2, 3}) // edge {1,3} is missing
+	err := checkCliques(g, bag)
+	if err == nil || !strings.Contains(err.Error(), "fabricated clique [1 2 3]") {
+		t.Fatalf("non-clique tuple: %v, want a fabricated clique error", err)
 	}
 }

@@ -137,7 +137,9 @@ func (o Options) costModel() congest.CostModel {
 
 // Result carries a listing outcome plus its communication bill.
 type Result struct {
-	// Cliques is the exact set of Kp instances, sorted lexicographically.
+	// Cliques is the exact set of Kp instances, sorted lexicographically
+	// with no duplicates: sub-slices of one backing array, each capped at
+	// its length. It is never nil, so an empty listing encodes as [].
 	Cliques []Clique
 	// Rounds is the total CONGEST round bill.
 	Rounds int64
@@ -153,9 +155,11 @@ type Result struct {
 	ArboricityLadder []int
 }
 
-func newResult(set CliqueSet, ledger *congest.Ledger) *Result {
+// newResult turns an engine's clique bag into the result's sorted,
+// duplicate-free listing: the only sort an engine run pays for.
+func newResult(bag *graph.CliqueBag, ledger *congest.Ledger) *Result {
 	return &Result{
-		Cliques:  set.Cliques(),
+		Cliques:  bag.Cliques(),
 		Rounds:   ledger.Rounds(),
 		Messages: ledger.Messages(),
 		Phases:   ledger.Phases(),
@@ -225,11 +229,11 @@ func listBroadcastContext(ctx context.Context, g *Graph, p int, opt Options) (*R
 		return nil, err
 	}
 	var ledger congest.Ledger
-	set, err := baseline.BroadcastListGraph(g, p, opt.costModel(), &ledger)
+	bag, err := baseline.BroadcastListGraph(g, p, opt.costModel(), &ledger)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(set, &ledger), nil
+	return newResult(bag, &ledger), nil
 }
 
 // ListEdenK4 lists every K4 with the (simplified) previous
@@ -237,11 +241,11 @@ func listBroadcastContext(ctx context.Context, g *Graph, p int, opt Options) (*R
 // comparison baseline.
 func ListEdenK4(g *Graph, opt Options) (*Result, error) {
 	var ledger congest.Ledger
-	set, err := baseline.EdenK4List(g, baseline.EdenK4Params{Seed: opt.Seed}, opt.costModel(), &ledger)
+	bag, err := baseline.EdenK4List(g, baseline.EdenK4Params{Seed: opt.Seed}, opt.costModel(), &ledger)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(set, &ledger), nil
+	return newResult(bag, &ledger), nil
 }
 
 // GroundTruth lists every Kp exactly (no simulation, no bill) — the

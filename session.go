@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -484,10 +485,12 @@ func (s *Session) run(ctx context.Context, q Query, st *sessionState) (*Result, 
 		// Verification compares against the same snapshot the engine ran
 		// on; the memo is keyed by that snapshot, so a concurrent Apply
 		// can never substitute a later mutation prefix.
-		want := graph.NewCliqueSet(s.groundTruthFor(st, q.P))
-		if !graph.NewCliqueSet(res.Cliques).Equal(want) {
+		// The result must be the lexicographic listing itself, element
+		// by element: sorted and duplicate-free, not merely the same set.
+		want := s.groundTruthFor(st, q.P)
+		if !slices.EqualFunc(res.Cliques, want, slices.Equal) {
 			return nil, fmt.Errorf("kplist: session verify failed for %+v: got %d cliques, want %d",
-				q, len(res.Cliques), want.Len())
+				q, len(res.Cliques), len(want))
 		}
 	}
 	return res, nil

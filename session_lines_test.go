@@ -101,23 +101,41 @@ func TestSessionGroundTruthDecodesFresh(t *testing.T) {
 	}
 }
 
-// TestSessionVerifyRejectsMismatch: a verifying session still refuses a
-// result that disagrees with the decoded memo. The memo is trimmed by
-// one clique, which makes the engine's (correct) result the wrong one.
+// TestSessionVerifyRejectsMismatch: a verifying session refuses a result
+// that is not, element by element, the lexicographic listing it checks
+// against. Each case edits the memo the check decodes, which makes the
+// engine's (correct) result the wrong one: one clique short, a clique
+// listed twice, and two cliques out of order. The last two hold the very
+// same clique set, so only an exact comparison rejects them.
 func TestSessionVerifyRejectsMismatch(t *testing.T) {
-	s := NewSession(ErdosRenyi(40, 0.3, 3), SessionConfig{Verify: true})
-	defer s.Close()
-	if _, err := s.Query(Query{P: 3, Algo: AlgoCongestedClique, Seed: 1}); err != nil {
-		t.Fatalf("verifying query against the true memo: %v", err)
-	}
-	s.gtMu.Lock()
-	e := s.gt[gtKey{p: 3}]
-	last := bytes.LastIndexByte(e.lines[:len(e.lines)-1], '\n')
-	e.lines, e.count = e.lines[:last+1], e.count-1
-	s.gtMu.Unlock()
-	_, err := s.Query(Query{P: 3, Algo: AlgoCongestedClique, Seed: 2})
-	if err == nil || !strings.Contains(err.Error(), "verify failed") {
-		t.Fatalf("verifying query against a trimmed memo: %v, want a verify failure", err)
+	for _, tc := range []struct {
+		name string
+		edit func(lines [][]byte) [][]byte
+	}{
+		{"trimmed", func(lines [][]byte) [][]byte { return lines[:len(lines)-1] }},
+		{"duplicated", func(lines [][]byte) [][]byte { return append(lines, lines[len(lines)-1]) }},
+		{"out of order", func(lines [][]byte) [][]byte {
+			lines[0], lines[1] = lines[1], lines[0]
+			return lines
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSession(ErdosRenyi(40, 0.3, 3), SessionConfig{Verify: true})
+			defer s.Close()
+			if _, err := s.Query(Query{P: 3, Algo: AlgoCongestedClique, Seed: 1}); err != nil {
+				t.Fatalf("verifying query against the true memo: %v", err)
+			}
+			s.gtMu.Lock()
+			e := s.gt[gtKey{p: 3}]
+			lines := bytes.SplitAfter(e.lines, []byte("\n"))
+			lines = tc.edit(lines[:len(lines)-1]) // drop the empty tail after the last newline
+			e.lines, e.count = bytes.Join(lines, nil), len(lines)
+			s.gtMu.Unlock()
+			_, err := s.Query(Query{P: 3, Algo: AlgoCongestedClique, Seed: 2})
+			if err == nil || !strings.Contains(err.Error(), "verify failed") {
+				t.Fatalf("verifying query against a %s memo: %v, want a verify failure", tc.name, err)
+			}
+		})
 	}
 }
 
