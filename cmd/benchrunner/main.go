@@ -15,13 +15,15 @@
 //	benchrunner -only e13 -storebench BENCH_store.json
 //	benchrunner -only e14 -clusterbench BENCH_cluster.json
 //	benchrunner -only e15 -sketchbench BENCH_sketch.json
-//	benchrunner -compare -kernelbench BENCH_kernel.json -storebench BENCH_store.json
+//	benchrunner -compare -kernelbench BENCH_kernel.json -storebench BENCH_store.json \
+//	    -clusterbench BENCH_cluster.json -sketchbench BENCH_sketch.json
 //	benchrunner -autotune tuning.json            # measure the kernel knobs on this host
 //	benchrunner -tuning tuning.json ...          # run any of the above under a profile
 //
-// -compare emits the newest run in standard Go benchfmt, judges it
-// against the median of the trajectory's same-host history, and exits
-// non-zero on regression — the CI bench-gate job.
+// -compare emits the newest run of each given trajectory in standard Go
+// benchfmt, judges it against the median of the trajectory's same-host
+// history, and exits non-zero on regression or on a trajectory path that
+// does not exist — the CI bench-gate job.
 //
 // Golden maintenance: -update rewrites the golden files under -goldendir
 // (default cmd/benchrunner/testdata when run from the repo root) — and it
@@ -36,6 +38,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"kplist/internal/bench"
@@ -59,6 +62,32 @@ func goldens() []golden {
 	}
 }
 
+// suite is one wall-clock trajectory: the -only tag that runs it, the
+// flag naming its trajectory file, the name its compare report carries,
+// how to measure a run and how to load the trajectory. Suites are never
+// golden-pinned and run only when selected by tag or given a path.
+type suite struct {
+	tag, flag, name string
+	measure         func(seed int64, quick bool, workers int) (bench.Run, error)
+	load            func(path string) ([]bench.Run, error)
+	path            string // the flag's value
+}
+
+func suites() []suite {
+	return []suite{
+		{tag: "kernel", flag: "kernelbench", name: "kernel", load: bench.Load[bench.KernelRun],
+			measure: func(seed int64, quick bool, workers int) (bench.Run, error) {
+				return bench.KernelBench(seed, quick, workers), nil
+			}},
+		{tag: "e13", flag: "storebench", name: "store", load: bench.Load[bench.StoreRun],
+			measure: func(seed int64, quick bool, _ int) (bench.Run, error) { return bench.StoreBench(seed, quick) }},
+		{tag: "e14", flag: "clusterbench", name: "cluster", load: bench.Load[bench.ClusterRun],
+			measure: func(seed int64, quick bool, _ int) (bench.Run, error) { return bench.ClusterBench(seed, quick) }},
+		{tag: "e15", flag: "sketchbench", name: "sketch", load: bench.Load[bench.SketchRun],
+			measure: func(seed int64, quick bool, _ int) (bench.Run, error) { return bench.SketchBench(seed, quick) }},
+	}
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
@@ -69,21 +98,23 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	var (
-		only       = fs.String("only", "", "comma-separated experiments to run (e1..e15, kernel); empty = all")
-		quick      = fs.Bool("quick", false, "small sizes for a fast smoke run")
-		seed       = fs.Int64("seed", 1, "random seed")
-		workers    = fs.Int("workers", 0, "host goroutines for parallel-phase simulation and the kernel sweep fan-out (0 = GOMAXPROCS / the default {1,8} ladder)")
-		kernOut    = fs.String("kernelbench", "", "append this run to the kernel perf trajectory (BENCH_kernel.json) at this path; implies the kernel sweep runs")
-		storeOut   = fs.String("storebench", "", "append this run to the persistence trajectory (BENCH_store.json) at this path; implies e13 runs")
-		clusterOut = fs.String("clusterbench", "", "append this run to the cluster trajectory (BENCH_cluster.json) at this path; implies e14 runs")
-		sketchOut  = fs.String("sketchbench", "", "append this run to the estimator trajectory (BENCH_sketch.json) at this path; implies e15 runs")
-		update     = fs.Bool("update", false, "rewrite the golden files whose experiments are all selected (requires -quick; scoped by -only)")
-		goldenDir  = fs.String("goldendir", filepath.Join("cmd", "benchrunner", "testdata"), "directory holding the golden files -update rewrites")
-		compare    = fs.Bool("compare", false, "compare the newest run of the -kernelbench/-storebench trajectories against their same-host history (Go benchfmt output; non-zero exit on regression) instead of running experiments")
-		threshold  = fs.Float64("threshold", bench.DefaultCompareThreshold, "base relative regression threshold for -compare (widened per cell by historical noise)")
-		autotune   = fs.String("autotune", "", "measure the kernel/incremental-engine tuning knobs on this host and write the profile to this path")
-		tuningIn   = fs.String("tuning", "", "load a tuning profile (from -autotune) and apply it before running")
+		only      = fs.String("only", "", "comma-separated experiments to run (e1..e15, kernel); empty = all")
+		quick     = fs.Bool("quick", false, "small sizes for a fast smoke run")
+		seed      = fs.Int64("seed", 1, "random seed")
+		workers   = fs.Int("workers", 0, "host goroutines for parallel-phase simulation and the kernel sweep fan-out (0 = GOMAXPROCS / the default {1,8} ladder)")
+		update    = fs.Bool("update", false, "rewrite the golden files whose experiments are all selected (requires -quick; scoped by -only)")
+		goldenDir = fs.String("goldendir", filepath.Join("cmd", "benchrunner", "testdata"), "directory holding the golden files -update rewrites")
+		compare   = fs.Bool("compare", false, "compare the newest run of each given trajectory (-kernelbench, -storebench, -clusterbench, -sketchbench) against its same-host history (Go benchfmt output; non-zero exit on regression or a missing trajectory file) instead of running experiments")
+		threshold = fs.Float64("threshold", bench.DefaultCompareThreshold, "base relative regression threshold for -compare (widened per cell by historical noise)")
+		autotune  = fs.String("autotune", "", "measure the kernel/incremental-engine tuning knobs on this host and write the profile to this path")
+		tuningIn  = fs.String("tuning", "", "load a tuning profile (from -autotune) and apply it before running")
 	)
+	suites := suites()
+	for i := range suites {
+		s := &suites[i]
+		fs.StringVar(&s.path, s.flag, "", fmt.Sprintf(
+			"append this run to the %s trajectory (BENCH_%s.json) at this path; implies -only %s", s.name, s.name, s.tag))
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -110,7 +141,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "applied tuning profile %s\n", *tuningIn)
 	}
 	if *compare {
-		return runCompare(w, *kernOut, *storeOut, *clusterOut, *sketchOut, *threshold)
+		return runCompare(w, suites, *threshold)
 	}
 
 	cfg := bench.Config{Seed: *seed, Workers: *workers}
@@ -144,17 +175,15 @@ func run(args []string, w io.Writer) error {
 		{"e11", func() ([]bench.Series, error) { return bench.E11ServerThroughput(cfg) }},
 		{"e12", func() ([]bench.Series, error) { return bench.E12IncrementalChurn(cfg) }},
 	}
-	known := map[string]bool{"kernel": true, "e13": true, "e14": true, "e15": true}
+	var tags []string
 	for _, r := range runners {
-		known[r.tag] = true
+		tags = append(tags, r.tag)
+	}
+	for _, s := range suites {
+		tags = append(tags, s.tag)
 	}
 	for tag := range want {
-		if !known[tag] {
-			tags := make([]string, 0, len(runners))
-			for _, r := range runners {
-				tags = append(tags, r.tag)
-			}
-			tags = append(tags, "e13", "e14", "e15", "kernel")
+		if !slices.Contains(tags, tag) {
 			return fmt.Errorf("unknown experiment %q (known: %s)", tag, strings.Join(tags, ", "))
 		}
 	}
@@ -171,72 +200,27 @@ func run(args []string, w io.Writer) error {
 		outputs[r.tag] = section
 		fmt.Fprint(w, section)
 	}
-	// The kernel throughput sweep is wall-clock (never golden-pinned), so
-	// it runs only when asked for: via -only kernel, or implicitly when a
-	// -kernelbench trajectory path is given. The JSON output is an
-	// APPENDED trajectory (atomic temp-file + rename, the same overwrite
-	// discipline as the store), never an overwritten sample.
-	if want["kernel"] || *kernOut != "" {
-		fmt.Fprintln(w, "==== KERNEL ====")
-		kb := bench.KernelBench(*seed, *quick, *workers)
-		fmt.Fprint(w, kb.Table())
-		if *kernOut != "" {
-			n, err := bench.AppendRun(*kernOut, kb)
-			if err != nil {
-				return fmt.Errorf("kernel trajectory: %w", err)
-			}
-			fmt.Fprintf(w, "appended run %d to %s\n", n, *kernOut)
+	// The wall-clock suites are never golden-pinned, so each runs only
+	// when asked for: via -only <tag>, or implicitly when its trajectory
+	// path is given. The JSON output is an APPENDED trajectory (atomic
+	// temp-file + rename, the same overwrite discipline as the store),
+	// never an overwritten sample.
+	for _, s := range suites {
+		if !want[s.tag] && s.path == "" {
+			continue
 		}
-	}
-	// E13 (persistence) is wall-clock like the kernel sweep: it runs via
-	// -only e13 or implicitly when a -storebench path is given.
-	if want["e13"] || *storeOut != "" {
-		fmt.Fprintln(w, "==== E13 ====")
-		sr, err := bench.StoreBench(*seed, *quick)
+		fmt.Fprintf(w, "==== %s ====\n", strings.ToUpper(s.tag))
+		measured, err := s.measure(*seed, *quick, *workers)
 		if err != nil {
-			return fmt.Errorf("e13: %w", err)
+			return fmt.Errorf("%s: %w", s.tag, err)
 		}
-		fmt.Fprint(w, sr.Table())
-		if *storeOut != "" {
-			n, err := bench.AppendRun(*storeOut, sr)
+		fmt.Fprint(w, measured.Table())
+		if s.path != "" {
+			n, err := bench.AppendRun(s.path, measured)
 			if err != nil {
-				return fmt.Errorf("store trajectory: %w", err)
+				return fmt.Errorf("%s trajectory: %w", s.name, err)
 			}
-			fmt.Fprintf(w, "appended run %d to %s\n", n, *storeOut)
-		}
-	}
-	// E14 (cluster) is wall-clock like the kernel sweep: it runs via
-	// -only e14 or implicitly when a -clusterbench path is given.
-	if want["e14"] || *clusterOut != "" {
-		fmt.Fprintln(w, "==== E14 ====")
-		cr, err := bench.ClusterBench(*seed, *quick)
-		if err != nil {
-			return fmt.Errorf("e14: %w", err)
-		}
-		fmt.Fprint(w, cr.Table())
-		if *clusterOut != "" {
-			n, err := bench.AppendRun(*clusterOut, cr)
-			if err != nil {
-				return fmt.Errorf("cluster trajectory: %w", err)
-			}
-			fmt.Fprintf(w, "appended run %d to %s\n", n, *clusterOut)
-		}
-	}
-	// E15 (estimators) is wall-clock like the kernel sweep: it runs via
-	// -only e15 or implicitly when a -sketchbench path is given.
-	if want["e15"] || *sketchOut != "" {
-		fmt.Fprintln(w, "==== E15 ====")
-		er, err := bench.SketchBench(*seed, *quick)
-		if err != nil {
-			return fmt.Errorf("e15: %w", err)
-		}
-		fmt.Fprint(w, er.Table())
-		if *sketchOut != "" {
-			n, err := bench.AppendRun(*sketchOut, er)
-			if err != nil {
-				return fmt.Errorf("sketch trajectory: %w", err)
-			}
-			fmt.Fprintf(w, "appended run %d to %s\n", n, *sketchOut)
+			fmt.Fprintf(w, "appended run %d to %s\n", n, s.path)
 		}
 	}
 	if *autotune != "" {
@@ -256,70 +240,34 @@ func run(args []string, w io.Writer) error {
 
 // runCompare is the -compare mode: load each given trajectory, emit the
 // newest run as Go benchfmt, judge it against the same-host history, and
-// error (non-zero exit) when any cell regressed. A trajectory whose
-// newest run has no comparable history is REFUSED — reported and skipped,
-// never failed — so a new machine's first run cannot masquerade as a
-// regression.
-func runCompare(w io.Writer, kernPath, storePath, clusterPath, sketchPath string, threshold float64) error {
-	if kernPath == "" && storePath == "" && clusterPath == "" && sketchPath == "" {
-		return fmt.Errorf("-compare needs at least one trajectory: give -kernelbench, -storebench, -clusterbench and/or -sketchbench")
-	}
-	var regressed []string
-	if kernPath != "" {
-		traj, err := bench.LoadKernelTrajectory(kernPath)
+// error (non-zero exit) when any cell regressed or a trajectory file does
+// not exist. A trajectory whose newest run has no comparable history is
+// REFUSED — reported and skipped, never failed — so a new machine's first
+// run cannot masquerade as a regression.
+func runCompare(w io.Writer, suites []suite, threshold float64) error {
+	var flags, regressed []string
+	compared := 0
+	for _, s := range suites {
+		flags = append(flags, "-"+s.flag)
+		if s.path == "" {
+			continue
+		}
+		compared++
+		runs, err := s.load(s.path)
 		if err != nil {
 			return fmt.Errorf("compare: %w", err)
 		}
-		if n := len(traj.Runs); n > 0 {
-			fmt.Fprint(w, traj.Runs[n-1].Benchfmt())
+		if n := len(runs); n > 0 {
+			fmt.Fprint(w, bench.Benchfmt(runs[n-1]))
 		}
-		report := bench.CompareKernel(traj, threshold)
+		report := bench.Compare(s.name, runs, threshold)
 		fmt.Fprint(w, report.Table())
 		for _, c := range report.Regressions() {
 			regressed = append(regressed, c.Name)
 		}
 	}
-	if storePath != "" {
-		traj, err := bench.LoadStoreTrajectory(storePath)
-		if err != nil {
-			return fmt.Errorf("compare: %w", err)
-		}
-		if n := len(traj.Runs); n > 0 {
-			fmt.Fprint(w, traj.Runs[n-1].Benchfmt())
-		}
-		report := bench.CompareStore(traj, threshold)
-		fmt.Fprint(w, report.Table())
-		for _, c := range report.Regressions() {
-			regressed = append(regressed, c.Name)
-		}
-	}
-	if clusterPath != "" {
-		traj, err := bench.LoadClusterTrajectory(clusterPath)
-		if err != nil {
-			return fmt.Errorf("compare: %w", err)
-		}
-		if n := len(traj.Runs); n > 0 {
-			fmt.Fprint(w, traj.Runs[n-1].Benchfmt())
-		}
-		report := bench.CompareCluster(traj, threshold)
-		fmt.Fprint(w, report.Table())
-		for _, c := range report.Regressions() {
-			regressed = append(regressed, c.Name)
-		}
-	}
-	if sketchPath != "" {
-		traj, err := bench.LoadSketchTrajectory(sketchPath)
-		if err != nil {
-			return fmt.Errorf("compare: %w", err)
-		}
-		if n := len(traj.Runs); n > 0 {
-			fmt.Fprint(w, traj.Runs[n-1].Benchfmt())
-		}
-		report := bench.CompareSketch(traj, threshold)
-		fmt.Fprint(w, report.Table())
-		for _, c := range report.Regressions() {
-			regressed = append(regressed, c.Name)
-		}
+	if compared == 0 {
+		return fmt.Errorf("-compare needs at least one trajectory: give %s", strings.Join(flags, ", "))
 	}
 	if len(regressed) > 0 {
 		return fmt.Errorf("performance regression in %d cell(s): %s",
@@ -359,7 +307,7 @@ func updateGoldens(w io.Writer, dir string, outputs map[string]string, enabled f
 	if wrote == 0 {
 		// Distinguish "you selected half a golden group" (a mistake worth
 		// failing on) from "nothing you selected is golden-pinned at all"
-		// (the kernel and e13 sweeps are wall-clock by design, so
+		// (the wall-clock suites are never golden-pinned, so
 		// `-only kernel -update` has nothing to do and should say so, not
 		// fail with a misleading error).
 		anyPinned := false
@@ -371,7 +319,7 @@ func updateGoldens(w io.Writer, dir string, outputs map[string]string, enabled f
 			}
 		}
 		if !anyPinned {
-			fmt.Fprintln(w, "-update: selection contains no golden-pinned experiments (the kernel and e13 sweeps are wall-clock and never golden-pinned); nothing to update")
+			fmt.Fprintln(w, "-update: selection contains no golden-pinned experiments (the kernel, e13, e14 and e15 sweeps are wall-clock and never golden-pinned); nothing to update")
 			return nil
 		}
 		return fmt.Errorf("-update wrote nothing: no golden's experiment set is fully selected")

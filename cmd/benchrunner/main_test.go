@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -346,55 +347,73 @@ func TestUpdateWithNoGoldenPinnedSelection(t *testing.T) {
 	}
 }
 
-// TestStoreTrajectoryAppends runs E13 twice against the same
-// BENCH_store.json and checks the file accumulates runs instead of being
-// overwritten — the trajectory semantics the continuous-benchmarking
-// direction depends on.
-func TestStoreTrajectoryAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_store.json")
+// appendTwice runs the suite tagged tag twice against the same trajectory
+// path, checks each run printed its table (marked by header) and reported
+// its append, and loads the trajectory back through the suite's loader.
+func appendTwice(t *testing.T, tag, header string) (string, []bench.Run) {
+	t.Helper()
+	i := slices.IndexFunc(suites(), func(s suite) bool { return s.tag == tag })
+	s := suites()[i]
+	path := filepath.Join(t.TempDir(), "BENCH_"+s.name+".json")
 	for i := 1; i <= 2; i++ {
 		var sb strings.Builder
-		if err := run([]string{"-quick", "-only", "e13", "-storebench", path}, &sb); err != nil {
+		if err := run([]string{"-quick", "-only", tag, "-" + s.flag, path}, &sb); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		if !strings.Contains(sb.String(), "==== E13 ====") ||
-			!strings.Contains(sb.String(), "cold-open-from-mmap") {
-			t.Errorf("run %d missing E13 table:\n%s", i, sb.String())
+		if !strings.Contains(sb.String(), "==== "+strings.ToUpper(tag)+" ====") || !strings.Contains(sb.String(), header) {
+			t.Errorf("run %d missing %s table:\n%s", i, tag, sb.String())
 		}
 		if want := fmt.Sprintf("appended run %d to %s", i, path); !strings.Contains(sb.String(), want) {
 			t.Errorf("run %d missing %q:\n%s", i, want, sb.String())
 		}
 	}
-	buf, err := os.ReadFile(path)
+	runs, err := s.load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Runs []struct {
-			GoVersion string `json:"goVersion"`
-			Snapshots []struct {
-				Family     string `json:"family"`
-				ColdOpenNs int64  `json:"coldOpenNs"`
-			} `json:"snapshots"`
-			WAL []struct {
-				Fsync      bool  `json:"fsync"`
-				NsPerBatch int64 `json:"nsPerBatch"`
-			} `json:"wal"`
-		} `json:"runs"`
+	if len(runs) != 2 {
+		t.Fatalf("trajectory has %d runs, want 2", len(runs))
 	}
-	if err := json.Unmarshal(buf, &doc); err != nil {
-		t.Fatalf("bad trajectory JSON: %v", err)
-	}
-	if len(doc.Runs) != 2 {
-		t.Fatalf("trajectory has %d runs, want 2", len(doc.Runs))
-	}
-	for _, r := range doc.Runs {
+	return path, runs
+}
+
+// TestStoreTrajectoryAppends runs E13 twice against the same
+// BENCH_store.json and checks the file accumulates runs instead of being
+// overwritten — the trajectory semantics the continuous-benchmarking
+// direction depends on.
+func TestStoreTrajectoryAppends(t *testing.T) {
+	_, runs := appendTwice(t, "e13", "cold-open-from-mmap")
+	for _, run := range runs {
+		r := run.(*bench.StoreRun)
 		if r.GoVersion == "" || len(r.Snapshots) != 3 || len(r.WAL) != 2 {
 			t.Fatalf("malformed run: %+v", r)
 		}
 		for _, s := range r.Snapshots {
 			if s.ColdOpenNs <= 0 {
 				t.Errorf("%s: non-positive cold-open time", s.Family)
+			}
+		}
+	}
+}
+
+// TestSketchTrajectoryAppends runs E15 twice and checks both runs carry
+// every (n, p) cell with positive timings and the exact count they
+// estimate.
+func TestSketchTrajectoryAppends(t *testing.T) {
+	_, runs := appendTwice(t, "e15", "HLL build")
+	for _, run := range runs {
+		r := run.(*bench.SketchRun)
+		if r.GoVersion == "" || len(r.Measurements) != 4 {
+			t.Fatalf("malformed run: %+v", r)
+		}
+		for _, c := range r.Cells() {
+			if c.Ns <= 0 {
+				t.Errorf("%s: non-positive measurement %d", c.Name, c.Ns)
+			}
+		}
+		for _, m := range r.Measurements {
+			if m.ExactCount <= 0 {
+				t.Errorf("n=%d p=%d: exact count %d", m.N, m.P, m.ExactCount)
 			}
 		}
 	}
@@ -407,7 +426,7 @@ func writeSyntheticKernelTrajectory(t *testing.T, path string, baseRuns int, new
 	t.Helper()
 	host := bench.HostFingerprint{CPU: "synthetic-cpu", Cores: 8, GOMAXPROCS: 8, GoVersion: "go1.24.0", OS: "linux", Arch: "amd64"}
 	mkRun := func(scale float64, jitter int64) bench.KernelRun {
-		run := bench.KernelRun{Host: host, GoVersion: host.GoVersion, GOMAXPROCS: 8, Quick: true, Seed: 1}
+		run := bench.KernelRun{RunHeader: bench.RunHeader{Host: host, GoVersion: host.GoVersion, GOMAXPROCS: 8, Quick: true, Seed: 1}}
 		for i, family := range []string{"sparse-gnp", "dense-gnp"} {
 			base := int64(1_000_000 * (i + 1))
 			run.Rows = append(run.Rows, bench.KernelMeasurement{
@@ -461,8 +480,10 @@ func TestCompareGate(t *testing.T) {
 		// Append a wildly slower run from a DIFFERENT host: must be
 		// refused, not reported as a regression.
 		other := bench.KernelRun{
-			Host:      bench.HostFingerprint{CPU: "other-cpu", Cores: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0", OS: "linux", Arch: "arm64"},
-			GoVersion: "go1.24.0", GOMAXPROCS: 2, Quick: true, Seed: 1,
+			RunHeader: bench.RunHeader{
+				Host:      bench.HostFingerprint{CPU: "other-cpu", Cores: 2, GOMAXPROCS: 2, GoVersion: "go1.24.0", OS: "linux", Arch: "arm64"},
+				GoVersion: "go1.24.0", GOMAXPROCS: 2, Quick: true, Seed: 1,
+			},
 			Rows: []bench.KernelMeasurement{{Family: "sparse-gnp", N: 128, M: 1000, P: 4, Workers: 1, Cliques: 42, NsPerOp: 9_000_000}},
 		}
 		if _, err := bench.AppendRun(path, other); err != nil {
@@ -481,6 +502,23 @@ func TestCompareGate(t *testing.T) {
 			t.Fatal("-compare with no trajectory paths should error")
 		}
 	})
+}
+
+// TestCompareMissingTrajectoryFails: a -compare path that does not exist
+// fails the gate instead of judging an empty trajectory, for every suite
+// flag, while appending to the same path would create it.
+func TestCompareMissingTrajectoryFails(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "BENCH_typo.json")
+	for _, flag := range []string{"-kernelbench", "-storebench", "-clusterbench", "-sketchbench"} {
+		var sb strings.Builder
+		err := run([]string{"-compare", flag, missing}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "BENCH_typo.json") {
+			t.Errorf("-compare %s on a missing file: err=%v, want an error naming the path\n%s", flag, err, sb.String())
+		}
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("-compare created %s", missing)
+	}
 }
 
 // TestAutotuneProfileRoundTrip runs the (quick) autotune sweep through
@@ -541,38 +579,19 @@ func TestClusterTrajectoryAppends(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep in -short mode")
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_cluster.json")
-	for i := 1; i <= 2; i++ {
-		var sb strings.Builder
-		if err := run([]string{"-quick", "-only", "e14", "-clusterbench", path}, &sb); err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if !strings.Contains(sb.String(), "==== E14 ====") ||
-			!strings.Contains(sb.String(), "scatter–gather") {
-			t.Errorf("run %d missing E14 table:\n%s", i, sb.String())
-		}
-		if want := fmt.Sprintf("appended run %d to %s", i, path); !strings.Contains(sb.String(), want) {
-			t.Errorf("run %d missing %q:\n%s", i, want, sb.String())
-		}
-	}
-	traj, err := bench.LoadClusterTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traj.Runs) != 2 {
-		t.Fatalf("trajectory has %d runs, want 2", len(traj.Runs))
-	}
-	for _, r := range traj.Runs {
-		if r.GoVersion == "" || len(r.Cells) != 5 {
+	path, runs := appendTwice(t, "e14", "scatter–gather")
+	for _, run := range runs {
+		r := run.(*bench.ClusterRun)
+		if r.GoVersion == "" || len(r.Measurements) != 5 {
 			t.Fatalf("malformed run: %+v", r)
 		}
-		for _, c := range r.Cells {
+		for _, c := range r.Measurements {
 			if c.StreamNs <= 0 || c.ScatterNs <= 0 || c.PatchNsPerBatch <= 0 {
 				t.Errorf("shards=%d repl=%d: non-positive measurement: %+v", c.Shards, c.Replication, c)
 			}
-			if c.StreamBytes != r.Cells[0].StreamBytes {
+			if c.StreamBytes != r.Measurements[0].StreamBytes {
 				t.Errorf("shards=%d repl=%d: stream bytes %d differ from cell 0's %d — scatter not byte-identical",
-					c.Shards, c.Replication, c.StreamBytes, r.Cells[0].StreamBytes)
+					c.Shards, c.Replication, c.StreamBytes, r.Measurements[0].StreamBytes)
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"time"
 
@@ -52,19 +51,8 @@ type ClusterMeasurement struct {
 // ClusterRun is one benchrunner invocation's worth of cluster cells — one
 // point on the BENCH_cluster.json trajectory.
 type ClusterRun struct {
-	Date       string               `json:"date"`
-	Host       HostFingerprint      `json:"host,omitzero"`
-	GoVersion  string               `json:"goVersion"`
-	GOMAXPROCS int                  `json:"gomaxprocs"`
-	Quick      bool                 `json:"quick"`
-	Seed       int64                `json:"seed"`
-	Cells      []ClusterMeasurement `json:"cells"`
-}
-
-// ClusterBaseline is the BENCH_cluster.json document: the append-only run
-// trajectory (newest last).
-type ClusterBaseline struct {
-	Runs []ClusterRun `json:"runs"`
+	RunHeader
+	Measurements []ClusterMeasurement `json:"cells"`
 }
 
 // benchCluster is a loopback cluster: n in-process cluster-mode servers
@@ -176,14 +164,7 @@ func ClusterBench(seed int64, quick bool) (*ClusterRun, error) {
 		n, batches = 120, 8
 	}
 	const family = "planted-clique"
-	run := &ClusterRun{
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		Host:       Fingerprint(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      quick,
-		Seed:       seed,
-	}
+	run := &ClusterRun{RunHeader: newRunHeader(seed, quick)}
 	body := map[string]any{
 		"name":     fmt.Sprintf("%s-%d", family, seed),
 		"workload": map[string]any{"family": family, "n": n, "seed": seed},
@@ -268,7 +249,7 @@ func ClusterBench(seed int64, quick bool) (*ClusterRun, error) {
 		m.PatchNsPerBatch = time.Since(start).Nanoseconds() / int64(batches)
 
 		c.close()
-		run.Cells = append(run.Cells, m)
+		run.Measurements = append(run.Measurements, m)
 	}
 	return run, nil
 }
@@ -281,48 +262,23 @@ func (r *ClusterRun) Table() string {
 		r.GoVersion, r.GOMAXPROCS, r.Seed)
 	fmt.Fprintf(&sb, "%8s %6s %14s %6s %8s %14s %14s %16s %12s\n",
 		"shards", "repl", "family", "n", "m", "stream-ns", "scatter-ns", "patch-ns/batch", "streamBytes")
-	for _, m := range r.Cells {
+	for _, m := range r.Measurements {
 		fmt.Fprintf(&sb, "%8d %6d %14s %6d %8d %14d %14d %16d %12d\n",
 			m.Shards, m.Replication, m.Family, m.N, m.M, m.StreamNs, m.ScatterNs, m.PatchNsPerBatch, m.StreamBytes)
 	}
 	return sb.String()
 }
 
-// Benchfmt renders the cluster run in Go benchmark text format.
-func (r *ClusterRun) Benchfmt() string {
-	var sb strings.Builder
-	benchfmtPreamble(&sb, r.Host)
-	for _, m := range r.Cells {
-		fmt.Fprintf(&sb, "BenchmarkClusterStream/shards=%d/repl=%d/n=%d \t1\t%d ns/op\n",
-			m.Shards, m.Replication, m.N, m.StreamNs)
-		fmt.Fprintf(&sb, "BenchmarkClusterScatter/shards=%d/repl=%d/n=%d \t1\t%d ns/op\n",
-			m.Shards, m.Replication, m.N, m.ScatterNs)
-		fmt.Fprintf(&sb, "BenchmarkClusterPatch/shards=%d/repl=%d/n=%d \t1\t%d ns/op\n",
-			m.Shards, m.Replication, m.N, m.PatchNsPerBatch)
+// Cells lists the stream, scatter and patch legs of each
+// (shards, replication) cell.
+func (r *ClusterRun) Cells() []Cell {
+	var cells []Cell
+	for _, m := range r.Measurements {
+		base := fmt.Sprintf("/shards=%d/repl=%d/n=%d", m.Shards, m.Replication, m.N)
+		cells = append(cells,
+			Cell{"ClusterStream" + base, m.StreamNs},
+			Cell{"ClusterScatter" + base, m.ScatterNs},
+			Cell{"ClusterPatch" + base, m.PatchNsPerBatch})
 	}
-	return sb.String()
-}
-
-// CompareCluster judges the newest cluster run against its same-host
-// history. threshold ≤ 0 takes DefaultCompareThreshold.
-func CompareCluster(traj *ClusterBaseline, threshold float64) *CompareReport {
-	if threshold <= 0 {
-		threshold = DefaultCompareThreshold
-	}
-	history := make([]runCells, len(traj.Runs))
-	for i, run := range traj.Runs {
-		cells := make(map[string]int64)
-		for _, m := range run.Cells {
-			base := fmt.Sprintf("cluster/shards=%d/repl=%d/n=%d", m.Shards, m.Replication, m.N)
-			cells[base+"/stream"] = m.StreamNs
-			cells[base+"/scatter"] = m.ScatterNs
-			cells[base+"/patch"] = m.PatchNsPerBatch
-		}
-		history[i] = runCells{
-			host:  run.Host,
-			key:   fmt.Sprintf("quick=%v/seed=%d", run.Quick, run.Seed),
-			cells: cells,
-		}
-	}
-	return compareCells("cluster", history, threshold)
+	return cells
 }

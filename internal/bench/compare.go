@@ -32,8 +32,7 @@ const compareNoiseMult = 3.0
 
 // CellVerdict is the judgement of one measurement cell.
 type CellVerdict struct {
-	// Name identifies the cell (family/n/p/workers for kernel cells,
-	// family/leg for store cells).
+	// Name is the cell's name (its benchfmt name without "Benchmark").
 	Name string
 	// NewNs is the newest run's measurement, MedianNs the median of the
 	// comparable history.
@@ -48,7 +47,7 @@ type CellVerdict struct {
 
 // CompareReport is the outcome of judging one trajectory's newest run.
 type CompareReport struct {
-	// Suite names the trajectory ("kernel", "store").
+	// Suite names the trajectory ("kernel", "store", "cluster", "sketch").
 	Suite string
 	// Threshold is the base relative threshold the comparison ran with.
 	Threshold float64
@@ -216,91 +215,47 @@ func relativeMAD(xs []int64, med int64) float64 {
 	return float64(medianInt64(devs)) / float64(med)
 }
 
-// CompareKernel judges the newest kernel run against its same-host
-// history. threshold ≤ 0 takes DefaultCompareThreshold.
-func CompareKernel(traj *KernelTrajectory, threshold float64) *CompareReport {
+// Compare judges the newest of runs against the median of its same-host,
+// same-configuration history, cell by cell. threshold ≤ 0 takes
+// DefaultCompareThreshold.
+func Compare(suite string, runs []Run, threshold float64) *CompareReport {
 	if threshold <= 0 {
 		threshold = DefaultCompareThreshold
 	}
-	history := make([]runCells, len(traj.Runs))
-	for i, run := range traj.Runs {
-		cells := make(map[string]int64, len(run.Rows))
-		for _, row := range run.Rows {
-			cells[fmt.Sprintf("kernel/%s/n=%d/p=%d/workers=%d", row.Family, row.N, row.P, row.Workers)] = row.NsPerOp
-		}
-		history[i] = runCells{
-			host:  run.Host,
-			key:   fmt.Sprintf("quick=%v/seed=%d", run.Quick, run.Seed),
-			cells: cells,
-		}
-	}
-	return compareCells("kernel", history, threshold)
-}
-
-// CompareStore judges the newest persistence run against its same-host
-// history. threshold ≤ 0 takes DefaultCompareThreshold.
-func CompareStore(traj *StoreBaseline, threshold float64) *CompareReport {
-	if threshold <= 0 {
-		threshold = DefaultCompareThreshold
-	}
-	history := make([]runCells, len(traj.Runs))
-	for i, run := range traj.Runs {
+	history := make([]runCells, len(runs))
+	for i, run := range runs {
+		h := run.header()
 		cells := make(map[string]int64)
-		for _, s := range run.Snapshots {
-			base := fmt.Sprintf("store/%s/n=%d", s.Family, s.N)
-			cells[base+"/write"] = s.WriteNs
-			cells[base+"/coldOpen"] = s.ColdOpenNs
-			cells[base+"/rebuild"] = s.RebuildNs
-		}
-		for _, w := range run.WAL {
-			cells[fmt.Sprintf("wal/fsync=%v/nsPerBatch", w.Fsync)] = w.NsPerBatch
+		for _, c := range run.Cells() {
+			cells[c.Name] = c.Ns
 		}
 		history[i] = runCells{
-			host:  run.Host,
-			key:   fmt.Sprintf("quick=%v/seed=%d", run.Quick, run.Seed),
+			host:  h.Host,
+			key:   fmt.Sprintf("quick=%v/seed=%d", h.Quick, h.Seed),
 			cells: cells,
 		}
 	}
-	return compareCells("store", history, threshold)
+	return compareCells(suite, history, threshold)
 }
 
-// Benchfmt renders the run's measurements in the standard Go benchmark
-// text format (one `Benchmark.../cell 1 N ns/op` line per cell plus the
+// Benchfmt renders the run's cells in the standard Go benchmark text
+// format (one `Benchmark<cell> 1 N ns/op` line per cell after the
 // goos/goarch/cpu preamble), so the trajectories feed straight into
 // benchstat and the x/perf tooling.
-func (b *KernelRun) Benchfmt() string {
+func Benchfmt(run Run) string {
 	var sb strings.Builder
-	benchfmtPreamble(&sb, b.Host)
-	for _, r := range b.Rows {
-		fmt.Fprintf(&sb, "BenchmarkKernel/family=%s/n=%d/p=%d/workers=%d \t1\t%d ns/op\n",
-			r.Family, r.N, r.P, r.Workers, r.NsPerOp)
-	}
-	return sb.String()
-}
-
-// Benchfmt renders the persistence run in Go benchmark text format.
-func (r *StoreRun) Benchfmt() string {
-	var sb strings.Builder
-	benchfmtPreamble(&sb, r.Host)
-	for _, s := range r.Snapshots {
-		fmt.Fprintf(&sb, "BenchmarkStoreWrite/family=%s/n=%d \t1\t%d ns/op\n", s.Family, s.N, s.WriteNs)
-		fmt.Fprintf(&sb, "BenchmarkStoreColdOpen/family=%s/n=%d \t1\t%d ns/op\n", s.Family, s.N, s.ColdOpenNs)
-		fmt.Fprintf(&sb, "BenchmarkStoreRebuild/family=%s/n=%d \t1\t%d ns/op\n", s.Family, s.N, s.RebuildNs)
-	}
-	for _, w := range r.WAL {
-		fmt.Fprintf(&sb, "BenchmarkWALAppend/fsync=%v \t1\t%d ns/op\n", w.Fsync, w.NsPerBatch)
-	}
-	return sb.String()
-}
-
-func benchfmtPreamble(sb *strings.Builder, h HostFingerprint) {
+	h := run.header().Host
 	if h.OS != "" {
-		fmt.Fprintf(sb, "goos: %s\n", h.OS)
+		fmt.Fprintf(&sb, "goos: %s\n", h.OS)
 	}
 	if h.Arch != "" {
-		fmt.Fprintf(sb, "goarch: %s\n", h.Arch)
+		fmt.Fprintf(&sb, "goarch: %s\n", h.Arch)
 	}
 	if h.CPU != "" {
-		fmt.Fprintf(sb, "cpu: %s\n", h.CPU)
+		fmt.Fprintf(&sb, "cpu: %s\n", h.CPU)
 	}
+	for _, c := range run.Cells() {
+		fmt.Fprintf(&sb, "Benchmark%s \t1\t%d ns/op\n", c.Name, c.Ns)
+	}
+	return sb.String()
 }

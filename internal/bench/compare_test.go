@@ -11,25 +11,25 @@ func synthHost() HostFingerprint {
 
 // synthKernelTrajectory builds runs whose single cell measures base ns
 // plus the per-run deltas, all on the same host unless hosts overrides.
-func synthKernelTrajectory(base int64, deltas []int64, hosts ...HostFingerprint) *KernelTrajectory {
-	traj := &KernelTrajectory{}
+func synthKernelTrajectory(base int64, deltas []int64, hosts ...HostFingerprint) []Run {
+	var runs []Run
 	for i, d := range deltas {
 		host := synthHost()
 		if i < len(hosts) {
 			host = hosts[i]
 		}
-		traj.Runs = append(traj.Runs, KernelRun{
-			Host: host, GoVersion: host.GoVersion, GOMAXPROCS: host.GOMAXPROCS, Quick: true, Seed: 1,
-			Rows: []KernelMeasurement{{Family: "sparse-gnp", N: 64, M: 500, P: 4, Workers: 1, Cliques: 7, NsPerOp: base + d}},
+		runs = append(runs, &KernelRun{
+			RunHeader: synthHeader(host),
+			Rows:      []KernelMeasurement{{Family: "sparse-gnp", N: 64, M: 500, P: 4, Workers: 1, Cliques: 7, NsPerOp: base + d}},
 		})
 	}
-	return traj
+	return runs
 }
 
 func TestCompareClearRegression(t *testing.T) {
 	// Stable history at ~1ms, newest run 50% slower: must regress.
 	traj := synthKernelTrajectory(1_000_000, []int64{0, 5_000, -5_000, 500_000})
-	r := CompareKernel(traj, 0)
+	r := Compare("kernel", traj, 0)
 	if r.Skipped != "" {
 		t.Fatalf("unexpected skip: %s", r.Skipped)
 	}
@@ -47,7 +47,7 @@ func TestCompareClearRegression(t *testing.T) {
 
 func TestCompareClearImprovement(t *testing.T) {
 	traj := synthKernelTrajectory(1_000_000, []int64{0, 5_000, -5_000, -400_000})
-	r := CompareKernel(traj, 0)
+	r := Compare("kernel", traj, 0)
 	if len(r.Regressions()) != 0 {
 		t.Fatalf("improvement flagged as regression: %+v", r.Cells)
 	}
@@ -59,7 +59,7 @@ func TestCompareClearImprovement(t *testing.T) {
 func TestCompareWithinNoiseJitter(t *testing.T) {
 	// Newest run 5% over the median, below the 8% base threshold.
 	traj := synthKernelTrajectory(1_000_000, []int64{0, 20_000, -20_000, 50_000})
-	r := CompareKernel(traj, 0)
+	r := Compare("kernel", traj, 0)
 	if len(r.Regressions()) != 0 {
 		t.Fatalf("within-noise jitter gated: %+v", r.Cells)
 	}
@@ -69,7 +69,7 @@ func TestCompareNoiseWidensThreshold(t *testing.T) {
 	// History jitters ±15% (relative MAD 0.15), so the limit must widen
 	// to 3×0.15=45% and a 30% excursion must NOT be gated...
 	traj := synthKernelTrajectory(1_000_000, []int64{150_000, -150_000, 0, 150_000, -150_000, 300_000})
-	r := CompareKernel(traj, 0)
+	r := Compare("kernel", traj, 0)
 	if len(r.Regressions()) != 0 {
 		t.Fatalf("noisy cell gated at base threshold: %+v", r.Cells)
 	}
@@ -77,7 +77,7 @@ func TestCompareNoiseWidensThreshold(t *testing.T) {
 		t.Fatalf("limit should widen with historical MAD: %+v", r.Cells)
 	}
 	// ...while a stable history keeps the tight base threshold.
-	tight := CompareKernel(synthKernelTrajectory(1_000_000, []int64{0, 1_000, -1_000, 300_000}), 0)
+	tight := Compare("kernel", synthKernelTrajectory(1_000_000, []int64{0, 1_000, -1_000, 300_000}), 0)
 	if len(tight.Regressions()) != 1 {
 		t.Fatalf("stable cell not gated at base threshold: %+v", tight.Cells)
 	}
@@ -89,7 +89,7 @@ func TestCompareMismatchedHostRefuses(t *testing.T) {
 	other := synthHost()
 	other.CPU, other.Cores = "older-cpu", 2
 	traj := synthKernelTrajectory(1_000_000, []int64{0, 0, 2_000_000}, other, other, synthHost())
-	r := CompareKernel(traj, 0)
+	r := Compare("kernel", traj, 0)
 	if r.Skipped == "" {
 		t.Fatalf("cross-host comparison not refused: %+v", r.Cells)
 	}
@@ -105,7 +105,7 @@ func TestCompareZeroFingerprintComparableToNothing(t *testing.T) {
 	// A legacy run 0 (migrated, no fingerprint) must never anchor a
 	// comparison — even against another fingerprint-less run.
 	traj := synthKernelTrajectory(1_000_000, []int64{0, 900_000}, HostFingerprint{}, HostFingerprint{})
-	r := CompareKernel(traj, 0)
+	r := Compare("kernel", traj, 0)
 	if r.Skipped == "" || len(r.Regressions()) != 0 {
 		t.Fatalf("fingerprint-less runs compared: skipped=%q cells=%+v", r.Skipped, r.Cells)
 	}
@@ -114,52 +114,18 @@ func TestCompareZeroFingerprintComparableToNothing(t *testing.T) {
 func TestCompareConfigKeySeparatesRuns(t *testing.T) {
 	// Same host but a different seed measures different graphs: refuse.
 	traj := synthKernelTrajectory(1_000_000, []int64{0, 0, 800_000})
-	traj.Runs[2].Seed = 99
-	r := CompareKernel(traj, 0)
+	traj[2].(*KernelRun).Seed = 99
+	r := Compare("kernel", traj, 0)
 	if r.Skipped == "" {
 		t.Fatalf("mismatched run configuration compared: %+v", r.Cells)
 	}
 }
 
 func TestCompareEmptyAndSingle(t *testing.T) {
-	if r := CompareKernel(&KernelTrajectory{}, 0); r.Skipped == "" {
+	if r := Compare("kernel", nil, 0); r.Skipped == "" {
 		t.Error("empty trajectory should skip")
 	}
-	if r := CompareKernel(synthKernelTrajectory(1_000_000, []int64{0}), 0); r.Skipped == "" {
+	if r := Compare("kernel", synthKernelTrajectory(1_000_000, []int64{0}), 0); r.Skipped == "" {
 		t.Error("single-run trajectory should skip")
-	}
-}
-
-func TestCompareStoreCells(t *testing.T) {
-	host := synthHost()
-	mkRun := func(scale float64) StoreRun {
-		return StoreRun{
-			Host: host, GoVersion: host.GoVersion, Quick: true, Seed: 1,
-			Snapshots: []StoreMeasurement{{Family: "gnp", N: 256, M: 2000,
-				WriteNs: int64(1_000_000 * scale), ColdOpenNs: int64(500_000 * scale), RebuildNs: int64(2_000_000 * scale)}},
-			WAL: []WALMeasurement{{Fsync: false, Batches: 64, NsPerBatch: int64(40_000 * scale)}},
-		}
-	}
-	traj := &StoreBaseline{Runs: []StoreRun{mkRun(1), mkRun(1.01), mkRun(0.99), mkRun(1.5)}}
-	r := CompareStore(traj, 0)
-	if r.Skipped != "" {
-		t.Fatalf("unexpected skip: %s", r.Skipped)
-	}
-	// Every store cell (3 snapshot legs + 1 WAL leg) regressed by 50%.
-	if got := len(r.Regressions()); got != 4 {
-		t.Fatalf("want 4 regressed cells, got %d: %+v", got, r.Cells)
-	}
-}
-
-func TestBenchfmtOutput(t *testing.T) {
-	traj := synthKernelTrajectory(1_000_000, []int64{0})
-	out := traj.Runs[0].Benchfmt()
-	for _, want := range []string{
-		"goos: linux\n", "goarch: amd64\n", "cpu: test-cpu\n",
-		"BenchmarkKernel/family=sparse-gnp/n=64/p=4/workers=1 \t1\t1000000 ns/op\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("benchfmt missing %q:\n%s", want, out)
-		}
 	}
 }

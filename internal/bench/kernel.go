@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"time"
 
@@ -37,22 +36,11 @@ type KernelMeasurement struct {
 // workers, which is what lets the migration wrap the old frozen baseline
 // verbatim as run 0.
 type KernelRun struct {
-	Date       string          `json:"date,omitempty"`
-	Host       HostFingerprint `json:"host,omitzero"`
-	GoVersion  string          `json:"goVersion"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Quick      bool            `json:"quick"`
-	Seed       int64           `json:"seed"`
+	RunHeader
 	// Workers is the -workers flag the sweep ran under (0 = the default
 	// {1, 8} ladder); the per-cell counts are in the rows.
 	Workers int                 `json:"workers,omitempty"`
 	Rows    []KernelMeasurement `json:"rows"`
-}
-
-// KernelTrajectory is the BENCH_kernel.json document: the append-only run
-// trajectory (newest last).
-type KernelTrajectory struct {
-	Runs []KernelRun `json:"runs"`
 }
 
 // kernelBenchGraphs builds the family sweep. quick shrinks the dense
@@ -100,15 +88,7 @@ func KernelBench(seed int64, quick bool, workers int) *KernelRun {
 	case workers > 1:
 		sweep = []int{1, workers}
 	}
-	out := &KernelRun{
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		Host:       Fingerprint(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      quick,
-		Seed:       seed,
-		Workers:    max(workers, 0),
-	}
+	out := &KernelRun{RunHeader: newRunHeader(seed, quick), Workers: max(workers, 0)}
 	for _, tc := range kernelBenchGraphs(seed, quick) {
 		for _, p := range []int{3, 4, 5} {
 			for _, workers := range sweep {
@@ -136,6 +116,16 @@ func KernelBench(seed int64, quick bool, workers int) *KernelRun {
 		}
 	}
 	return out
+}
+
+// Cells lists one cell per row.
+func (b *KernelRun) Cells() []Cell {
+	cells := make([]Cell, 0, len(b.Rows))
+	for _, r := range b.Rows {
+		cells = append(cells, Cell{
+			fmt.Sprintf("Kernel/family=%s/n=%d/p=%d/workers=%d", r.Family, r.N, r.P, r.Workers), r.NsPerOp})
+	}
+	return cells
 }
 
 // Table renders the run as an aligned text table (clique counts are

@@ -3,9 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
 	"kplist"
 	"kplist/internal/workload"
@@ -53,19 +51,8 @@ type SketchMeasurement struct {
 // SketchRun is one benchrunner invocation's worth of estimator cells —
 // one point on the BENCH_sketch.json trajectory.
 type SketchRun struct {
-	Date       string              `json:"date"`
-	Host       HostFingerprint     `json:"host,omitzero"`
-	GoVersion  string              `json:"goVersion"`
-	GOMAXPROCS int                 `json:"gomaxprocs"`
-	Quick      bool                `json:"quick"`
-	Seed       int64               `json:"seed"`
-	Cells      []SketchMeasurement `json:"cells"`
-}
-
-// SketchBaseline is the BENCH_sketch.json document: the append-only run
-// trajectory (newest last).
-type SketchBaseline struct {
-	Runs []SketchRun `json:"runs"`
+	RunHeader
+	Measurements []SketchMeasurement `json:"cells"`
 }
 
 // bestOfPerOp times iters back-to-back calls of fn per rep and returns
@@ -100,14 +87,7 @@ func SketchBench(seed int64, quick bool) (*SketchRun, error) {
 	}
 	const family = workload.FamilyStochasticBlock
 	ctx := context.Background()
-	run := &SketchRun{
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		Host:       Fingerprint(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      quick,
-		Seed:       seed,
-	}
+	run := &SketchRun{RunHeader: newRunHeader(seed, quick)}
 	for _, n := range sizes {
 		inst, err := workload.Generate(workload.DefaultSpec(family, n, seed))
 		if err != nil {
@@ -173,7 +153,7 @@ func SketchBench(seed int64, quick bool) (*SketchRun, error) {
 			})
 			warmSess.Close()
 
-			run.Cells = append(run.Cells, m)
+			run.Measurements = append(run.Measurements, m)
 		}
 	}
 	return run, nil
@@ -187,7 +167,7 @@ func (r *SketchRun) Table() string {
 		r.GoVersion, r.GOMAXPROCS, r.Seed)
 	fmt.Fprintf(&sb, "%18s %6s %8s %4s %12s %12s %12s %12s %10s %12s %12s\n",
 		"family", "n", "m", "p", "exact-ns", "build-ns", "warm-ns", "sample-ns", "exact", "hll-est", "sample-est")
-	for _, m := range r.Cells {
+	for _, m := range r.Measurements {
 		fmt.Fprintf(&sb, "%18s %6d %8d %4d %12d %12d %12d %12d %10d %12.1f %12.1f\n",
 			m.Family, m.N, m.M, m.P, m.ExactNs, m.SketchBuildNs, m.SketchQueryNs, m.SampleNs,
 			m.ExactCount, m.SketchEstimate, m.SampleEstimate)
@@ -195,44 +175,16 @@ func (r *SketchRun) Table() string {
 	return sb.String()
 }
 
-// Benchfmt renders the sketch run in Go benchmark text format.
-func (r *SketchRun) Benchfmt() string {
-	var sb strings.Builder
-	benchfmtPreamble(&sb, r.Host)
-	for _, m := range r.Cells {
-		fmt.Fprintf(&sb, "BenchmarkSketchExact/family=%s/n=%d/p=%d \t1\t%d ns/op\n",
-			m.Family, m.N, m.P, m.ExactNs)
-		fmt.Fprintf(&sb, "BenchmarkSketchBuild/family=%s/n=%d/p=%d \t1\t%d ns/op\n",
-			m.Family, m.N, m.P, m.SketchBuildNs)
-		fmt.Fprintf(&sb, "BenchmarkSketchWarm/family=%s/n=%d/p=%d \t1\t%d ns/op\n",
-			m.Family, m.N, m.P, m.SketchQueryNs)
-		fmt.Fprintf(&sb, "BenchmarkSketchSample/family=%s/n=%d/p=%d \t1\t%d ns/op\n",
-			m.Family, m.N, m.P, m.SampleNs)
+// Cells lists the exact, build, warm and sample legs of each (n, p) cell.
+func (r *SketchRun) Cells() []Cell {
+	var cells []Cell
+	for _, m := range r.Measurements {
+		base := fmt.Sprintf("/family=%s/n=%d/p=%d", m.Family, m.N, m.P)
+		cells = append(cells,
+			Cell{"SketchExact" + base, m.ExactNs},
+			Cell{"SketchBuild" + base, m.SketchBuildNs},
+			Cell{"SketchWarm" + base, m.SketchQueryNs},
+			Cell{"SketchSample" + base, m.SampleNs})
 	}
-	return sb.String()
-}
-
-// CompareSketch judges the newest sketch run against its same-host
-// history. threshold ≤ 0 takes DefaultCompareThreshold.
-func CompareSketch(traj *SketchBaseline, threshold float64) *CompareReport {
-	if threshold <= 0 {
-		threshold = DefaultCompareThreshold
-	}
-	history := make([]runCells, len(traj.Runs))
-	for i, run := range traj.Runs {
-		cells := make(map[string]int64)
-		for _, m := range run.Cells {
-			base := fmt.Sprintf("sketch/family=%s/n=%d/p=%d", m.Family, m.N, m.P)
-			cells[base+"/exact"] = m.ExactNs
-			cells[base+"/build"] = m.SketchBuildNs
-			cells[base+"/warm"] = m.SketchQueryNs
-			cells[base+"/sample"] = m.SampleNs
-		}
-		history[i] = runCells{
-			host:  run.Host,
-			key:   fmt.Sprintf("quick=%v/seed=%d", run.Quick, run.Seed),
-			cells: cells,
-		}
-	}
-	return compareCells("sketch", history, threshold)
+	return cells
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -46,20 +45,9 @@ type WALMeasurement struct {
 // StoreRun is one benchrunner invocation's worth of measurements — one
 // point on the BENCH_store.json trajectory.
 type StoreRun struct {
-	Date       string             `json:"date"`
-	Host       HostFingerprint    `json:"host,omitzero"`
-	GoVersion  string             `json:"goVersion"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	Quick      bool               `json:"quick"`
-	Seed       int64              `json:"seed"`
-	Snapshots  []StoreMeasurement `json:"snapshots"`
-	WAL        []WALMeasurement   `json:"wal"`
-}
-
-// StoreBaseline is the BENCH_store.json document: the append-only run
-// trajectory (newest last).
-type StoreBaseline struct {
-	Runs []StoreRun `json:"runs"`
+	RunHeader
+	Snapshots []StoreMeasurement `json:"snapshots"`
+	WAL       []WALMeasurement   `json:"wal"`
 }
 
 // StoreBench runs the persistence sweep in a throwaway directory. It
@@ -80,14 +68,7 @@ func StoreBench(seed int64, quick bool) (*StoreRun, error) {
 	if quick {
 		reps = 3
 	}
-	run := &StoreRun{
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		Host:       Fingerprint(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      quick,
-		Seed:       seed,
-	}
+	run := &StoreRun{RunHeader: newRunHeader(seed, quick)}
 	for i, tc := range kernelBenchGraphs(seed, quick) {
 		path := filepath.Join(dir, fmt.Sprintf("bench-%d.kpsnap", i))
 		edges := tc.g.Edges()
@@ -200,6 +181,23 @@ func bestOf(reps int, fn func() error) time.Duration {
 		}
 	}
 	return best
+}
+
+// Cells lists the three snapshot legs of each family, then one WAL cell
+// per fsync policy.
+func (r *StoreRun) Cells() []Cell {
+	var cells []Cell
+	for _, s := range r.Snapshots {
+		base := fmt.Sprintf("/family=%s/n=%d", s.Family, s.N)
+		cells = append(cells,
+			Cell{"StoreWrite" + base, s.WriteNs},
+			Cell{"StoreColdOpen" + base, s.ColdOpenNs},
+			Cell{"StoreRebuild" + base, s.RebuildNs})
+	}
+	for _, w := range r.WAL {
+		cells = append(cells, Cell{fmt.Sprintf("WALAppend/fsync=%v", w.Fsync), w.NsPerBatch})
+	}
+	return cells
 }
 
 // Table renders the run as an aligned text table (wall-clock —

@@ -55,7 +55,7 @@ func TestAppendMigratesLegacyDoc(t *testing.T) {
 	if err := os.WriteFile(path, []byte(legacyKernelDoc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, err := AppendRun(path, KernelRun{GoVersion: "go1.24.0", Seed: 1, Host: Fingerprint()})
+	n, err := AppendRun(path, KernelRun{RunHeader: RunHeader{GoVersion: "go1.24.0", Seed: 1, Host: Fingerprint()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,41 +84,16 @@ func TestAppendMigratesLegacyDoc(t *testing.T) {
 		t.Error("unknown legacy field dropped by migration")
 	}
 	// And the typed loader sees both runs.
-	traj, err := LoadKernelTrajectory(path)
+	loaded, err := Load[KernelRun](path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traj.Runs) != 2 || traj.Runs[0].GoVersion != "go1.23.0-legacy" || traj.Runs[0].Rows[0].Cliques != 1435 {
-		t.Errorf("typed load mangled the migration: %+v", traj.Runs)
+	run0 := loaded[0].(*KernelRun)
+	if len(loaded) != 2 || run0.GoVersion != "go1.23.0-legacy" || run0.Rows[0].Cliques != 1435 {
+		t.Errorf("typed load mangled the migration: %+v", loaded)
 	}
-	if !traj.Runs[0].Host.IsZero() {
+	if !run0.Host.IsZero() {
 		t.Error("legacy run invented a host fingerprint")
-	}
-}
-
-// TestAppendPreservesPriorRunsBytewise: each append must keep every prior
-// run's raw bytes exactly — history is never re-marshaled through the
-// current structs.
-func TestAppendPreservesPriorRunsBytewise(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_kernel.json")
-	if err := os.WriteFile(path, []byte(legacyKernelDoc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var before []json.RawMessage
-	for i := 0; i < 3; i++ {
-		if _, err := AppendRun(path, KernelRun{GoVersion: "go1.24.0", Seed: int64(i), Host: Fingerprint()}); err != nil {
-			t.Fatal(err)
-		}
-		after := rawRuns(t, path)
-		if len(after) != i+2 {
-			t.Fatalf("append %d: got %d runs, want %d", i, len(after), i+2)
-		}
-		for j, prev := range before {
-			if !bytes.Equal(prev, after[j]) {
-				t.Fatalf("append %d rewrote run %d:\nwas %s\nnow %s", i, j, prev, after[j])
-			}
-		}
-		before = after
 	}
 }
 
@@ -167,6 +142,36 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Errorf("temp files left behind: %v", entries)
+	}
+
+	// A new file gets 0644; a replaced file keeps its permission bits.
+	mode := func(p string) os.FileMode {
+		t.Helper()
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+	if got := mode(path); got != 0o644 {
+		t.Errorf("new file mode %v, want 0644", got)
+	}
+	for _, want := range []os.FileMode{0o600, 0o664} {
+		if err := os.Chmod(path, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileAtomic(path, []byte("again")); err != nil {
+			t.Fatal(err)
+		}
+		if got := mode(path); got != want {
+			t.Errorf("rewrite changed mode %v to %v", want, got)
+		}
+	}
+	if _, err := AppendRun(path+".traj", &KernelRun{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := mode(path + ".traj"); got != 0o644 {
+		t.Errorf("new trajectory mode %v, want 0644", got)
 	}
 }
 

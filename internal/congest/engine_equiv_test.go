@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kplist/internal/graph"
@@ -23,7 +24,7 @@ func splitmix64(x uint64) uint64 {
 // round it sends a hash-chosen number of words (within capacity) to a
 // hash-chosen subset of neighbors, records a copy of its inbox, and
 // finishes at a hash-chosen round. Machines share nothing mutable, so the
-// same maker drives RunSequential, RunParallel, and Network.RunMachines.
+// same maker drives RunSequential and Network.RunMachines.
 type scriptMachine struct {
 	id         graph.V
 	g          *graph.Graph
@@ -91,20 +92,11 @@ func netRun(g *graph.Graph, mk MachineMaker, opts Options) (Stats, error) {
 	return NewNetwork(g, opts).RunMachines(mk)
 }
 
-// forcedParallel steps machines over a fixed 7-goroutine pool regardless of
-// GOMAXPROCS, so the concurrent step/merge paths are exercised (and race-
-// checked) even on single-CPU hosts, where RunParallel degrades to the
-// sequential path.
-func forcedParallel(g *graph.Graph, mk MachineMaker, opts Options) (Stats, error) {
-	return runMachines(g, mk, opts, 7)
-}
-
 // TestEnginesEquivalentRandom cross-validates the engines on random graphs
 // and random programs: identical Stats (rounds and message totals) and
 // identical per-round inbox contents and orderings at every node, for the
-// single-threaded engine, the parallel engine (GOMAXPROCS and forced-7
-// workers), and the goroutine Network (with forced-parallel barrier
-// delivery).
+// single-threaded engine and the goroutine Network (with forced-parallel
+// barrier delivery).
 func TestEnginesEquivalentRandom(t *testing.T) {
 	testForceWorkers = 5 // parallel barrier merges even on 1 CPU
 	defer func() { testForceWorkers = 0 }()
@@ -126,21 +118,12 @@ func TestEnginesEquivalentRandom(t *testing.T) {
 				name := fmt.Sprintf("%s/cap=%d/trial=%d", tc.name, capacity, trial)
 				t.Run(name, func(t *testing.T) {
 					seqStats, seqTr := scriptRun(t, tc.g, seed, capacity, 9, RunSequential)
-					for _, eng := range []struct {
-						name string
-						run  func(*graph.Graph, MachineMaker, Options) (Stats, error)
-					}{
-						{"RunParallel", RunParallel},
-						{"runMachines(workers=7)", forcedParallel},
-						{"Network.RunMachines", netRun},
-					} {
-						stats, tr := scriptRun(t, tc.g, seed, capacity, 9, eng.run)
-						if stats != seqStats {
-							t.Fatalf("%s stats %+v != RunSequential stats %+v", eng.name, stats, seqStats)
-						}
-						if !reflect.DeepEqual(tr, seqTr) {
-							t.Fatalf("%s transcripts differ from RunSequential", eng.name)
-						}
+					stats, tr := scriptRun(t, tc.g, seed, capacity, 9, netRun)
+					if stats != seqStats {
+						t.Fatalf("Network.RunMachines stats %+v != RunSequential stats %+v", stats, seqStats)
+					}
+					if !reflect.DeepEqual(tr, seqTr) {
+						t.Fatalf("Network.RunMachines transcripts differ from RunSequential")
 					}
 				})
 			}
@@ -148,8 +131,9 @@ func TestEnginesEquivalentRandom(t *testing.T) {
 	}
 }
 
-// TestEnginesEquivalentErrors checks that the lockstep engines agree on
-// which node reports a capacity violation and on the stats at that point.
+// TestEnginesEquivalentErrors checks that both engines fail a program that
+// overflows edge capacity, and that the lockstep engine deterministically
+// blames the lowest overflowing node.
 func TestEnginesEquivalentErrors(t *testing.T) {
 	g := graph.Complete(6)
 	mk := func(id graph.V, gg *graph.Graph) Machine {
@@ -166,13 +150,12 @@ func TestEnginesEquivalentErrors(t *testing.T) {
 			return false, nil
 		})
 	}
-	_, errSeq := RunSequential(g, mk, Options{EdgeCapacity: 1, MaxRounds: 10})
-	_, errPar := RunParallel(g, mk, Options{EdgeCapacity: 1, MaxRounds: 10})
-	_, errForced := forcedParallel(g, mk, Options{EdgeCapacity: 1, MaxRounds: 10})
-	if errSeq == nil || errPar == nil || errForced == nil {
-		t.Fatalf("want capacity errors, got seq=%v par=%v forced=%v", errSeq, errPar, errForced)
+	opts := Options{EdgeCapacity: 1, MaxRounds: 10}
+	_, errSeq := RunSequential(g, mk, opts)
+	if want := "node 3: congest: node 3 exceeded capacity 1 on edge to 4 in round 2"; errSeq == nil || errSeq.Error() != want {
+		t.Fatalf("RunSequential error %v, want %q", errSeq, want)
 	}
-	if errSeq.Error() != errPar.Error() || errSeq.Error() != errForced.Error() {
-		t.Fatalf("error mismatch:\n  sequential: %v\n  parallel:   %v\n  forced:     %v", errSeq, errPar, errForced)
+	if _, errNet := netRun(g, mk, opts); errNet == nil || !strings.Contains(errNet.Error(), "exceeded capacity 1") {
+		t.Fatalf("Network.RunMachines error %v, want a capacity violation", errNet)
 	}
 }

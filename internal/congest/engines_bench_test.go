@@ -93,11 +93,3 @@ func BenchmarkRunSequential(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchMachines(b, n, RunSequential) })
 	}
 }
-
-// BenchmarkRunParallel is the same workload stepped concurrently per round;
-// its Stats are bit-identical to BenchmarkRunSequential's.
-func BenchmarkRunParallel(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchMachines(b, n, RunParallel) })
-	}
-}

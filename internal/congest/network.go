@@ -41,8 +41,8 @@ func (o Options) withDefaults() Options {
 // Stats reports what a run of the engine actually used: Rounds is the
 // number of barriers (synchronous message exchanges) executed, Messages the
 // number of words delivered across them. Engines agree on these numbers:
-// for the same program, Run/RunMachines, RunSequential, and RunParallel
-// report identical Stats (the equivalence tests assert this).
+// for the same program, Run/RunMachines and RunSequential report identical
+// Stats (the equivalence tests assert this).
 type Stats struct {
 	Rounds   int
 	Messages int64
@@ -281,9 +281,9 @@ func (net *Network) Run(prog NodeFunc) (Stats, error) {
 // RunMachines executes a Machine program (the sequential engines' interface)
 // on the goroutine engine: each node steps its machine once per round and
 // blocks at the barrier between steps. For the same machines and options,
-// RunMachines, RunSequential, and RunParallel return identical Stats and
-// deliver identical inboxes — the cross-engine equivalence tests rely on
-// this adapter.
+// RunMachines and RunSequential return identical Stats and deliver
+// identical inboxes — the cross-engine equivalence tests rely on this
+// adapter.
 func (net *Network) RunMachines(mk MachineMaker) (Stats, error) {
 	return net.Run(func(ctx *Context) error {
 		m := mk(ctx.ID(), net.g)

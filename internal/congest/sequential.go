@@ -2,17 +2,16 @@ package congest
 
 import (
 	"fmt"
-	"runtime"
 
 	"kplist/internal/graph"
 )
 
-// Machine is the per-node program interface of the lockstep engines: an
-// explicit state machine stepped once per round. The machine engines have
+// Machine is the per-node program interface of the lockstep engine: an
+// explicit state machine stepped once per round. RunSequential has
 // identical semantics to the goroutine Network (same per-edge capacity,
-// same sorted delivery order, same Stats) and exist for deterministic
-// debugging and for cross-validating the real engine; the equivalence is
-// tested.
+// same sorted delivery order, same Stats) and exists for deterministic
+// debugging and for cross-validating the real engine through
+// Network.RunMachines; the equivalence is tested.
 type Machine interface {
 	// Step is invoked once per round with the messages delivered this
 	// round (sorted by sender). The machine sends by calling send, which
@@ -23,9 +22,9 @@ type Machine interface {
 	// billed).
 	//
 	// The `in` slice is owned by the engine and reused across rounds:
-	// machines must not retain it past the Step call. Under RunParallel,
-	// machines of different nodes are stepped concurrently and must not
-	// share mutable state.
+	// machines must not retain it past the Step call. Under
+	// Network.RunMachines, machines of different nodes are stepped
+	// concurrently and must not share mutable state.
 	Step(round int, in []Message, send func(to graph.V, w Word) error) (done bool, err error)
 }
 
@@ -34,28 +33,11 @@ type MachineMaker func(id graph.V, g *graph.Graph) Machine
 
 // RunSequential executes machines over g in lockstep rounds on a single
 // goroutine, deterministically, until every machine reports done. Semantics
-// match Network.RunMachines: identical Stats, identical inboxes.
+// match Network.RunMachines: identical Stats, identical inboxes. There is
+// no per-round allocation on the steady-state path: capacity enforcement
+// is the length of the per-edge slot buffer (no map), and inbox/outbox
+// buffers are truncated and reused across rounds.
 func RunSequential(g *graph.Graph, mk MachineMaker, opts Options) (Stats, error) {
-	return runMachines(g, mk, opts, 1)
-}
-
-// RunParallel is RunSequential with the per-round work spread across CPUs:
-// machines are stepped concurrently into per-sender outbox shards, and the
-// barrier merge assembles every inbox in parallel. Delivery is merged
-// deterministically (ascending sender, send order per sender), so
-// RunParallel produces bit-identical Stats and inbox orderings to
-// RunSequential for machines that do not share mutable state.
-func RunParallel(g *graph.Graph, mk MachineMaker, opts Options) (Stats, error) {
-	return runMachines(g, mk, opts, runtime.GOMAXPROCS(0))
-}
-
-// runMachines is the shared lockstep driver: step every live machine
-// (inline, or chunked over `workers` goroutines), then merge the outbox
-// shards into the reused inbox buffers at the barrier. There is no per-round
-// allocation on the steady-state path: capacity enforcement is the length
-// of the per-edge slot buffer (no map), and inbox/outbox buffers are
-// truncated and reused across rounds.
-func runMachines(g *graph.Graph, mk MachineMaker, opts Options, workers int) (Stats, error) {
 	opts = opts.withDefaults()
 	n := g.N()
 	machines := make([]Machine, n)
@@ -67,7 +49,7 @@ func runMachines(g *graph.Graph, mk MachineMaker, opts Options, workers int) (St
 	shards := newShardSet(ei)
 	inbox := make([][]Message, n)
 
-	round := 0 // read by send closures; written only between step phases
+	round := 0 // read by send closures
 	sends := make([]func(to graph.V, w Word) error, n)
 	for v := 0; v < n; v++ {
 		id := graph.V(v)
@@ -89,52 +71,21 @@ func runMachines(g *graph.Graph, mk MachineMaker, opts Options, workers int) (St
 
 	var messages int64
 	live := n
-	errs := make([]error, n)
 	for live > 0 {
 		if round > opts.MaxRounds {
 			return Stats{Rounds: round, Messages: messages}, fmt.Errorf("congest: exceeded MaxRounds=%d", opts.MaxRounds)
 		}
-		// Step phase. Workers touch disjoint machines, inboxes, and outbox
-		// shards; errors are collected per node and reported for the lowest
-		// node ID, matching the single-threaded order.
-		if workers <= 1 {
-			for v := 0; v < n; v++ {
-				if done[v] {
-					continue
-				}
-				d, err := machines[v].Step(round, inbox[v], sends[v])
-				if err != nil {
-					return Stats{Rounds: round, Messages: messages}, fmt.Errorf("node %d: %w", v, err)
-				}
-				if d {
-					done[v] = true
-					live--
-				}
+		for v := 0; v < n; v++ {
+			if done[v] {
+				continue
 			}
-		} else {
-			parallelFor(n, workers, func(lo, hi int) {
-				for v := lo; v < hi; v++ {
-					if done[v] {
-						continue
-					}
-					d, err := machines[v].Step(round, inbox[v], sends[v])
-					if err != nil {
-						errs[v] = err
-						continue
-					}
-					if d {
-						done[v] = true
-					}
-				}
-			})
-			live = 0
-			for v := 0; v < n; v++ {
-				if errs[v] != nil {
-					return Stats{Rounds: round, Messages: messages}, fmt.Errorf("node %d: %w", v, errs[v])
-				}
-				if !done[v] {
-					live++
-				}
+			d, err := machines[v].Step(round, inbox[v], sends[v])
+			if err != nil {
+				return Stats{Rounds: round, Messages: messages}, fmt.Errorf("node %d: %w", v, err)
+			}
+			if d {
+				done[v] = true
+				live--
 			}
 		}
 		if live == 0 {
@@ -144,20 +95,15 @@ func runMachines(g *graph.Graph, mk MachineMaker, opts Options, workers int) (St
 			// return without another barrier).
 			break
 		}
-		// Barrier merge: deterministic regardless of worker count.
+		// Barrier merge: ascending sender, send order per sender.
 		total := shards.takeQueued()
-		if total > 0 {
-			parallelFor(n, min(workers, deliveryWorkers(n)), func(lo, hi int) {
-				for v := lo; v < hi; v++ {
-					inbox[v] = shards.gather(graph.V(v), inbox[v][:0])
-				}
-			})
-			messages += total
-		} else {
-			for v := range inbox {
-				inbox[v] = inbox[v][:0]
+		for v := range inbox {
+			inbox[v] = inbox[v][:0]
+			if total > 0 {
+				inbox[v] = shards.gather(graph.V(v), inbox[v])
 			}
 		}
+		messages += total
 		round++
 	}
 	return Stats{Rounds: round, Messages: messages}, nil
