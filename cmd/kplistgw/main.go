@@ -4,9 +4,10 @@
 // R−1 replicas); the gateway routes every request to the owner, fails
 // reads over to replicas when the owner is down, fans mutation batches
 // out to replicas after the owner acknowledges, and serves partitioned
-// graphs (?partitioned=1) by scatter–gather: each shard streams its
-// assigned part-tuples and the gateway merges the NDJSON streams into the
-// same byte sequence a single node would emit.
+// graphs (?partitioned=1) by scatter–gather: each shard streams the
+// cliques whose smallest vertex lies in its vertex range, and the gateway
+// concatenates the NDJSON streams in range order into the same byte
+// sequence a single node would emit.
 //
 // Replication self-heals: mutation batches that fail to reach a replica
 // are buffered as hints (-hint-queue) and replayed in order when the

@@ -37,8 +37,9 @@ type ClusterMeasurement struct {
 	// the node's own enumeration).
 	StreamNs int64 `json:"streamNs"`
 	// ScatterNs is the same listing served from the partitioned
-	// registration: every shard streams its signature subset and the
-	// gateway k-way merges them back into one byte-identical stream.
+	// registration: every shard streams the cliques rooted in its vertex
+	// range and the gateway concatenates them into one byte-identical
+	// stream.
 	ScatterNs int64 `json:"scatterNs"`
 	// PatchNsPerBatch is one 16-mutation PATCH through the gateway:
 	// owner WAL-free apply + ack, then fan-out to the R−1 replicas.

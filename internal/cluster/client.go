@@ -643,7 +643,6 @@ type GraphMeta struct {
 	Partitioned bool     `json:"partitioned,omitempty"`
 	Shards      int      `json:"shards,omitempty"`
 	P           int      `json:"p,omitempty"`
-	Parts       int      `json:"parts,omitempty"`
 }
 
 func decodeMeta(resp *http.Response) (GraphMeta, error) {
@@ -730,7 +729,7 @@ func (c *Client) Delete(ctx context.Context, id string) error {
 
 // StreamCliques streams the graph's NDJSON clique listing into w:
 // owner-routed (with replica failover) for plain graphs, scatter–gather
-// merged for partitioned ones. The bytes written are identical to a
+// concatenated for partitioned ones. The bytes written are identical to a
 // single-node kplistd serving the same graph with the same query.
 func (c *Client) StreamCliques(ctx context.Context, id string, p int, algo string, w io.Writer) error {
 	if pg := c.partitionedGraph(id); pg != nil {

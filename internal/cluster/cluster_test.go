@@ -21,7 +21,7 @@ import (
 // mode behind httptest listeners, plus a gateway (client + HTTP front)
 // and a standalone single-node reference server for byte-comparison.
 type harness struct {
-	t      *testing.T
+	t      testing.TB
 	names  []string
 	nodes  map[string]*httptest.Server
 	client *cluster.Client
@@ -29,7 +29,7 @@ type harness struct {
 	ref    *httptest.Server
 }
 
-func newHarness(t *testing.T, n, replication int, seed int64) *harness {
+func newHarness(t testing.TB, n, replication int, seed int64) *harness {
 	t.Helper()
 	h := &harness{t: t, nodes: make(map[string]*httptest.Server)}
 	// The node-side ring is built from the same names but placeholder
@@ -90,7 +90,7 @@ func postJSON(t *testing.T, url string, body any) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
-func do(t *testing.T, method, url string, body []byte) *http.Response {
+func do(t testing.TB, method, url string, body []byte) *http.Response {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -108,7 +108,7 @@ func do(t *testing.T, method, url string, body []byte) *http.Response {
 }
 
 // stream fetches a clique NDJSON stream and returns the body.
-func stream(t *testing.T, base, id string, p int, query string) string {
+func stream(t testing.TB, base, id string, p int, query string) string {
 	t.Helper()
 	url := fmt.Sprintf("%s/v1/graphs/%s/cliques?p=%d&stream=1%s", base, id, p, query)
 	resp, err := http.Get(url)

@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -131,6 +130,15 @@ func TestDifferentialPartitionedAllFamilies(t *testing.T) {
 				if !strings.Contains(string(raw), "differs from the partitioned registration") {
 					t.Fatalf("family %s: wrong-p query did not report the mismatch: %s", family, raw)
 				}
+
+				// The JSON document form is not served: a typed 400, not
+				// a 200 NDJSON stream.
+				doc := do(t, http.MethodGet, fmt.Sprintf("%s/v1/graphs/%s/cliques?p=3&stream=0", h.gw.URL, id), nil)
+				raw, _ = io.ReadAll(doc.Body)
+				doc.Body.Close()
+				if doc.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "stream=0 is not served") {
+					t.Fatalf("family %s: stream=0 answered %d: %s", family, doc.StatusCode, raw)
+				}
 			}
 		})
 	}
@@ -178,73 +186,5 @@ func TestDifferentialPartitionedFailover(t *testing.T) {
 		if strings.Contains(string(raw), id) {
 			t.Fatalf("node %s still holds shards of %s after delete", name, id)
 		}
-	}
-}
-
-// memberRequests sums the gateway's kplistgw_member_requests_total
-// series for one member.
-func memberRequests(t *testing.T, gw, member string) float64 {
-	t.Helper()
-	resp := do(t, http.MethodGet, gw+"/metrics", nil)
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	total := 0.0
-	prefix := `kplistgw_member_requests_total{member="` + member + `",`
-	for _, line := range strings.Split(string(raw), "\n") {
-		if strings.HasPrefix(line, prefix) {
-			var v float64
-			fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &v)
-			total += v
-		}
-	}
-	return total
-}
-
-// TestPartitionedShardWithoutSignatures forces a placement where one
-// member owns none of the signatures: the scatter and the sketch merge
-// open no leg to it, and both stay byte-identical to a single node.
-func TestPartitionedShardWithoutSignatures(t *testing.T) {
-	h := newHarness(t, 3, 2, 71)
-	const p = 3
-	id, empty := "", ""
-	for i := 0; i < 1000 && empty == ""; i++ {
-		id = fmt.Sprintf("cempty%d", i)
-		counts := h.client.SignatureCounts(id, p)
-		for _, name := range h.names {
-			if counts[name] == 0 {
-				empty = name
-			}
-		}
-	}
-	if empty == "" {
-		t.Fatal("no graph ID in 1000 leaves a member without signatures")
-	}
-	body := workloadBody("stochastic-block", 120, 73)
-	buf, _ := json.Marshal(body)
-	meta, err := h.client.RegisterPartitionedAs(context.Background(), id, buf, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, refMeta := postJSON(t, h.ref.URL+"/v1/graphs", body)
-	refID := refMeta["id"].(string)
-
-	before := memberRequests(t, h.gw.URL, empty)
-	want := stream(t, h.ref.URL, refID, p, "&algo=truth&order=lex")
-	if want == "" {
-		t.Fatal("empty stream — the comparison is vacuous")
-	}
-	if got := stream(t, h.gw.URL, meta.ID, p, "&algo=truth"); got != want {
-		t.Fatalf("scatter stream (%d bytes) differs from single node (%d bytes)", len(got), len(want))
-	}
-	const sq = "p=3&precision=12&seed=7"
-	st, got := fetchSketch(t, h.gw.URL, meta.ID, sq)
-	if st != http.StatusOK {
-		t.Fatalf("gateway sketch: status %d: %s", st, got)
-	}
-	if _, wantSketch := fetchSketch(t, h.ref.URL, refID, sq); string(got) != string(wantSketch) {
-		t.Fatal("merged sketch differs from single node")
-	}
-	if after := memberRequests(t, h.gw.URL, empty); after != before {
-		t.Fatalf("the gateway sent %v requests to %s, which owns no signature", after-before, empty)
 	}
 }

@@ -21,7 +21,7 @@ import (
 // so existing clients can point at the gateway unchanged, routes every
 // request to the owning node through the embedded Client (reads fail
 // over to replicas, mutation batches fan out), serves partitioned graphs
-// by scatter–gather merge, and exposes cluster-level /metrics and
+// by scatter–gather, and exposes cluster-level /metrics and
 // /healthz. kplistgw wraps exactly this handler in a daemon.
 type Gateway struct {
 	c       *Client
@@ -316,6 +316,10 @@ func (gw *Gateway) handleCliques(w http.ResponseWriter, r *http.Request) {
 		p, err := strconv.Atoi(r.URL.Query().Get("p"))
 		if err != nil {
 			gwError(w, http.StatusBadRequest, errors.New("cliques needs an integer p query parameter"))
+			return
+		}
+		if r.URL.Query().Get("stream") == "0" {
+			gwError(w, http.StatusBadRequest, ErrPartitionedDocument)
 			return
 		}
 		algo := r.URL.Query().Get("algo")

@@ -3,7 +3,6 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -26,17 +25,8 @@ func TestGatewayMetricsSeriesGolden(t *testing.T) {
 	}
 	stream(t, h.gw.URL, meta["id"].(string), 3, "")
 
-	// The scatter opens legs only to members that own a signature, so
-	// the graph ID is chosen to give every member one: a random ID would
-	// make the per-member series depend on the placement.
-	id := ""
-	for i := 0; i < 1000 && id == ""; i++ {
-		if len(h.client.SignatureCounts(fmt.Sprint("cgolden", i), 3)) == 3 {
-			id = fmt.Sprint("cgolden", i)
-		}
-	}
 	buf, _ := json.Marshal(workloadBody("grid", 64, 1))
-	pmeta, err := h.client.RegisterPartitionedAs(context.Background(), id, buf, 3)
+	pmeta, err := h.client.RegisterPartitioned(context.Background(), buf, 3)
 	if err != nil {
 		t.Fatalf("partitioned register: %v", err)
 	}

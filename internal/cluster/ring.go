@@ -15,10 +15,8 @@ import (
 // placement, which is what lets the gateway, every node's ownership
 // check, and offline tools agree without coordination.
 type Ring struct {
-	cfg     Config
-	vnodes  []vnode // sorted by (hash, member index, replica index)
-	byName  map[string]int
-	indexOf map[string]int // member name -> first vnode index (successor walks)
+	cfg    Config
+	vnodes []vnode // sorted by (hash, member index, replica index)
 }
 
 type vnode struct {
@@ -34,13 +32,10 @@ func NewRing(cfg Config) (*Ring, error) {
 	}
 	cfg = cfg.WithDefaults()
 	r := &Ring{
-		cfg:     cfg,
-		vnodes:  make([]vnode, 0, len(cfg.Members)*cfg.VNodes),
-		byName:  make(map[string]int, len(cfg.Members)),
-		indexOf: make(map[string]int, len(cfg.Members)),
+		cfg:    cfg,
+		vnodes: make([]vnode, 0, len(cfg.Members)*cfg.VNodes),
 	}
 	for i, m := range cfg.Members {
-		r.byName[m.Name] = i
 		for v := 0; v < cfg.VNodes; v++ {
 			h := r.hash(fmt.Sprintf("%s#%d", m.Name, v))
 			r.vnodes = append(r.vnodes, vnode{hash: h, member: int32(i), vn: int32(v)})
@@ -57,9 +52,6 @@ func NewRing(cfg Config) (*Ring, error) {
 		}
 		return r.vnodes[a].vn < r.vnodes[b].vn
 	})
-	for i := len(r.vnodes) - 1; i >= 0; i-- {
-		r.indexOf[cfg.Members[r.vnodes[i].member].Name] = i
-	}
 	return r, nil
 }
 
@@ -94,25 +86,6 @@ func (r *Ring) start(h uint64) int {
 	return i
 }
 
-// walk collects up to count distinct members clockwise from vnode index
-// i, optionally skipping one member index.
-func (r *Ring) walk(i, count int, skip int32) []Member {
-	out := make([]Member, 0, count)
-	seen := make(map[int32]bool, count)
-	if skip >= 0 {
-		seen[skip] = true
-	}
-	for n := 0; n < len(r.vnodes) && len(out) < count; n++ {
-		vn := r.vnodes[(i+n)%len(r.vnodes)]
-		if seen[vn.member] {
-			continue
-		}
-		seen[vn.member] = true
-		out = append(out, r.cfg.Members[vn.member])
-	}
-	return out
-}
-
 // Owner returns the member owning key.
 func (r *Ring) Owner(key string) Member {
 	return r.cfg.Members[r.vnodes[r.start(r.hash(key))].member]
@@ -128,26 +101,15 @@ func (r *Ring) ReplicaSet(key string, n int) []Member {
 	if n > len(r.cfg.Members) {
 		n = len(r.cfg.Members)
 	}
-	return r.walk(r.start(r.hash(key)), n, -1)
-}
-
-// SuccessorSet returns member `name` followed by its n−1 distinct
-// clockwise successors (from the member's first vnode) — the placement
-// of a shard graph pinned to a specific member. Unknown names return nil.
-func (r *Ring) SuccessorSet(name string, n int) []Member {
-	mi, ok := r.byName[name]
-	if !ok {
-		return nil
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > len(r.cfg.Members) {
-		n = len(r.cfg.Members)
-	}
-	out := []Member{r.cfg.Members[mi]}
-	if n > 1 {
-		out = append(out, r.walk(r.indexOf[name], n-1, int32(mi))...)
+	out := make([]Member, 0, n)
+	seen := make(map[int32]bool, n)
+	i := r.start(r.hash(key))
+	for k := 0; k < len(r.vnodes) && len(out) < n; k++ {
+		vn := r.vnodes[(i+k)%len(r.vnodes)]
+		if !seen[vn.member] {
+			seen[vn.member] = true
+			out = append(out, r.cfg.Members[vn.member])
+		}
 	}
 	return out
 }

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 
 	"kplist/internal/graph"
-	"kplist/internal/partition"
 )
 
 func testConfig(n int) Config {
@@ -104,21 +103,26 @@ func TestReplicaSetDistinctAndClamped(t *testing.T) {
 	}
 }
 
+// TestSuccessorSet checks where a partitioned graph's shards live: member
+// i's shard on member i and then its R−1 successors in config order,
+// wrapping, for any ring seed.
 func TestSuccessorSet(t *testing.T) {
-	r, _ := NewRing(testConfig(4))
-	set := r.SuccessorSet("n2", 3)
-	if len(set) != 3 || set[0].Name != "n2" {
-		t.Fatalf("successor set %v should start at n2 with 3 members", set)
-	}
-	seen := map[string]bool{}
-	for _, m := range set {
-		if seen[m.Name] {
-			t.Fatalf("successor set repeats %s", m.Name)
+	for _, seed := range []int64{0, 42} {
+		cfg := testConfig(4)
+		cfg.Replication, cfg.Seed = 3, seed
+		c, err := NewClient(cfg, ClientOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[m.Name] = true
-	}
-	if r.SuccessorSet("nope", 2) != nil {
-		t.Fatal("unknown member should return nil")
+		for i, want := range [][]string{{"n1", "n2", "n3"}, {"n2", "n3", "n4"}, {"n3", "n4", "n1"}, {"n4", "n1", "n2"}} {
+			var got []string
+			for _, m := range c.shardHosts(i) {
+				got = append(got, m.Name)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d: member %d's shard hosts %v, want %v", seed, i, got, want)
+			}
+		}
 	}
 }
 
@@ -213,31 +217,9 @@ func TestParseConfigErrors(t *testing.T) {
 	}
 }
 
-// TestSignatures checks the ring keys of a registration's signatures:
-// one distinct key per sorted part multiset (the ranks themselves are
-// partition.SigIndex's, tested there).
-func TestSignatures(t *testing.T) {
-	sigs := partition.Signatures(3, 2)
-	// C(3+2-1, 2) = 6 sorted multisets.
-	if len(sigs) != 6 {
-		t.Fatalf("got %d signatures, want 6: %v", len(sigs), sigs)
-	}
-	seen := map[string]bool{}
-	for _, s := range sigs {
-		k := sigKey(s)
-		if seen[k] {
-			t.Fatalf("duplicate signature %s", k)
-		}
-		seen[k] = true
-		if !strings.Contains("0.0 0.1 0.2 1.1 1.2 2.2", k) {
-			t.Fatalf("unexpected signature %s", k)
-		}
-	}
-}
-
-// TestParseCliqueLine covers the shard lines the scatter filter must
-// refuse rather than index with: malformed, negative, overflowing and
-// out-of-range vertices (graph.ParseCliqueLine is the filter's parser).
+// TestParseCliqueLine covers the shard lines the scatter read must
+// refuse: malformed, negative, overflowing and out-of-range vertices
+// (graph.ParseCliqueLine is its parser).
 func TestParseCliqueLine(t *testing.T) {
 	got, err := graph.ParseCliqueLine([]byte("[3,1,42]"), nil, 43)
 	if err != nil {

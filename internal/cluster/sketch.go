@@ -16,8 +16,9 @@ import (
 
 // Partitioned estimate path (DESIGN.md §14): a partitioned graph's
 // distinct p-clique set is exactly the union of its shard subgraphs'
-// clique sets — every clique's signature has an owner, and that owner's
-// shard carries all of the clique's edges — so scattering one CliqueHLL
+// clique sets — every clique's root lies in some member's range, that
+// member's shard carries all of the clique's edges, and every shard is a
+// subgraph, so it holds no other cliques — so scattering one CliqueHLL
 // fetch per shard and merging register-wise (max is idempotent, so the
 // overlap between shards never double counts) reproduces the sketch a
 // single node holding the whole graph would build, byte for byte. The
@@ -64,21 +65,17 @@ func sketchParams(q url.Values) (p, precision int, seed int64, err error) {
 }
 
 // scatterSketch fetches every shard's CliqueHLL for (p, precision, seed)
-// — with the usual read failover across each shard's successor placement
-// — and merges them register-wise.
+// — with the usual read failover across each shard's hosts — and merges
+// them register-wise.
 func (c *Client) scatterSketch(ctx context.Context, pg *pgraph, p, precision int, seed int64) (*sketch.CliqueHLL, error) {
 	if p != pg.p {
 		return nil, fmt.Errorf("%w: registered p=%d, queried p=%d", ErrPartitionMismatch, pg.p, p)
 	}
 	var merged *sketch.CliqueHLL
-	for _, m := range c.cfg.Members {
-		// A shard that owns no signature is edgeless: its sketch is empty.
-		if _, ok := pg.filter[m.Name]; !ok {
-			continue
-		}
-		shardID := pg.shardID[m.Name]
+	for i, m := range c.cfg.Members {
+		shardID := pg.shardID(m.Name)
 		q := fmt.Sprintf("/v1/graphs/%s/sketch?p=%d&precision=%d&seed=%d", shardID, p, precision, seed)
-		resp, _, err := c.readFrom(ctx, c.ring.SuccessorSet(m.Name, c.cfg.Replication), m.Name, http.MethodGet, q, nil)
+		resp, _, err := c.readFrom(ctx, c.shardHosts(i), m.Name, http.MethodGet, q, nil)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %s sketch: %w", shardID, err)
 		}
@@ -105,9 +102,6 @@ func (c *Client) scatterSketch(ctx context.Context, pg *pgraph, p, precision int
 		if err := merged.Merge(&h); err != nil {
 			return nil, fmt.Errorf("cluster: shard %s sketch: %w", shardID, err)
 		}
-	}
-	if merged == nil {
-		return nil, fmt.Errorf("cluster: partitioned graph %s has no shards", pg.id)
 	}
 	c.met.sketchMerges.Inc()
 	return merged, nil

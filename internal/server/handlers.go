@@ -11,12 +11,12 @@ import (
 	"net/url"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strconv"
 	"time"
 
 	"kplist"
 	"kplist/internal/graph"
-	"kplist/internal/partition"
 )
 
 // errorResponse is the JSON error envelope every non-2xx body uses.
@@ -617,11 +617,11 @@ func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	truth, document, lex := qv.Get("algo") == "truth", qv.Get("stream") == "0", qv.Get("order") == "lex"
-	filter, err := shardFilter(qv, p)
-	if err == nil && !filter.IsZero() && (document || truth && !lex) {
+	lo, hi, err := rootRange(qv, rg.G.N())
+	if err == nil && (lo > 0 || hi < rg.G.N()) && (document || truth && !lex) {
 		// Only the lexicographic NDJSON streams are what a scatter leg
-		// reads; the filter means nothing to the other forms.
-		err = errors.New("a shard filter needs an NDJSON stream in lexicographic order (order=lex for algo=truth)")
+		// reads; a range means nothing to the other forms.
+		err = errors.New("a root range needs an NDJSON stream in lexicographic order (order=lex for algo=truth)")
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -637,7 +637,7 @@ func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
 	// algo=truth serves the sequential ground truth: no engine run, no
 	// round bill, and with stream=1 no []Clique is ever materialized.
 	if truth {
-		s.serveTruthCliques(w, r, sess, id, p, document, lex, filter)
+		s.serveTruthCliques(w, r, sess, id, p, document, lex, lo, hi)
 		return
 	}
 
@@ -648,16 +648,13 @@ func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The result is in lex order, so the cliques rooted in [lo, hi) are
+	// one sub-slice of it.
 	cliques := res.Cliques
-	if !filter.IsZero() {
-		m := filter.Matcher(rg.G.N(), p)
-		cliques = make([]kplist.Clique, 0, len(res.Cliques))
-		for _, c := range res.Cliques {
-			if m.Owns(c) {
-				cliques = append(cliques, c)
-			}
-		}
+	rootedBelow := func(v int) int {
+		return sort.Search(len(cliques), func(i int) bool { return int(cliques[i][0]) >= v })
 	}
+	cliques = cliques[rootedBelow(lo):rootedBelow(hi)]
 	w.Header().Set("X-Kplist-Clique-Count", strconv.Itoa(len(cliques)))
 	w.Header().Set("X-Kplist-Rounds", strconv.FormatInt(res.Rounds, 10))
 	w.Header().Set("X-Kplist-Messages", strconv.FormatInt(res.Messages, 10))
@@ -681,43 +678,36 @@ func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
 	cs.close()
 }
 
-// shardFilter reads the partition filter a scatter leg of a partitioned
-// graph carries — all three of its parameters, or none for the zero
-// filter — and validates it against p.
-func shardFilter(qv url.Values, p int) (kplist.ShardFilter, error) {
-	seed, parts, owned := qv.Get(partition.FilterSeedParam), qv.Get(partition.FilterPartsParam), qv.Get(partition.FilterOwnedParam)
-	if seed == "" && parts == "" && owned == "" {
-		return kplist.ShardFilter{}, nil
+// rootRange reads the root-vertex range [lo, hi) a scatter leg of a
+// partitioned graph carries — both parameters, or neither for [0, n) —
+// and checks 0 ≤ lo ≤ hi ≤ n.
+func rootRange(qv url.Values, n int) (lo, hi int, err error) {
+	los, his := qv.Get("lo"), qv.Get("hi")
+	if los == "" && his == "" {
+		return 0, n, nil
 	}
-	f := kplist.ShardFilter{Owned: owned}
-	var err error
-	if f.Seed, err = strconv.ParseInt(seed, 10, 64); err != nil {
-		return f, fmt.Errorf("bad shard filter %s: %q", partition.FilterSeedParam, seed)
+	lo, errLo := strconv.Atoi(los)
+	hi, errHi := strconv.Atoi(his)
+	if errLo != nil || errHi != nil || lo < 0 || lo > hi || hi > n {
+		return 0, 0, fmt.Errorf("bad root range lo=%q hi=%q: want integers 0 ≤ lo ≤ hi ≤ n = %d", los, his, n)
 	}
-	if f.T, err = strconv.Atoi(parts); err != nil {
-		return f, fmt.Errorf("bad shard filter %s: %q", partition.FilterPartsParam, parts)
-	}
-	if err := f.Validate(p); err != nil {
-		return f, fmt.Errorf("bad shard filter: %w", err)
-	}
-	return f, nil
+	return lo, hi, nil
 }
 
 // serveTruthCliques answers /cliques?algo=truth. The document form
 // (stream=0) decodes the session's memoized lexicographic ground truth.
 // Both NDJSON forms are a write of the session's memoized encoding
-// (Session.GroundTruthChunks) through writeLines: the default in the
-// kernel's deterministic enumeration order, byte-identical across
+// through writeLines: the default in the kernel's deterministic
+// enumeration order (Session.GroundTruthChunks), byte-identical across
 // requests on one snapshot, and with order=lex the lexicographically
-// sorted listing. Visit order depends on the graph's degeneracy
+// sorted listing (Session.GroundTruthLines) restricted to the cliques
+// rooted in [lo, hi). Visit order depends on the graph's degeneracy
 // structure, so only the lexicographic form is comparable across
 // different graphs covering the same cliques — which is what the cluster
-// gateway's scatter–gather merge needs for byte-identical output. A
-// scatter leg's shard filter restricts that listing to the cliques its
-// shard owns. A visit-order listing too large for the memo streams
-// straight off the kernel's visitor through a cliqueStream instead,
-// holding nothing.
-func (s *Server) serveTruthCliques(w http.ResponseWriter, r *http.Request, sess *kplist.Session, id string, p int, document, lex bool, filter kplist.ShardFilter) {
+// gateway's scatter–gather concatenation needs for byte-identical output.
+// A visit-order listing too large for the memo streams straight off the
+// kernel's visitor through a cliqueStream instead, holding nothing.
+func (s *Server) serveTruthCliques(w http.ResponseWriter, r *http.Request, sess *kplist.Session, id string, p int, document, lex bool, lo, hi int) {
 	if p < 1 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("ground truth requires p ≥ 1, got %d", p))
 		return
@@ -732,13 +722,12 @@ func (s *Server) serveTruthCliques(w http.ResponseWriter, r *http.Request, sess 
 		})
 		return
 	}
-	chunks, memoized, err := sess.GroundTruthChunks(p, lex, filter)
-	if err != nil {
-		writeError(w, statusFor(err), err)
+	if lex {
+		writeLines(r.Context(), w, sess.GroundTruthLines(p, lo, hi))
 		return
 	}
-	if memoized {
-		writeLines(r.Context(), w, chunks)
+	if chunks, memoized := sess.GroundTruthChunks(p); memoized {
+		writeLines(r.Context(), w, chunks...)
 		return
 	}
 	cs := newCliqueStream(w)
@@ -749,19 +738,23 @@ func (s *Server) serveTruthCliques(w http.ResponseWriter, r *http.Request, sess 
 }
 
 // writeLines sends an already encoded NDJSON listing on the stream
-// policy: one write and one flush per chunk (graph.StreamBufferSize
-// bytes), with the request context checked between them.
-func writeLines(ctx context.Context, w http.ResponseWriter, chunks [][]byte) {
+// policy: one write and one flush per graph.StreamBufferSize bytes at
+// most, with the request context checked between them.
+func writeLines(ctx context.Context, w http.ResponseWriter, chunks ...[]byte) {
 	flusher := startNDJSON(w)
 	for _, c := range chunks {
-		if ctx.Err() != nil {
-			return
-		}
-		if _, err := w.Write(c); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
+		for len(c) > 0 {
+			if ctx.Err() != nil {
+				return
+			}
+			n := min(len(c), graph.StreamBufferSize)
+			if _, err := w.Write(c[:n]); err != nil {
+				return
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+			c = c[n:]
 		}
 	}
 }

@@ -3,14 +3,14 @@ package server_test
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
 	"kplist"
-	"kplist/internal/partition"
 	"kplist/internal/server"
 )
 
@@ -21,12 +21,6 @@ func encodeLines(cs []kplist.Clique) string {
 		b = c.AppendLine(b)
 	}
 	return string(b)
-}
-
-// filterQuery renders f as a scatter leg carries it.
-func filterQuery(f partition.Filter) string {
-	return fmt.Sprintf("&%s=%d&%s=%d&%s=%s", partition.FilterSeedParam, f.Seed,
-		partition.FilterPartsParam, f.T, partition.FilterOwnedParam, f.Owned)
 }
 
 // TestTruthLexAfterPatch checks the memoized lex stream against a fresh
@@ -88,10 +82,12 @@ func TestTruthLexAfterPatch(t *testing.T) {
 	}
 }
 
-// TestTruthStreamShardFilter checks that a filtered lex stream holds
-// exactly the cliques the filter owns, in order, on a memo miss and on
-// the hit that follows, and that the engine stream filters the same way.
-func TestTruthStreamShardFilter(t *testing.T) {
+// TestTruthStreamShardRange checks that a scatter leg's root range
+// [lo, hi) streams exactly the cliques whose smallest vertex lies in it,
+// in order, on a memo miss and on the hit that follows, that the engine
+// stream slices the same way, and that ranges which cover [0, n)
+// concatenate to the whole listing.
+func TestTruthStreamShardRange(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	spec := kplist.WorkloadSpec{Family: kplist.WorkloadStochasticBlock, N: 100, Seed: 5}
 	inst, err := kplist.GenerateWorkload(spec)
@@ -107,69 +103,61 @@ func TestTruthStreamShardFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := info.ID
-	const parts, p = 3, 3
-	rng := rand.New(rand.NewSource(4))
-	owned := make([]bool, len(partition.Signatures(parts, p)))
-	for r := range owned {
-		owned[r] = rng.Intn(2) == 0
-	}
-	f := partition.NewFilter(77, parts, owned)
-	m := f.Matcher(inst.G.N(), p)
-	var kept []kplist.Clique
+	const p = 3
 	all := inst.G.ListCliques(p)
-	for _, c := range all {
-		if m.Owns(c) {
-			kept = append(kept, c)
+	rooted := func(lo, hi int) string {
+		var kept []kplist.Clique
+		for _, c := range all {
+			if int(c[0]) >= lo && int(c[0]) < hi {
+				kept = append(kept, c)
+			}
 		}
+		return encodeLines(kept)
 	}
-	if len(kept) == 0 || len(kept) == len(all) {
-		t.Fatalf("degenerate filter: keeps %d of %d cliques", len(kept), len(all))
+	if want := rooted(30, 60); want == "" || want == encodeLines(all) {
+		t.Fatalf("degenerate range: keeps %d of %d cliques", strings.Count(want, "\n"), len(all))
 	}
-	want := encodeLines(kept)
 	for _, q := range []string{"&algo=truth&order=lex", "&algo=truth&order=lex", "&algo=congested-clique"} {
-		resp, body := get(t, ts.URL+"/v1/graphs/"+id+"/cliques?p=3"+q+filterQuery(f))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d body %s", q, resp.StatusCode, body)
+		var cat string
+		for _, r := range [][2]int{{0, 30}, {30, 30}, {30, 60}, {60, 100}} {
+			url := fmt.Sprintf("%s/v1/graphs/%s/cliques?p=%d%s&lo=%d&hi=%d", ts.URL, id, p, q, r[0], r[1])
+			resp, body := get(t, url)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s range %v: status %d body %s", q, r, resp.StatusCode, body)
+			}
+			if string(body) != rooted(r[0], r[1]) {
+				t.Fatalf("%s range %v: %d lines, want %d", q, r, strings.Count(string(body), "\n"),
+					strings.Count(rooted(r[0], r[1]), "\n"))
+			}
+			cat += string(body)
 		}
-		if string(body) != want {
-			t.Fatalf("%s: filtered stream has %d lines, want %d", q, strings.Count(string(body), "\n"), len(kept))
+		if cat != encodeLines(all) {
+			t.Fatalf("%s: the ranges do not concatenate to the whole listing", q)
 		}
-	}
-	// The unfiltered lex stream replaces the filtered memo entry.
-	if _, body := get(t, ts.URL+"/v1/graphs/"+id+"/cliques?p=3&algo=truth&order=lex"); string(body) != encodeLines(all) {
-		t.Fatal("unfiltered lex stream after a filtered one is not the whole listing")
 	}
 }
 
-// TestTruthStreamRejectsBadFilter: a filter the node cannot apply is a
-// caller mistake.
+// TestTruthStreamRejectsBadFilter: a root range the node cannot apply is
+// a caller mistake.
 func TestTruthStreamRejectsBadFilter(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	id, _ := registerWorkload(t, ts.URL, 40, 3)
-	good := filterQuery(partition.NewFilter(1, 3, make([]bool, 15))) // C(3+4-1, 4) = 15
-	if resp, body := get(t, ts.URL+"/v1/graphs/"+id+"/cliques?p=4&algo=truth&order=lex"+good); resp.StatusCode != http.StatusOK {
-		t.Fatalf("valid filter: status %d body %s", resp.StatusCode, body)
+	if resp, body := get(t, ts.URL+"/v1/graphs/"+id+"/cliques?p=4&algo=truth&order=lex&lo=0&hi=40"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid range: status %d body %s", resp.StatusCode, body)
 	}
 	for _, q := range []string{
-		"&algo=truth&order=lex&partseed=1&parts=3&owned=00",       // mask too short
-		"&algo=truth&order=lex&partseed=1&parts=3&owned=000000",   // mask too long
-		"&algo=truth&order=lex&partseed=1&parts=0&owned=00",       // T < 1
-		"&algo=truth&order=lex&partseed=1&parts=-1&owned=00",      // T < 1
-		"&algo=truth&order=lex&partseed=1&parts=3&owned=zzzz",     // not hex
-		"&algo=truth&order=lex&partseed=1&parts=3&owned=0080",     // bit past the last rank
-		"&algo=truth&order=lex&partseed=x&parts=3&owned=0000",     // bad seed
-		"&algo=truth&order=lex&partseed=1&owned=0000",             // missing T
-		"&algo=truth&order=lex&parts=3",                           // partial filter
-		"&algo=truth" + good,                                      // visit-order stream
-		"&algo=truth&order=lex&stream=0" + good,                   // document form
-		"&algo=congested-clique&stream=0" + good,                  // engine document
-		"&algo=truth&order=lex&partseed=1&parts=3&owned=0000&p=5", // mask for another p
+		"&algo=truth&order=lex&lo=1",                // hi missing
+		"&algo=truth&order=lex&hi=5",                // lo missing
+		"&algo=truth&order=lex&lo=x&hi=5",           // not an integer
+		"&algo=truth&order=lex&lo=1&hi=2.5",         // not an integer
+		"&algo=truth&order=lex&lo=-1&hi=5",          // negative
+		"&algo=truth&order=lex&lo=6&hi=5",           // lo > hi
+		"&algo=truth&order=lex&lo=0&hi=41",          // hi > n
+		"&algo=truth&lo=1&hi=5",                     // visit-order stream
+		"&algo=truth&order=lex&stream=0&lo=1&hi=5",  // document form
+		"&algo=congested-clique&stream=0&lo=1&hi=5", // engine document
 	} {
-		url := ts.URL + "/v1/graphs/" + id + "/cliques?p=4" + q
-		if strings.HasSuffix(q, "&p=5") {
-			url = ts.URL + "/v1/graphs/" + id + "/cliques?p=5" + strings.TrimSuffix(q, "&p=5")
-		}
-		if resp, body := get(t, url); resp.StatusCode != http.StatusBadRequest {
+		if resp, body := get(t, ts.URL+"/v1/graphs/"+id+"/cliques?p=4"+q); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d body %s, want 400", q, resp.StatusCode, body)
 		}
 	}
@@ -264,3 +252,74 @@ func BenchmarkServerLexStream(b *testing.B) { benchmarkStream(b, lexQuery) }
 
 // BenchmarkServerVisitStream times one memo-hit visit-order stream.
 func BenchmarkServerVisitStream(b *testing.B) { benchmarkStream(b, visitQuery) }
+
+// FuzzCliquesRange drives /cliques with arbitrary root-range parameters
+// on a live handler: either bound missing, non-integer, negative,
+// inverted or past n, with any clique size, algorithm, order and stream
+// form. Every input gets a 2xx or a 4xx, never a 5xx or a panic; a 200
+// truth or engine stream holds only cliques rooted in the range.
+func FuzzCliquesRange(f *testing.F) {
+	h := server.New(server.Config{}).Handler()
+	const n = 40
+	rec := httptest.NewRecorder()
+	body := fmt.Sprintf(`{"workload":{"family":"planted-clique","n":%d,"seed":3,"cliqueSize":5}}`, n)
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs", strings.NewReader(body)))
+	var info server.GraphInfo
+	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &info) != nil {
+		f.Fatalf("register: status %d body %s", rec.Code, rec.Body)
+	}
+	algos := []string{"truth", "", "congested-clique", "bogus"}
+	for _, seed := range []struct {
+		lo, hi           string
+		withLo, withHi   bool
+		p, algo          uint8
+		document, lexOrd bool
+	}{
+		{"", "", false, false, 3, 0, false, true},    // no range
+		{"0", "40", true, true, 3, 0, false, true},   // the whole range
+		{"5", "", true, false, 3, 0, false, true},    // half-given
+		{"", "5", false, true, 3, 1, false, false},   // half-given, engine
+		{"x", "5", true, true, 3, 0, false, true},    // non-integer
+		{"-1", "5", true, true, 3, 2, false, false},  // negative
+		{"9", "3", true, true, 3, 0, false, true},    // lo > hi
+		{"0", "41", true, true, 3, 1, false, false},  // hi > n
+		{"2", "30", true, true, 3, 0, true, true},    // document form
+		{"2", "30", true, true, 3, 0, false, false},  // visit order
+		{"2", "30", true, true, 4, 2, true, false},   // engine document
+		{"0", "0", true, true, 200, 0, false, true},  // huge p, empty range
+		{"1e3", " 7", true, true, 0, 3, false, true}, // junk everywhere
+	} {
+		f.Add(seed.lo, seed.hi, seed.withLo, seed.withHi, seed.p, seed.algo, seed.document, seed.lexOrd)
+	}
+	f.Fuzz(func(t *testing.T, lo, hi string, withLo, withHi bool, p, algo uint8, document, lexOrd bool) {
+		q := url.Values{"p": {fmt.Sprint(int(p%8) - 1)}, "algo": {algos[int(algo)%len(algos)]}}
+		if withLo {
+			q.Set("lo", lo)
+		}
+		if withHi {
+			q.Set("hi", hi)
+		}
+		if document {
+			q.Set("stream", "0")
+		}
+		if lexOrd {
+			q.Set("order", "lex")
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/graphs/"+info.ID+"/cliques?"+q.Encode(), nil))
+		if rec.Code >= 500 || rec.Code < 200 || rec.Code >= 300 && rec.Code < 400 {
+			t.Fatalf("%s: status %d body %s", q.Encode(), rec.Code, rec.Body)
+		}
+		from, errLo := strconv.Atoi(lo)
+		to, errHi := strconv.Atoi(hi)
+		if rec.Code != http.StatusOK || document || !withLo || !withHi || errLo != nil || errHi != nil {
+			return
+		}
+		for _, line := range strings.SplitAfter(rec.Body.String(), "\n") {
+			var c []int
+			if line != "" && (json.Unmarshal([]byte(line), &c) != nil || len(c) == 0 || c[0] < from || c[0] >= to) {
+				t.Fatalf("%s: line %q is not a clique rooted in [%d, %d)", q.Encode(), line, from, to)
+			}
+		}
+	})
+}

@@ -175,8 +175,7 @@ func (s *Session) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, err
 			res.InvalidatedTruths++
 		} else {
 			// The p-listing provably did not change, so the encoded lex
-			// memo (and any shard filter's share of it) stays valid for
-			// the new snapshot — re-key it (the compute goroutine never
+			// memo stays valid for the new snapshot — re-key it (the compute goroutine never
 			// touches e.g, and e.g is only read under gtMu) so post-apply
 			// lookups keep hitting.
 			e.g = newG

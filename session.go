@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"kplist/internal/graph"
-	"kplist/internal/partition"
 )
 
 // Algorithm selects which listing engine a Session query runs.
@@ -188,17 +188,13 @@ type gtEntry struct {
 	// from: a lookup hits only on pointer match, so a memo from an older
 	// mutation prefix is never served for a newer one and vice versa.
 	g *Graph
-	// filter is the shard filter a lex listing was restricted to (the
-	// zero ShardFilter keeps every clique); a lookup hits only on
-	// equality. Visit entries are never filtered.
-	filter ShardFilter
 	// lines holds a lex listing, one Clique.AppendLine per clique, sized
 	// exactly, and count the number of its lines.
 	lines []byte
 	count int
-	// chunks is the listing in pieces of at most graph.StreamBufferSize
-	// bytes, the unit a stream writes: sub-slices of lines for lex, and
-	// for visit the only copy, each chunk allocated once at its full size.
+	// chunks holds a visit listing in pieces of at most
+	// graph.StreamBufferSize bytes, the unit a stream writes, each
+	// allocated once at its full size.
 	chunks [][]byte
 	// over marks a visit listing past visitMemoCeiling: the entry holds
 	// no bytes, and its snapshot's visit streams run the kernel instead.
@@ -506,105 +502,96 @@ func (s *Session) GroundTruth(p int) []Clique {
 	return s.groundTruthFor(s.state.Load(), p)
 }
 
-// ShardFilter restricts a ground-truth listing to the cliques one shard of
-// a partitioned graph owns; the zero ShardFilter keeps every clique.
-type ShardFilter = partition.Filter
-
 // GroundTruthLines returns the session's current Kp listing as NDJSON —
 // one line per clique, byte for byte what Clique.AppendLine writes, in
-// lexicographic order — restricted to the cliques f owns. The bytes are
-// encoded once per (p, graph snapshot, filter) and shared: callers must
-// not modify them. The memo holds one lex entry per p, so a request with
-// another filter replaces the entry rather than adding one. A filter
-// that does not fit p wraps ErrInvalidQuery.
-func (s *Session) GroundTruthLines(p int, f ShardFilter) ([]byte, error) {
-	e, err := s.truthFor(s.state.Load(), gtKey{p: p}, f)
-	if err != nil {
-		return nil, err
+// lexicographic order — restricted to the cliques whose smallest vertex
+// lies in [lo, hi); lo = 0, hi = N() keeps every clique. The listing is
+// encoded once per (p, graph snapshot) and shared: callers must not
+// modify the bytes. A range's lines are contiguous in lex order, so they
+// are a sub-slice found by binary search, with no copy.
+func (s *Session) GroundTruthLines(p, lo, hi int) []byte {
+	if hi <= lo {
+		return nil
 	}
-	return e.lines, nil
+	st := s.state.Load()
+	lines := s.truthFor(st, gtKey{p: p}).lines
+	if hi < st.g.N() {
+		lines = lines[:rootOffset(lines, hi)]
+	}
+	if lo > 0 {
+		lines = lines[rootOffset(lines, lo):]
+	}
+	return lines
 }
 
-// GroundTruthChunks returns the session's current Kp listing as NDJSON in
-// pieces of at most graph.StreamBufferSize bytes (more only for a single
-// longer line) that concatenate to the whole listing. With lex it is
-// GroundTruthLines(p, f), sliced without a copy. Otherwise it is the
+// rootOffset returns the offset of the first line of the lex listing
+// lines whose first vertex is at least v, or len(lines). It
+// binary-searches the bytes: each probe backs up to the start of its
+// line and reads the line's first vertex.
+func rootOffset(lines []byte, v int) int {
+	return sort.Search(len(lines), func(i int) bool {
+		first := 0
+		for _, b := range lines[bytes.LastIndexByte(lines[:i], '\n')+2:] { // past the '['
+			if b < '0' || b > '9' {
+				break
+			}
+			first = first*10 + int(b-'0')
+		}
+		return first >= v
+	})
+}
+
+// GroundTruthChunks returns the session's current Kp listing in the
 // kernel's visit order — byte for byte the encoding of what
-// VisitGroundTruth yields — and f must be the zero filter. Either order
-// is encoded once per (p, graph snapshot) and shared: callers must not
-// modify the chunks. ok is false when a visit-order listing passes the
-// memo's byte ceiling; the caller then streams VisitGroundTruth, which
-// holds nothing. A filter that does not fit wraps ErrInvalidQuery.
-func (s *Session) GroundTruthChunks(p int, lex bool, f ShardFilter) (chunks [][]byte, ok bool, err error) {
-	if !lex && !f.IsZero() {
-		return nil, false, fmt.Errorf("%w: a shard filter needs lexicographic order", ErrInvalidQuery)
-	}
-	e, err := s.truthFor(s.state.Load(), gtKey{p: p, visit: !lex}, f)
-	if err != nil {
-		return nil, false, err
-	}
-	return e.chunks, !e.over, nil
+// VisitGroundTruth yields — in pieces of at most graph.StreamBufferSize
+// bytes (more only for a single longer line) that concatenate to the
+// whole listing. It is encoded once per (p, graph snapshot) and shared:
+// callers must not modify the chunks. ok is false when the listing passes
+// the memo's byte ceiling; the caller then streams VisitGroundTruth,
+// which holds nothing.
+func (s *Session) GroundTruthChunks(p int) (chunks [][]byte, ok bool) {
+	e := s.truthFor(s.state.Load(), gtKey{p: p, visit: true})
+	return e.chunks, !e.over
 }
 
-// groundTruthFor decodes the memoized unfiltered lex Kp listing of
-// snapshot st.
+// groundTruthFor decodes the memoized lex Kp listing of snapshot st.
 func (s *Session) groundTruthFor(st *sessionState, p int) []Clique {
-	e, _ := s.truthFor(st, gtKey{p: p}, ShardFilter{}) // the zero filter is always valid
+	e := s.truthFor(st, gtKey{p: p})
 	return decodeLines(e.lines, e.count, p, st.g.N())
 }
 
-// truthFor memoizes the encoded listing per (p, order, graph snapshot,
-// filter): the memo hits only when it was computed from exactly the
-// snapshot asked for, so a verifying query racing an Apply always
-// compares against the listing of the graph it actually ran on, while the
-// mutation-free case keeps full memoization. Concurrent first requests
-// coalesce on the entry's done channel.
-func (s *Session) truthFor(st *sessionState, key gtKey, f ShardFilter) (*gtEntry, error) {
-	if !f.IsZero() {
-		if err := f.Validate(key.p); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
-		}
-	}
+// truthFor memoizes the encoded listing per (p, order, graph snapshot):
+// the memo hits only when it was computed from exactly the snapshot asked
+// for, so a verifying query racing an Apply always compares against the
+// listing of the graph it actually ran on, while the mutation-free case
+// keeps full memoization. Concurrent first requests coalesce on the
+// entry's done channel.
+func (s *Session) truthFor(st *sessionState, key gtKey) *gtEntry {
 	if key.p < 1 || key.p > st.degen.Degeneracy+1 {
-		return noTruth, nil
+		return noTruth
 	}
 	s.gtMu.Lock()
-	if e, ok := s.gt[key]; ok && e.g == st.g && e.filter == f {
+	if e, ok := s.gt[key]; ok && e.g == st.g {
 		s.gtMu.Unlock()
 		<-e.done
-		return e, nil
+		return e
 	}
-	e := &gtEntry{done: make(chan struct{}), g: st.g, filter: f}
+	e := &gtEntry{done: make(chan struct{}), g: st.g}
 	s.gt[key] = e
 	s.gtMu.Unlock()
 	if key.visit {
 		e.chunks, e.over = encodeVisit(st.g, key.p)
 	} else {
-		e.lines, e.count = encodeListing(st.g, key.p, f)
-		for rest := e.lines; len(rest) > 0; {
-			n := min(len(rest), graph.StreamBufferSize)
-			e.chunks = append(e.chunks, rest[:n:n])
-			rest = rest[n:]
-		}
+		e.lines, e.count = encodeListing(st.g, key.p)
 	}
 	close(e.done)
-	return e, nil
+	return e
 }
 
-// encodeListing lists g's p-cliques, keeps the ones f owns, and encodes
-// them into one exactly sized NDJSON buffer.
-func encodeListing(g *Graph, p int, f ShardFilter) ([]byte, int) {
+// encodeListing lists g's p-cliques and encodes them into one exactly
+// sized NDJSON buffer.
+func encodeListing(g *Graph, p int) ([]byte, int) {
 	cs := g.ListCliques(p)
-	if !f.IsZero() {
-		m := f.Matcher(g.N(), p)
-		kept := cs[:0]
-		for _, c := range cs {
-			if m.Owns(c) {
-				kept = append(kept, c)
-			}
-		}
-		cs = kept
-	}
 	size := 0
 	for _, c := range cs {
 		size += c.LineLen()

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"kplist/internal/graph"
-	"kplist/internal/partition"
 )
 
 // encodeCliques is the reference NDJSON encoding of a listing.
@@ -29,10 +28,7 @@ func TestSessionTruthLinesTrackApply(t *testing.T) {
 	s := NewSession(twoTriangleGraph(t), SessionConfig{})
 	defer s.Close()
 	lines := func() []byte {
-		b, err := s.GroundTruthLines(3, ShardFilter{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := s.GroundTruthLines(3, 0, s.Graph().N())
 		if want := encodeCliques(s.Graph().ListCliques(3)); string(b) != want {
 			t.Fatalf("memo %q, want %q", b, want)
 		}
@@ -62,27 +58,19 @@ func TestSessionTruthLinesTrackApply(t *testing.T) {
 		t.Fatalf("%d triangles after the batch, want 3", got)
 	}
 
-	// A shard filter's share of the listing tracks the snapshot too.
-	sigs := partition.Signatures(2, 3)
-	owned := make([]bool, len(sigs))
-	owned[0], owned[len(sigs)-1] = true, true
-	f := partition.NewFilter(9, 2, owned)
-	got, err := s.GroundTruthLines(3, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := f.Matcher(s.Graph().N(), 3)
-	var kept []Clique
-	for _, c := range s.Graph().ListCliques(3) {
-		if m.Owns(c) {
-			kept = append(kept, c)
+	// A root range's share of the listing tracks the snapshot too; a
+	// range past either end of [0, n) clamps, and an inverted one is empty.
+	all := s.Graph().ListCliques(3)
+	for _, r := range [][2]int{{0, 6}, {1, 6}, {3, 4}, {4, 6}, {6, 10}, {-5, 1}, {1, 1 << 30}, {5, 2}} {
+		var kept []Clique
+		for _, c := range all {
+			if int(c[0]) >= r[0] && int(c[0]) < r[1] {
+				kept = append(kept, c)
+			}
 		}
-	}
-	if string(got) != encodeCliques(kept) {
-		t.Fatalf("filtered memo %q, want %q", got, encodeCliques(kept))
-	}
-	if _, err := s.GroundTruthLines(3, ShardFilter{T: 2, Owned: "0000"}); err == nil {
-		t.Fatal("a filter mask of the wrong length was accepted")
+		if got := s.GroundTruthLines(3, r[0], r[1]); string(got) != encodeCliques(kept) {
+			t.Fatalf("range %v: lines %q, want %q", r, got, encodeCliques(kept))
+		}
 	}
 }
 
@@ -139,8 +127,8 @@ func TestSessionVerifyRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestSessionTruthLinesRaceApply races memo readers (lex bytes, a
-// filtered share, decoded slices) against mutation batches: every read
+// TestSessionTruthLinesRaceApply races memo readers (lex bytes, a root
+// range's share, decoded slices) against mutation batches: every read
 // must be the encoding of some prefix of the batch history. CI runs it
 // under -race.
 func TestSessionTruthLinesRaceApply(t *testing.T) {
@@ -161,7 +149,6 @@ func TestSessionTruthLinesRaceApply(t *testing.T) {
 		}
 		valid[encodeCliques(dyn.Snapshot().ListCliques(3))] = true
 	}
-	f := partition.NewFilter(3, 1, []bool{true}) // one part, owning everything
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -179,11 +166,10 @@ func TestSessionTruthLinesRaceApply(t *testing.T) {
 				var got string
 				switch w % 3 {
 				case 0:
-					b, _ := s.GroundTruthLines(3, ShardFilter{})
-					got = string(b)
+					got = string(s.GroundTruthLines(3, 0, g.N()))
 				case 1:
-					b, _ := s.GroundTruthLines(3, f)
-					got = string(b)
+					// Two ranges that cover [0, n) concatenate to the whole.
+					got = string(s.GroundTruthLines(3, 0, 20)) + string(s.GroundTruthLines(3, 20, g.N()))
 				case 2:
 					got = encodeCliques(s.GroundTruth(3))
 				}
@@ -252,9 +238,9 @@ func TestSessionVisitLinesRaceApply(t *testing.T) {
 					return
 				default:
 				}
-				chunks, ok, err := s.GroundTruthChunks(3, false, ShardFilter{})
-				if err != nil || !ok {
-					errs <- fmt.Sprintf("GroundTruthChunks: ok %v, err %v", ok, err)
+				chunks, ok := s.GroundTruthChunks(3)
+				if !ok {
+					errs <- "GroundTruthChunks: over the ceiling"
 					return
 				}
 				if got := string(bytes.Join(chunks, nil)); !valid[got] {
@@ -286,11 +272,11 @@ func TestSessionTruthHugeP(t *testing.T) {
 	s := NewSession(twoTriangleGraph(t), SessionConfig{})
 	defer s.Close()
 	for _, p := range []int{4, 1 << 30} {
-		for _, lex := range []bool{true, false} {
-			chunks, ok, err := s.GroundTruthChunks(p, lex, ShardFilter{})
-			if err != nil || !ok || len(chunks) != 0 {
-				t.Fatalf("p=%d lex=%v: %d chunks, ok %v, err %v; want an empty listing", p, lex, len(chunks), ok, err)
-			}
+		if lines := s.GroundTruthLines(p, 0, s.Graph().N()); len(lines) != 0 {
+			t.Fatalf("p=%d: %d lex bytes, want an empty listing", p, len(lines))
+		}
+		if chunks, ok := s.GroundTruthChunks(p); !ok || len(chunks) != 0 {
+			t.Fatalf("p=%d: %d visit chunks, ok %v; want an empty listing", p, len(chunks), ok)
 		}
 		if s.GroundTruth(p) != nil {
 			t.Fatalf("p=%d: GroundTruth is not empty", p)

@@ -28,8 +28,8 @@ func TestSessionVisitLinesOverCeiling(t *testing.T) {
 	s := kplist.NewSession(g, kplist.SessionConfig{})
 	defer s.Close()
 	for i := 0; i < 2; i++ { // the fill, then a lookup of the marked entry
-		if chunks, ok, err := s.GroundTruthChunks(3, false, kplist.ShardFilter{}); err != nil || ok || chunks != nil {
-			t.Fatalf("over the ceiling: %d chunks, ok %v, err %v; want none, not ok", len(chunks), ok, err)
+		if chunks, ok := s.GroundTruthChunks(3); ok || chunks != nil {
+			t.Fatalf("over the ceiling: %d chunks, ok %v; want none, not ok", len(chunks), ok)
 		}
 		if chunks, over, found := s.VisitMemo(3); !found || !over || chunks != 0 {
 			t.Fatalf("entry: found %v, over %v, %d chunks; want an over-ceiling entry holding nothing", found, over, chunks)
