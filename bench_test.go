@@ -306,25 +306,6 @@ func BenchmarkSubstrates(b *testing.B) {
 			}
 		}
 	})
-	b.Run("engine-flood", func(b *testing.B) {
-		ring := graph.Cycle(64)
-		for i := 0; i < b.N; i++ {
-			net := congest.NewNetwork(ring, congest.Options{})
-			if _, err := net.Run(func(ctx *congest.Context) error {
-				for r := 0; r < 8; r++ {
-					if err := ctx.Broadcast(congest.Word{Tag: congest.TagToken}); err != nil {
-						return err
-					}
-					if _, err := ctx.NextRound(); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkSessionColdQuery is the serving cold path the node-read-cold

@@ -65,12 +65,6 @@ func (cm CostModel) BroadcastRounds(words int64) int64 {
 	return CeilDiv(words, cm.EdgeWords)
 }
 
-// UnicastRounds is the bill for a point-to-point phase where the busiest
-// directed edge carries maxWordsPerEdge words.
-func (cm CostModel) UnicastRounds(maxWordsPerEdge int64) int64 {
-	return CeilDiv(maxWordsPerEdge, cm.EdgeWords)
-}
-
 // RouteRounds is the Theorem 2.4 bill: maximum per-node load L routed
 // within a cluster of minimum degree dmin.
 func (cm CostModel) RouteRounds(n int, maxLoad, minDeg int64) int64 {

@@ -1,3 +1,14 @@
+// Package congest holds the round bill of the CONGEST and CONGESTED
+// CLIQUE models: the Ledger that algorithm phases charge, and the
+// CostModel that turns a phase's measured loads into rounds. No message
+// passing happens here. The phases in arblist, sparselist, core and
+// baseline move data between per-node states directly, so their outputs
+// are real, and charge the ledger what the paper's model would take.
+//
+// The model (paper footnotes 1 and 3): n nodes communicate in synchronous
+// rounds; per round, each edge carries O(log n) bits in each direction. We
+// fix the unit "word" to one edge's worth of payload (two vertex IDs plus a
+// small tag), which is the accounting the paper itself uses.
 package congest
 
 import (

@@ -101,9 +101,6 @@ func TestCostModelHelpers(t *testing.T) {
 	if cm.BroadcastRounds(17) != 17 {
 		t.Error("broadcast rounds")
 	}
-	if cm.UnicastRounds(0) != 0 {
-		t.Error("zero unicast should be 0 rounds")
-	}
 	if cm.RouteRounds(1000, 100, 10) != 10 {
 		t.Error("route rounds = load/minDeg")
 	}

@@ -6,9 +6,9 @@
 // needs to send and receive at most L words, the messages can be delivered
 // in Õ(ceil(L/n^δ)) rounds using only cluster edges. Deliver enforces the
 // contract mechanically — every message must travel between cluster
-// members, loads are computed exactly, an optional hard cap turns overload
-// into an error — and charges the ledger accordingly. Data genuinely moves
-// through this chokepoint, so listing outputs downstream are real.
+// members and loads are computed exactly — and charges the ledger
+// accordingly. Data genuinely moves through this chokepoint, so listing
+// outputs downstream are real.
 package routing
 
 import (
@@ -30,10 +30,6 @@ type Router struct {
 	cluster *expander.Cluster
 	cm      congest.CostModel
 	n       int // size of the whole communication graph (for polylog factors)
-	// LoadCap, when positive, errors any phase in which some node must
-	// send or receive more than LoadCap words. Zero means unlimited
-	// (the routing theorem batches arbitrarily large loads).
-	LoadCap int64
 }
 
 // NewRouter creates a router for the given cluster within an n-node graph.
@@ -69,10 +65,6 @@ func Deliver[T any](r *Router, ledger *congest.Ledger, phase string, envs []Enve
 			maxLoad = l
 		}
 	}
-	if r.LoadCap > 0 && maxLoad > r.LoadCap {
-		return nil, fmt.Errorf("routing: per-node load %d exceeds cap %d in cluster %d (phase %s)",
-			maxLoad, r.LoadCap, r.cluster.ID, phase)
-	}
 	rounds := r.cm.RouteRounds(r.n, maxLoad, int64(r.cluster.MinDegree))
 	ledger.ChargeMax(phase, rounds, int64(len(envs)))
 	return inbox, nil
@@ -98,10 +90,6 @@ func (r *Router) ChargeLoads(ledger *congest.Ledger, phase string, sent, recv ma
 		if l+sent[v] > maxLoad {
 			maxLoad = l + sent[v]
 		}
-	}
-	if r.LoadCap > 0 && maxLoad > r.LoadCap {
-		return fmt.Errorf("routing: per-node load %d exceeds cap %d in cluster %d (phase %s)",
-			maxLoad, r.LoadCap, r.cluster.ID, phase)
 	}
 	var msgs int64
 	for _, l := range sent {

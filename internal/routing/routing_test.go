@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"strings"
 	"testing"
 
 	"kplist/internal/congest"
@@ -80,21 +79,6 @@ func TestDeliverRejectsOutsiders(t *testing.T) {
 	}
 	if _, err := Deliver(r, &ledger, "x", []Envelope[int]{{From: 0, To: 15}}); err == nil {
 		t.Error("outside recipient should be rejected")
-	}
-}
-
-func TestDeliverLoadCap(t *testing.T) {
-	cl := testCluster(t, 6)
-	r := NewRouter(cl, 6, congest.UnitCosts())
-	r.LoadCap = 3
-	var ledger congest.Ledger
-	var envs []Envelope[int]
-	for i := 0; i < 5; i++ {
-		envs = append(envs, Envelope[int]{From: graph.V(1 + (i % 5)), To: 0, Payload: i})
-	}
-	_, err := Deliver(r, &ledger, "capped", envs)
-	if err == nil || !strings.Contains(err.Error(), "cap") {
-		t.Fatalf("want load-cap error, got %v", err)
 	}
 }
 

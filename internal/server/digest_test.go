@@ -98,6 +98,13 @@ func TestDigestSeqAdvancesPerEffectiveBatch(t *testing.T) {
 // replicaApply sends a sequence-tagged replica apply.
 func replicaApply(t *testing.T, base, id string, seq uint64, body map[string]any) (*http.Response, []byte) {
 	t.Helper()
+	return replicaApplyHeader(t, base, id, strconv.FormatUint(seq, 10), body)
+}
+
+// replicaApplyHeader sends a replica apply whose X-Kplist-Seq header
+// carries seq verbatim.
+func replicaApplyHeader(t *testing.T, base, id, seq string, body map[string]any) (*http.Response, []byte) {
+	t.Helper()
 	buf, _ := json.Marshal(body)
 	req, err := http.NewRequest(http.MethodPatch, base+"/v1/graphs/"+id+"/replica", bytes.NewReader(buf))
 	if err != nil {
@@ -105,7 +112,7 @@ func replicaApply(t *testing.T, base, id string, seq uint64, body map[string]any
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(cluster.ForwardHeader, "1")
-	req.Header.Set(server.SeqHeader, strconv.FormatUint(seq, 10))
+	req.Header.Set(server.SeqHeader, seq)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -171,6 +178,32 @@ func TestReplicaApplySeqDiscipline(t *testing.T) {
 		if !strings.Contains(string(mb), want) {
 			t.Fatalf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestReplicaApplyRejectsMalformedSeq: a seq header that is present but
+// not a base-10 uint64 is refused before anything is applied. Read as 0,
+// it would skip the duplicate and gap checks, and the replica would
+// advance its own counter as if it were the owner.
+func TestReplicaApplyRejectsMalformedSeq(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	reg := map[string]any{"id": "crep02", "n": 4, "edges": [][2]int{{0, 1}}}
+	if resp, _ := postJSON(t, ts.URL+"/v1/graphs", reg); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register: %d", resp.StatusCode)
+	}
+	for _, seq := range []string{"abc", "-1", "18446744073709551616"} {
+		resp, body := replicaApplyHeader(t, ts.URL, "crep02", seq, patchBody([3]any{"add", 1, 2}))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("seq %q: status %d %s, want 400", seq, resp.StatusCode, body)
+		}
+		if d, _ := getDigest(t, ts.URL, "crep02"); d.M != 1 || d.Seq != 0 {
+			t.Fatalf("seq %q: refused apply changed the graph: %+v", seq, d)
+		}
+	}
+	// The fence is intact: the owner's first batch still lands as seq 1.
+	resp, body := replicaApply(t, ts.URL, "crep02", 1, patchBody([3]any{"add", 1, 2}))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(server.SeqHeader) != "1" {
+		t.Fatalf("seq-1 apply: %d %s (hdr %q)", resp.StatusCode, body, resp.Header.Get(server.SeqHeader))
 	}
 }
 

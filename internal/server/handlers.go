@@ -396,6 +396,16 @@ func (s *Server) applyPatch(w http.ResponseWriter, r *http.Request, replica bool
 		writeError(w, statusFor(err), err)
 		return
 	}
+	// A replica apply without a seq header is applied unsequenced. A
+	// header that is present must parse: read as 0, a malformed value
+	// would skip the ordering fence below.
+	var hdrSeq uint64
+	if replica && len(r.Header.Values(SeqHeader)) > 0 {
+		if hdrSeq, err = strconv.ParseUint(r.Header.Get(SeqHeader), 10, 64); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s header: %w", SeqHeader, err))
+			return
+		}
+	}
 	var req patchRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -441,10 +451,6 @@ func (s *Server) applyPatch(w http.ResponseWriter, r *http.Request, replica bool
 	// bury the divergence in the WAL, so it is refused and left to the
 	// anti-entropy sweeper's full-state repair.
 	seq := s.appliedSeq(id)
-	var hdrSeq uint64
-	if replica {
-		hdrSeq, _ = strconv.ParseUint(r.Header.Get(SeqHeader), 10, 64)
-	}
 	if hdrSeq > 0 {
 		cur := seq.Load()
 		if hdrSeq <= cur {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -303,4 +305,51 @@ func mutatedGroundTruth(t *testing.T, inst *kplist.WorkloadInstance, planted kpl
 		t.Fatal(err)
 	}
 	return kplist.GroundTruth(g, 4)
+}
+
+// FuzzReplicaApply drives the mutation surface on a live handler: an
+// arbitrary JSON body and X-Kplist-Seq value go to both PATCH /edges and
+// PATCH /replica (an empty seq sends no header). Every input gets a 2xx
+// or a 4xx, never a 5xx or a panic, and a replica apply whose seq header
+// does not parse is refused with a 400. The handler is called directly,
+// so a panic fails the target instead of closing a connection.
+func FuzzReplicaApply(f *testing.F) {
+	h := server.New(server.Config{MaxMutationBatch: 64}).Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs",
+		strings.NewReader(`{"n":12,"edges":[[0,1],[1,2],[0,2]]}`)))
+	var info server.GraphInfo
+	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &info) != nil {
+		f.Fatalf("register: status %d body %s", rec.Code, rec.Body)
+	}
+	add := `{"mutations":[{"op":"add","u":3,"v":4}]}`
+	for _, seed := range []struct{ body, seq string }{
+		{add, "abc"},
+		{add, "-1"},
+		{add, "18446744073709551616"},
+		{add, ""},
+		{add, "1"},
+		{`{"mutations":[]}`, "2"}, // empty batch
+		{`{"mutations":[{"op":"toggle","u":0,"v":1}]}`, ""}, // unknown op
+		{`{"mutations":[{"op":"add","u":0,"v":99}]}`, "3"},  // out-of-range vertex
+	} {
+		f.Add([]byte(seed.body), seed.seq)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, seq string) {
+		for _, path := range []string{"/edges", "/replica"} {
+			req := httptest.NewRequest(http.MethodPatch, "/v1/graphs/"+info.ID+path, bytes.NewReader(body))
+			if seq != "" {
+				req.Header.Set(server.SeqHeader, seq)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code >= 500 || rec.Code < 200 || rec.Code >= 300 && rec.Code < 400 {
+				t.Fatalf("%s seq %q body %q: status %d %s", path, seq, body, rec.Code, rec.Body)
+			}
+			if _, err := strconv.ParseUint(seq, 10, 64); path == "/replica" && seq != "" && err != nil &&
+				rec.Code != http.StatusBadRequest {
+				t.Fatalf("replica seq %q: status %d, want 400", seq, rec.Code)
+			}
+		}
+	})
 }
