@@ -17,8 +17,6 @@
 //	benchrunner -only e15 -sketchbench BENCH_sketch.json
 //	benchrunner -compare -kernelbench BENCH_kernel.json -storebench BENCH_store.json \
 //	    -clusterbench BENCH_cluster.json -sketchbench BENCH_sketch.json
-//	benchrunner -autotune tuning.json            # measure the kernel knobs on this host
-//	benchrunner -tuning tuning.json ...          # run any of the above under a profile
 //
 // -compare emits the newest run of each given trajectory in standard Go
 // benchfmt, judges it against the median of the trajectory's same-host
@@ -42,7 +40,6 @@ import (
 	"strings"
 
 	"kplist/internal/bench"
-	"kplist/internal/graph"
 )
 
 // golden binds one committed golden file to the experiments whose -quick
@@ -106,8 +103,6 @@ func run(args []string, w io.Writer) error {
 		goldenDir = fs.String("goldendir", filepath.Join("cmd", "benchrunner", "testdata"), "directory holding the golden files -update rewrites")
 		compare   = fs.Bool("compare", false, "compare the newest run of each given trajectory (-kernelbench, -storebench, -clusterbench, -sketchbench) against its same-host history (Go benchfmt output; non-zero exit on regression or a missing trajectory file) instead of running experiments")
 		threshold = fs.Float64("threshold", bench.DefaultCompareThreshold, "base relative regression threshold for -compare (widened per cell by historical noise)")
-		autotune  = fs.String("autotune", "", "measure the kernel/incremental-engine tuning knobs on this host and write the profile to this path")
-		tuningIn  = fs.String("tuning", "", "load a tuning profile (from -autotune) and apply it before running")
 	)
 	suites := suites()
 	for i := range suites {
@@ -127,18 +122,6 @@ func run(args []string, w io.Writer) error {
 	enabled := func(tag string) bool { return len(want) == 0 || want[tag] }
 	if *update && !*quick {
 		return fmt.Errorf("-update rewrites the -quick goldens; run with -quick")
-	}
-	if *tuningIn != "" {
-		profile, err := bench.LoadTuningProfile(*tuningIn)
-		if err != nil {
-			return fmt.Errorf("tuning profile: %w", err)
-		}
-		if host := bench.Fingerprint(); !profile.Host.Comparable(host) {
-			fmt.Fprintf(os.Stderr, "benchrunner: warning: tuning profile %s was measured on %s, this host is %s\n",
-				*tuningIn, profile.Host, host)
-		}
-		graph.SetTuning(profile.Tuning)
-		fmt.Fprintf(w, "applied tuning profile %s\n", *tuningIn)
 	}
 	if *compare {
 		return runCompare(w, suites, *threshold)
@@ -222,15 +205,6 @@ func run(args []string, w io.Writer) error {
 			}
 			fmt.Fprintf(w, "appended run %d to %s\n", n, s.path)
 		}
-	}
-	if *autotune != "" {
-		fmt.Fprintln(w, "==== AUTOTUNE ====")
-		profile := bench.Autotune(*seed, *quick)
-		fmt.Fprint(w, profile.Table())
-		if err := bench.SaveTuningProfile(*autotune, profile); err != nil {
-			return fmt.Errorf("tuning profile: %w", err)
-		}
-		fmt.Fprintf(w, "wrote %s\n", *autotune)
 	}
 	if *update {
 		return updateGoldens(w, *goldenDir, outputs, enabled)

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"kplist/internal/bench"
-	"kplist/internal/graph"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
@@ -518,40 +517,6 @@ func TestCompareMissingTrajectoryFails(t *testing.T) {
 	}
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {
 		t.Errorf("-compare created %s", missing)
-	}
-}
-
-// TestAutotuneProfileRoundTrip runs the (quick) autotune sweep through
-// the CLI, then loads the emitted profile back with -tuning.
-func TestAutotuneProfileRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("autotune sweep in -short mode")
-	}
-	path := filepath.Join(t.TempDir(), "tuning.json")
-	var sb strings.Builder
-	if err := run([]string{"-quick", "-only", "kernel", "-autotune", path}, &sb); err != nil {
-		t.Fatalf("autotune: %v", err)
-	}
-	if !strings.Contains(sb.String(), "==== AUTOTUNE ====") || !strings.Contains(sb.String(), "<- picked") {
-		t.Errorf("missing autotune evidence table:\n%s", sb.String())
-	}
-	profile, err := bench.LoadTuningProfile(path)
-	if err != nil {
-		t.Fatalf("load profile: %v", err)
-	}
-	if profile.Tuning.RootChunk < 1 || profile.Tuning.BitsetCut < 1 || profile.Tuning.RebuildFraction <= 0 ||
-		profile.Tuning.SessionPoolSize < 1 || profile.Tuning.BatchWorkers < 1 {
-		t.Errorf("profile has unmeasured knobs: %+v", profile.Tuning)
-	}
-	// Applying the profile must work end to end (host matches, so no
-	// warning path involved).
-	defer graph.SetTuning(graph.Tuning{})
-	var sb2 strings.Builder
-	if err := run([]string{"-quick", "-only", "e6", "-tuning", path}, &sb2); err != nil {
-		t.Fatalf("-tuning: %v", err)
-	}
-	if !strings.Contains(sb2.String(), "applied tuning profile") {
-		t.Errorf("missing tuning-applied notice:\n%s", sb2.String())
 	}
 }
 

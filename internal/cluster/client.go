@@ -469,6 +469,12 @@ func (c *Client) PatchRaw(ctx context.Context, id string, body []byte) (*http.Re
 		return resp, 0, nil
 	}
 	seq, _ := strconv.ParseUint(resp.Header.Get(SeqHeader), 10, 64)
+	if seq == 0 {
+		// The owner has never applied an effective batch, so this one was
+		// a no-op: every replica already holds its (unchanged) state, and
+		// a replica would refuse seq 0 on its ordering fence anyway.
+		return resp, len(set) - 1, nil
+	}
 	acks := 0
 	for _, m := range set[1:] {
 		if c.replicate(ctx, m, id, seq, body) {

@@ -295,6 +295,77 @@ func TestGatewayPatchReplicatesAndFailsOver(t *testing.T) {
 	}
 }
 
+// metricsOf fetches a /metrics page.
+func metricsOf(t *testing.T, base string) string {
+	t.Helper()
+	resp := do(t, http.MethodGet, base+"/metrics", nil)
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return string(raw)
+}
+
+// TestGatewayNoOpFirstPatchStaysLocal: a first PATCH that changes nothing
+// leaves the owner at seq 0, and seq 0 is no owner seq, so the batch is
+// not fanned out. Before, it reached every replica with seq 0, which a
+// replica must refuse — and a refusal marks the replica dirty.
+func TestGatewayNoOpFirstPatchStaysLocal(t *testing.T) {
+	h := newHarness(t, 3, 2, 1)
+	st, meta := postJSON(t, h.gw.URL+"/v1/graphs", map[string]any{"n": 4, "edges": [][2]int{{0, 1}}})
+	if st != http.StatusCreated {
+		t.Fatalf("register: %d %v", st, meta)
+	}
+	id := meta["id"].(string)
+
+	noop, _ := json.Marshal(map[string]any{"mutations": []map[string]any{{"op": "add", "u": 0, "v": 1}}})
+	resp := do(t, http.MethodPatch, h.gw.URL+"/v1/graphs/"+id+"/edges", noop)
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(server.SeqHeader) != "0" {
+		t.Fatalf("no-op patch: %d seq %q: %s", resp.StatusCode, resp.Header.Get(server.SeqHeader), raw)
+	}
+	if acks := resp.Header.Get("X-Kplist-Replica-Acks"); acks != "1" {
+		t.Errorf("no-op patch: %q replica acks, want 1 (the replica already holds the state)", acks)
+	}
+	for _, name := range h.names {
+		if m := metricsOf(t, h.nodes[name].URL); !strings.Contains(m, "kplistd_replica_applies_total 0") {
+			t.Errorf("node %s received a replica apply for a no-op batch", name)
+		}
+	}
+	if m := metricsOf(t, h.gw.URL); !strings.Contains(m, "kplistgw_divergence_detected_total 0") ||
+		!strings.Contains(m, "kplistgw_replication_lag_batches 0") {
+		t.Errorf("no-op patch marked a replica dirty or lagging:\n%s", m)
+	}
+
+	// The next effective batch is seq 1 and replicates as usual.
+	eff, _ := json.Marshal(map[string]any{"mutations": []map[string]any{{"op": "add", "u": 1, "v": 2}}})
+	resp = do(t, http.MethodPatch, h.gw.URL+"/v1/graphs/"+id+"/edges", eff)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(server.SeqHeader) != "1" ||
+		resp.Header.Get("X-Kplist-Replica-Acks") != "1" {
+		t.Fatalf("effective patch: %d seq %q acks %q", resp.StatusCode,
+			resp.Header.Get(server.SeqHeader), resp.Header.Get("X-Kplist-Replica-Acks"))
+	}
+}
+
+// TestGatewayRegisterIgnoresClientSeq: a graph registered through the
+// gateway starts at seq 0 whatever seq the body names, so its first
+// effective batch is seq 1 and reaches the replica.
+func TestGatewayRegisterIgnoresClientSeq(t *testing.T) {
+	h := newHarness(t, 3, 2, 1)
+	st, meta := postJSON(t, h.gw.URL+"/v1/graphs", map[string]any{"n": 4, "edges": [][2]int{{0, 1}}, "seq": 5})
+	if st != http.StatusCreated {
+		t.Fatalf("register: %d %v", st, meta)
+	}
+	eff, _ := json.Marshal(map[string]any{"mutations": []map[string]any{{"op": "add", "u": 1, "v": 2}}})
+	resp := do(t, http.MethodPatch, h.gw.URL+"/v1/graphs/"+meta["id"].(string)+"/edges", eff)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(server.SeqHeader) != "1" ||
+		resp.Header.Get("X-Kplist-Replica-Acks") != "1" {
+		t.Fatalf("first effective patch: %d seq %q acks %q, want 200 seq 1 acks 1", resp.StatusCode,
+			resp.Header.Get(server.SeqHeader), resp.Header.Get("X-Kplist-Replica-Acks"))
+	}
+}
+
 func TestClusterGateRefusesMisdirected(t *testing.T) {
 	h := newHarness(t, 3, 1, 2) // R=1: exactly one member hosts each graph
 	_, meta := postJSON(t, h.gw.URL+"/v1/graphs", workloadBody("grid", 64, 1))

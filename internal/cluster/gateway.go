@@ -130,6 +130,10 @@ func (gw *Gateway) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	id := NewGraphID()
 	wire["id"] = id
+	// A new graph's history starts at seq 0. A client-chosen start could
+	// park the graph just below 2^64, where the owner's seq wraps to 0 and
+	// a batch is no longer fanned out.
+	delete(wire, "seq")
 	buf, err := json.Marshal(wire)
 	if err != nil {
 		gwError(w, http.StatusBadRequest, err)

@@ -105,15 +105,11 @@ const (
 )
 
 func (c DynConfig) withDefaults() DynConfig {
-	// Defaults come from the process-wide Tuning (which itself defaults to
-	// DefaultRebuildFraction/DefaultRebuildMinBatch), so an autotuned
-	// profile reshapes the rebuild threshold without touching callers.
-	t := CurrentTuning()
 	if c.RebuildFraction == 0 {
-		c.RebuildFraction = t.RebuildFraction
+		c.RebuildFraction = DefaultRebuildFraction
 	}
 	if c.RebuildMinBatch == 0 {
-		c.RebuildMinBatch = t.RebuildMinBatch
+		c.RebuildMinBatch = DefaultRebuildMinBatch
 	}
 	return c
 }

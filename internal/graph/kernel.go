@@ -15,10 +15,10 @@ import (
 	"sync/atomic"
 )
 
-// The built-in knob defaults, exposed (and overridable per host) through
-// Tuning — every kernel captures the process-wide Tuning at construction,
-// so these constants are only the DefaultTuning values.
-const (
+// The kernel's speed thresholds. None of them changes the listing: every
+// setting yields the same cliques in the same order. They are variables
+// only so that an in-package test can force each strategy (DESIGN.md §8).
+var (
 	// kernelRowMaxN bounds the vertex count for which the kernel builds
 	// word-packed adjacency-row bitmaps (n·⌈n/64⌉ words ≈ n²/8 bytes;
 	// 4096 → 2 MiB). Beyond it every intersection uses the sorted merge.
@@ -58,11 +58,6 @@ type kernel struct {
 	rows []uint64
 	rowW int
 
-	// bitsetCut and rootChunk are the process-wide Tuning knobs captured
-	// at construction, so one kernel's behavior never changes mid-life.
-	bitsetCut int
-	rootChunk int
-
 	mu   sync.Mutex
 	free []*kernelArena
 }
@@ -94,8 +89,7 @@ func KernelBuilds() int64 { return kernelBuilds.Load() }
 func newKernel(n int, adjOff []int32, adjHeads []V, orig []V) *kernel {
 	kernelBuilds.Add(1)
 	order, rank := degeneracyCSR(n, adjOff, adjHeads)
-	tn := CurrentTuning()
-	k := &kernel{n: n, bitsetCut: tn.BitsetCut, rootChunk: tn.RootChunk}
+	k := &kernel{n: n}
 	k.orig = make([]V, n)
 	for r := 0; r < n; r++ {
 		if orig == nil {
@@ -145,13 +139,12 @@ func newKernel(n int, adjOff []int32, adjHeads []V, orig []V) *kernel {
 }
 
 // buildRows derives the word-packed adjacency-row bitmaps when the graph
-// is small and dense enough for bitmap probing to pay off (thresholds
-// from the process-wide Tuning). The bitmaps are an acceleration
+// is small and dense enough for bitmap probing to pay off
+// (kernelRowMaxN, kernelRowMinOut). The bitmaps are an acceleration
 // structure, not part of the CSR: snapshot files never store them, and
 // adopting a stored CSR re-derives them here.
 func (k *kernel) buildRows() {
-	tn := CurrentTuning()
-	if k.n <= tn.RowMaxN && k.maxOut >= tn.RowMinOut {
+	if k.n <= kernelRowMaxN && k.maxOut >= kernelRowMinOut {
 		k.rowW = (k.n + 63) / 64
 		k.rows = make([]uint64, k.n*k.rowW)
 		for r := 0; r < k.n; r++ {
@@ -169,11 +162,7 @@ func (k *kernel) buildRows() {
 // peel or CSR derivation runs: only the in-memory row bitmaps are
 // rebuilt.
 func kernelFromCSR(n int, off []int32, heads, orig []V, maxOut int, maxID V) *kernel {
-	tn := CurrentTuning()
-	k := &kernel{
-		n: n, orig: orig, maxID: maxID, off: off, heads: heads, maxOut: maxOut,
-		bitsetCut: tn.BitsetCut, rootChunk: tn.RootChunk,
-	}
+	k := &kernel{n: n, orig: orig, maxID: maxID, off: off, heads: heads, maxOut: maxOut}
 	k.buildRows()
 	return k
 }
@@ -294,7 +283,7 @@ func (k *kernel) putArena(a *kernelArena) {
 func (k *kernel) intersectInto(dst, cands []V, w V) []V {
 	out := k.heads[k.off[w]:k.off[w+1]]
 	dst = dst[:0]
-	if k.rows != nil && len(out) > k.bitsetCut*len(cands) {
+	if k.rows != nil && len(out) > kernelBitsetCut*len(cands) {
 		row := k.rows[int(w)*k.rowW : (int(w)+1)*k.rowW]
 		for _, c := range cands {
 			if row[c>>6]&(1<<(uint(c)&63)) != 0 {
@@ -463,7 +452,7 @@ func (k *kernel) count(p, workers int) int64 {
 	if workers == 1 {
 		return k.countRange(0, k.n, p)
 	}
-	chunk := k.rootChunk
+	chunk := kernelRootChunk
 	var total atomic.Int64
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -581,7 +570,7 @@ func (k *kernel) list(p, workers int) []Clique {
 		k.collectRange(0, k.n, p, a, &collectors[0])
 		k.putArena(a)
 	} else {
-		chunk := k.rootChunk
+		chunk := kernelRootChunk
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {

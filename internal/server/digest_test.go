@@ -182,16 +182,17 @@ func TestReplicaApplySeqDiscipline(t *testing.T) {
 }
 
 // TestReplicaApplyRejectsMalformedSeq: a seq header that is present but
-// not a base-10 uint64 is refused before anything is applied. Read as 0,
-// it would skip the duplicate and gap checks, and the replica would
-// advance its own counter as if it were the owner.
+// not a base-10 uint64 ≥ 1 (owner seqs start at 1) is refused before
+// anything is applied. Read as 0, it would skip the duplicate and gap
+// checks, and the replica would advance its own counter as if it were
+// the owner.
 func TestReplicaApplyRejectsMalformedSeq(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	reg := map[string]any{"id": "crep02", "n": 4, "edges": [][2]int{{0, 1}}}
 	if resp, _ := postJSON(t, ts.URL+"/v1/graphs", reg); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("register: %d", resp.StatusCode)
 	}
-	for _, seq := range []string{"abc", "-1", "18446744073709551616"} {
+	for _, seq := range []string{"abc", "-1", "18446744073709551616", "0"} {
 		resp, body := replicaApplyHeader(t, ts.URL, "crep02", seq, patchBody([3]any{"add", 1, 2}))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("seq %q: status %d %s, want 400", seq, resp.StatusCode, body)

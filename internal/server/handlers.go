@@ -42,7 +42,8 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, kplist.ErrInvalidQuery),
 		errors.Is(err, kplist.ErrUnknownEngine),
-		errors.Is(err, kplist.ErrUnknownFamily):
+		errors.Is(err, kplist.ErrUnknownFamily),
+		errors.Is(err, errInvalidGraphID):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrGraphNotFound):
 		return http.StatusNotFound
@@ -397,12 +398,13 @@ func (s *Server) applyPatch(w http.ResponseWriter, r *http.Request, replica bool
 		return
 	}
 	// A replica apply without a seq header is applied unsequenced. A
-	// header that is present must parse: read as 0, a malformed value
-	// would skip the ordering fence below.
+	// header that is present must be an owner seq, which starts at 1:
+	// read as 0, a malformed value or a 0 would skip the ordering fence
+	// below.
 	var hdrSeq uint64
 	if replica && len(r.Header.Values(SeqHeader)) > 0 {
-		if hdrSeq, err = strconv.ParseUint(r.Header.Get(SeqHeader), 10, 64); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s header: %w", SeqHeader, err))
+		if hdrSeq, err = strconv.ParseUint(r.Header.Get(SeqHeader), 10, 64); err != nil || hdrSeq == 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s header %q: want an owner seq ≥ 1", SeqHeader, r.Header.Get(SeqHeader)))
 			return
 		}
 	}

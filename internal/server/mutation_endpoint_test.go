@@ -311,7 +311,7 @@ func mutatedGroundTruth(t *testing.T, inst *kplist.WorkloadInstance, planted kpl
 // arbitrary JSON body and X-Kplist-Seq value go to both PATCH /edges and
 // PATCH /replica (an empty seq sends no header). Every input gets a 2xx
 // or a 4xx, never a 5xx or a panic, and a replica apply whose seq header
-// does not parse is refused with a 400. The handler is called directly,
+// does not parse or is 0 is refused with a 400. The handler is called directly,
 // so a panic fails the target instead of closing a connection.
 func FuzzReplicaApply(f *testing.F) {
 	h := server.New(server.Config{MaxMutationBatch: 64}).Handler()
@@ -328,6 +328,7 @@ func FuzzReplicaApply(f *testing.F) {
 		{add, "-1"},
 		{add, "18446744073709551616"},
 		{add, ""},
+		{add, "0"},
 		{add, "1"},
 		{`{"mutations":[]}`, "2"}, // empty batch
 		{`{"mutations":[{"op":"toggle","u":0,"v":1}]}`, ""}, // unknown op
@@ -346,7 +347,7 @@ func FuzzReplicaApply(f *testing.F) {
 			if rec.Code >= 500 || rec.Code < 200 || rec.Code >= 300 && rec.Code < 400 {
 				t.Fatalf("%s seq %q body %q: status %d %s", path, seq, body, rec.Code, rec.Body)
 			}
-			if _, err := strconv.ParseUint(seq, 10, 64); path == "/replica" && seq != "" && err != nil &&
+			if n, err := strconv.ParseUint(seq, 10, 64); path == "/replica" && seq != "" && (err != nil || n == 0) &&
 				rec.Code != http.StatusBadRequest {
 				t.Fatalf("replica seq %q: status %d, want 400", seq, rec.Code)
 			}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"kplist"
-	"kplist/internal/graph"
 )
 
 // PoolStats is a snapshot of the session pool's counters.
@@ -55,12 +54,14 @@ type poolEntry struct {
 	sess    *kplist.Session // set before ready closes
 }
 
+// defaultPoolSize is the session pool's capacity when none is given.
+const defaultPoolSize = 8
+
 // NewSessionPool returns a pool of at most capacity open sessions
-// (≤ 0 means the tuned graph.Tuning.SessionPoolSize, 8 untuned), each
-// opened with cfg.
+// (≤ 0 means defaultPoolSize), each opened with cfg.
 func NewSessionPool(capacity int, cfg kplist.SessionConfig) *SessionPool {
 	if capacity <= 0 {
-		capacity = graph.CurrentTuning().SessionPoolSize
+		capacity = defaultPoolSize
 	}
 	return &SessionPool{
 		capacity: capacity,

@@ -95,13 +95,25 @@ func (r *Registry) Register(name, family string, g *kplist.Graph, planted []kpli
 // not squat on it, so auto-assignment never collides with RegisterWithID.
 var autoID = regexp.MustCompile(`^g[0-9]+$`)
 
+// graphID is the charset and length a caller-chosen ID must have: a
+// durable node names the graph's directory after it, so it has to be one
+// plain path segment (no separator, no leading dot). 128 characters
+// admit every shard ID ("c<16 hex>" + ".s." + a member name of up to 64).
+var graphID = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$`)
+
+// errInvalidGraphID reports a caller-chosen ID outside graphID.
+var errInvalidGraphID = errors.New("server: invalid graph ID")
+
 // RegisterWithID stores g under a caller-chosen ID — the cluster path,
 // where the gateway mints one ID and every replica registers the same
-// graph under it. It fails on a duplicate ID, an ID inside the auto
-// namespace ("g<n>"), or at capacity.
+// graph under it. It fails on an ID outside graphID's charset, a
+// duplicate ID, an ID inside the auto namespace ("g<n>"), or at capacity.
 func (r *Registry) RegisterWithID(id, name, family string, g *kplist.Graph, planted []kplist.Clique) (GraphInfo, error) {
-	if id == "" || autoID.MatchString(id) {
-		return GraphInfo{}, fmt.Errorf("%w: %q is empty or inside the reserved g<n> namespace", ErrDuplicateGraphID, id)
+	if !graphID.MatchString(id) {
+		return GraphInfo{}, fmt.Errorf("%w: %q must match %s", errInvalidGraphID, id, graphID)
+	}
+	if autoID.MatchString(id) {
+		return GraphInfo{}, fmt.Errorf("%w: %q is inside the reserved g<n> namespace", ErrDuplicateGraphID, id)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -9,7 +9,6 @@ import (
 
 	"kplist"
 	"kplist/internal/cluster"
-	"kplist/internal/graph"
 )
 
 // Config sizes the serving layer. Zero values take the documented
@@ -19,9 +18,8 @@ type Config struct {
 	// fails with 409 — graphs are tenant state and are never silently
 	// dropped.
 	MaxGraphs int
-	// PoolSize bounds the LRU pool of open sessions (default
-	// graph.Tuning.SessionPoolSize, 8 untuned): the resident preprocessed
-	// working set.
+	// PoolSize bounds the LRU pool of open sessions (default 8): the
+	// resident preprocessed working set.
 	PoolSize int
 	// Session configures every pooled session (per-session scheduler
 	// bound, Verify, PruneByDegeneracy).
@@ -72,7 +70,7 @@ func (c Config) withDefaults() Config {
 		c.MaxGraphs = 64
 	}
 	if c.PoolSize <= 0 {
-		c.PoolSize = graph.CurrentTuning().SessionPoolSize
+		c.PoolSize = defaultPoolSize
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)

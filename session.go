@@ -716,6 +716,9 @@ func (s *Session) QueryBatch(qs []Query) []BatchResult {
 	return s.QueryBatchContext(context.Background(), qs)
 }
 
+// batchWorkerFloor is the fewest goroutines a QueryBatch runs on.
+const batchWorkerFloor = 8
+
 // QueryBatchContext is QueryBatch under a context shared by every query of
 // the batch; see QueryContext for the cancellation points. The batch runs
 // on a bounded worker pool (a little wider than the execution scheduler so
@@ -723,13 +726,7 @@ func (s *Session) QueryBatch(qs []Query) []BatchResult {
 // so an arbitrarily long batch cannot exhaust host memory on stacks.
 func (s *Session) QueryBatchContext(ctx context.Context, qs []Query) []BatchResult {
 	out := make([]BatchResult, len(qs))
-	workers := 2 * s.cfg.MaxConcurrent
-	if floor := graph.CurrentTuning().BatchWorkers; workers < floor {
-		workers = floor
-	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
+	workers := min(max(2*s.cfg.MaxConcurrent, batchWorkerFloor), len(qs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
