@@ -378,122 +378,130 @@ func (g *Graph) VisitCliquesUntil(p int, yield func(Clique) bool) bool {
 // indexed once into a flat CSR; enumeration runs on the same kernel as
 // Graph.ListCliques.
 type LocalLister struct {
-	verts []V     // sorted unique vertex IDs appearing in the edge set
-	off   []int32 // CSR offsets, len(verts)+1
-	heads []V     // neighbor IDs (original space), ascending per row
-	kern  *kernel
+	kern *kernel
 }
 
-// NewLocalLister indexes the given edges (canonicalized, deduped on a
-// private packed copy — no per-edge map allocation). Edges are packed
-// into uint64 keys so the sort/dedup runs on the ordered fast path.
+// NewLocalLister indexes the given edges: canonicalized, packed into
+// uint64 keys, sorted and deduplicated, remapped onto dense IDs and laid
+// out as a CSR for the kernel build. Every buffer but the kernel's own
+// arrays is borrowed from buildPool, so a warm build allocates the same
+// handful of objects whatever the edge count.
 func NewLocalLister(edges []Edge) *LocalLister {
-	keys := make([]uint64, 0, len(edges))
+	s := buildPool.Get().(*buildScratch)
+	defer buildPool.Put(s)
+	keys := s.keys[:0]
+	var maxRaw V
 	for _, e := range edges {
 		if e.U == e.V || e.U < 0 || e.V < 0 {
 			continue // vertices are dense in [0, N) throughout the repo
 		}
 		e = e.Canon()
+		maxRaw = max(maxRaw, e.V)
 		keys = append(keys, uint64(uint32(e.U))<<32|uint64(uint32(e.V)))
 	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
+	s.keys = keys
 
 	// Dense vertex remap: position in the sorted unique endpoint list.
-	// The relabeling is monotone, so neighbor rows sorted in dense space
-	// are sorted in original space too. When the raw ID range is within a
-	// constant factor of the edge count (the common case: engine-local
-	// edge sets over a dense parent graph), the unique endpoints are
-	// collected by a presence table — no endpoint sort — and the same
-	// table then serves as an O(1) remap; sparse ID ranges fall back to
-	// sort + binary search.
-	var maxRaw V
-	for _, k := range keys {
-		if v := V(uint32(k)); v > maxRaw {
-			maxRaw = v // canonical edges: the low half holds the larger ID
-		}
-	}
+	// The relabeling is monotone, so canonical keys stay canonical and
+	// their order is the same in either space. When the raw ID range is
+	// within a constant factor of the edge count (the common case:
+	// engine-local edge sets over a dense parent graph), a presence table
+	// collects the endpoints in ID order and then serves as an O(1)
+	// remap, and the dense keys are ordered by a linear counting sort;
+	// sparse ID ranges fall back to comparison sorts and binary search.
 	var verts []V
-	var table []int32
 	if int(maxRaw) <= 4*len(keys)+1024 {
-		table = make([]int32, int(maxRaw)+1)
+		s.table = resize(s.table, int(maxRaw)+1)
+		table := s.table
+		clear(table)
 		for _, k := range keys {
-			table[V(k>>32)] = 1
-			table[V(uint32(k))] = 1
+			table[k>>32] = 1
+			table[uint32(k)] = 1
 		}
-		verts = make([]V, 0, len(keys))
-		for v := V(0); v <= maxRaw; v++ {
-			if table[v] != 0 {
+		verts = s.verts[:0]
+		for v, seen := range table {
+			if seen != 0 {
 				table[v] = int32(len(verts))
-				verts = append(verts, v)
+				verts = append(verts, V(v))
 			}
 		}
+		for i, k := range keys {
+			keys[i] = uint64(table[k>>32])<<32 | uint64(table[uint32(k)])
+		}
+		s.sortDenseKeys(len(verts))
 	} else {
-		verts = make([]V, 0, 2*len(keys))
+		slices.Sort(keys)
+		verts = s.verts[:0]
 		for _, k := range keys {
 			verts = append(verts, V(k>>32), V(uint32(k)))
 		}
 		slices.Sort(verts)
 		verts = slices.Compact(verts)
-	}
-	n := len(verts)
-	idx := func(v V) int32 {
-		if table != nil {
-			return table[v]
+		for i, k := range keys {
+			u, _ := slices.BinarySearch(verts, V(k>>32))
+			v, _ := slices.BinarySearch(verts, V(uint32(k)))
+			keys[i] = uint64(u)<<32 | uint64(v)
 		}
-		i, _ := slices.BinarySearch(verts, v)
-		return int32(i)
 	}
+	s.verts = verts
+	keys = slices.Compact(keys)
+	n := len(verts)
 
-	ll := &LocalLister{verts: verts, off: make([]int32, n+1)}
-	deg := make([]int32, n)
-	du := make([]int32, len(keys)) // memoized dense endpoints
-	dv := make([]int32, len(keys))
-	for i, k := range keys {
-		du[i], dv[i] = idx(V(k>>32)), idx(V(uint32(k)))
-		deg[du[i]]++
-		deg[dv[i]]++
+	s.off = resize(s.off, n+1)
+	off := s.off
+	clear(off)
+	for _, k := range keys {
+		off[k>>32+1]++
+		off[uint32(k)+1]++
 	}
 	for v := 0; v < n; v++ {
-		ll.off[v+1] = ll.off[v] + deg[v]
+		off[v+1] += off[v]
 	}
 	// Fill each CSR row in ascending order without per-row sorts: row v
-	// first receives its smaller-ID neighbors (the U side of canonical
-	// edges, ascending because keys are sorted), then its larger-ID
-	// neighbors (the V side, likewise ascending).
-	dense := make([]V, ll.off[n]) // dense-space heads for the kernel
-	fill := make([]int32, n)
-	for i := range keys {
-		v := dv[i]
-		dense[ll.off[v]+fill[v]] = V(du[i])
+	// first receives its smaller neighbors (the U side of canonical keys,
+	// ascending because keys are sorted), then its larger neighbors (the
+	// V side, likewise ascending).
+	s.dense = resize(s.dense, int(off[n]))
+	s.fill = resize(s.fill, n)
+	dense, fill := s.dense, s.fill
+	copy(fill, off[:n])
+	for _, k := range keys {
+		v := uint32(k)
+		dense[fill[v]] = V(k >> 32)
 		fill[v]++
 	}
-	for i := range keys {
-		u := du[i]
-		dense[ll.off[u]+fill[u]] = V(dv[i])
+	for _, k := range keys {
+		u := k >> 32
+		dense[fill[u]] = V(uint32(k))
 		fill[u]++
 	}
-	ll.heads = make([]V, len(dense))
-	for i, d := range dense {
-		ll.heads[i] = verts[d]
-	}
-	ll.kern = newKernel(n, ll.off, dense, verts)
-	return ll
+	return &LocalLister{kern: newKernel(n, off, dense, verts, s)}
 }
 
-// Neighbors returns the known sorted neighbors of v. The slice is shared
-// and must not be modified.
-func (ll *LocalLister) Neighbors(v V) []V {
-	i, ok := slices.BinarySearch(ll.verts, v)
-	if !ok {
-		return nil
-	}
-	return ll.heads[ll.off[i]:ll.off[i+1]]
+// sortDenseKeys sorts s.keys, packed dense-ID pairs below n in both
+// halves, by two stable counting passes: the low half, then the high.
+func (s *buildScratch) sortDenseKeys(n int) {
+	s.tmp = resize(s.tmp, len(s.keys))
+	s.cnt = resize(s.cnt, n+1)
+	countPass(s.keys, s.tmp, s.cnt, 0)
+	countPass(s.tmp, s.keys, s.cnt, 32)
 }
 
-// HasEdge reports whether the lister knows edge {u,v}.
-func (ll *LocalLister) HasEdge(u, v V) bool {
-	return ContainsSorted(ll.Neighbors(u), v)
+// countPass stably scatters src into dst by the 32-bit digit at shift;
+// every digit must lie below len(cnt)-1.
+func countPass(src, dst []uint64, cnt []int32, shift uint) {
+	clear(cnt)
+	for _, k := range src {
+		cnt[uint32(k>>shift)+1]++
+	}
+	for d := 1; d < len(cnt); d++ {
+		cnt[d] += cnt[d-1]
+	}
+	for _, k := range src {
+		d := uint32(k >> shift)
+		dst[cnt[d]] = k
+		cnt[d]++
+	}
 }
 
 // VisitCliques enumerates every p-clique within the known edges, yielding

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -168,8 +169,10 @@ func TestLocalLister(t *testing.T) {
 	if tri.Len() != 4 {
 		t.Errorf("local K3 count = %d, want 4", tri.Len())
 	}
-	if !ll.HasEdge(0, 3) || ll.HasEdge(0, 9) {
-		t.Error("LocalLister.HasEdge wrong")
+	// p = 2 lists exactly the known edges, canonical and sorted.
+	wantEdges := []Clique{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
+	if got := ll.ListCliques(2); !reflect.DeepEqual(got, wantEdges) {
+		t.Errorf("local edge listing = %v, want %v", got, wantEdges)
 	}
 }
 

@@ -112,8 +112,9 @@ func FuzzNewGraph(f *testing.F) {
 
 // FuzzKernelCliques fuzzes the enumeration kernel against the O(n^p)
 // brute-force reference over random edge lists: the listing (sequential
-// and parallel), the counting mode, and the LocalLister re-platform must
-// all agree exactly for every p.
+// and parallel), the counting mode, and the LocalLister — on the clean
+// edges, on the raw fuzzed list and on sparse spread-out IDs — must all
+// agree exactly for every p.
 func FuzzKernelCliques(f *testing.F) {
 	f.Add(4, []byte{0, 1, 1, 2, 0, 2})                   // triangle + isolated
 	f.Add(5, []byte{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3}) // K4 + pendant
@@ -130,6 +131,17 @@ func FuzzKernelCliques(f *testing.F) {
 		}
 		g := MustNew(n, edges)
 		ll := NewLocalLister(g.Edges())
+		// The lister canonicalizes and dedups on its own: the raw list
+		// (duplicates, both orientations, self-loops) must list the same,
+		// and so must a copy with every ID spread by a large stride, which
+		// takes the sparse-ID binary-search remap.
+		const stride = 1 << 26
+		rawLL := NewLocalLister(edges)
+		spread := make([]Edge, len(edges))
+		for i, e := range edges {
+			spread[i] = Edge{e.U * stride, e.V * stride}
+		}
+		spreadLL := NewLocalLister(spread)
 		for p := 2; p <= 5; p++ {
 			want := bruteForceCliques(g, p)
 			seq := g.ListCliquesWorkers(p, 1)
@@ -145,6 +157,18 @@ func FuzzKernelCliques(f *testing.F) {
 			}
 			if got := NewCliqueSet(ll.ListCliques(p)); !got.Equal(want) {
 				t.Fatalf("p=%d: LocalLister listed %d cliques, want %d", p, got.Len(), want.Len())
+			}
+			if got := NewCliqueSet(rawLL.ListCliques(p)); !got.Equal(want) {
+				t.Fatalf("p=%d: LocalLister on raw edges listed %d cliques, want %d", p, got.Len(), want.Len())
+			}
+			unspread := spreadLL.ListCliques(p)
+			for _, c := range unspread {
+				for i := range c {
+					c[i] /= stride
+				}
+			}
+			if got := NewCliqueSet(unspread); !got.Equal(want) {
+				t.Fatalf("p=%d: LocalLister on spread IDs listed %d cliques, want %d", p, got.Len(), want.Len())
 			}
 		}
 	})

@@ -85,10 +85,11 @@ func KernelBuilds() int64 { return kernelBuilds.Load() }
 // newKernel builds the kernel for a dense vertex set given its full
 // adjacency in CSR form (heads ascending per row) and the mapping from
 // dense IDs back to caller-facing IDs (orig[i] for dense vertex i; nil
-// means the identity).
-func newKernel(n int, adjOff []int32, adjHeads []V, orig []V) *kernel {
+// means the identity). The kernel copies what it keeps, so the inputs may
+// be scratch memory; the peel's temporaries come from s.
+func newKernel(n int, adjOff []int32, adjHeads []V, orig []V, s *buildScratch) *kernel {
 	kernelBuilds.Add(1)
-	order, rank := degeneracyCSR(n, adjOff, adjHeads)
+	order, rank := s.degeneracy(n, adjOff, adjHeads)
 	k := &kernel{n: n}
 	k.orig = make([]V, n)
 	for r := 0; r < n; r++ {
@@ -101,30 +102,32 @@ func newKernel(n int, adjOff []int32, adjHeads []V, orig []V) *kernel {
 			k.maxID = k.orig[r]
 		}
 	}
-	// DAG rows in rank space: edge u→w when rank[u] < rank[w].
-	deg := make([]int32, n+1)
+	// DAG rows in rank space: edge u→w when rank[u] < rank[w]. Row r's
+	// out-degree is counted into off[r+1], then prefix-summed in place.
+	k.off = make([]int32, n+1)
 	for u := 0; u < n; u++ {
 		ru := rank[u]
 		for _, w := range adjHeads[adjOff[u]:adjOff[u+1]] {
 			if ru < rank[w] {
-				deg[ru]++
+				k.off[ru+1]++
 			}
 		}
 	}
-	k.off = make([]int32, n+1)
 	for r := 0; r < n; r++ {
-		k.off[r+1] = k.off[r] + deg[r]
+		k.off[r+1] += k.off[r]
 	}
 	// Fill every DAG row in ascending order without per-row sorts by
 	// iterating the target rank ascending: row ru receives rw in
 	// increasing order of rw.
 	k.heads = make([]V, k.off[n])
-	fill := make([]int32, n)
+	s.fill = resize(s.fill, n)
+	fill := s.fill
+	copy(fill, k.off[:n])
 	for rw := 0; rw < n; rw++ {
 		w := order[rw]
 		for _, u := range adjHeads[adjOff[w]:adjOff[w+1]] {
 			if ru := rank[u]; ru < int32(rw) {
-				k.heads[k.off[ru]+fill[ru]] = V(rw)
+				k.heads[fill[ru]] = V(rw)
 				fill[ru]++
 			}
 		}
@@ -167,12 +170,42 @@ func kernelFromCSR(n int, off []int32, heads, orig []V, maxOut int, maxID V) *ke
 	return k
 }
 
-// degeneracyCSR is the linear-time Batagelj–Zaveršnik peel over a CSR
+// buildScratch is the temporary memory of one kernel build: the lister's
+// packed edge keys, counting-sort buffers, ID remap and adjacency CSR, and
+// the degeneracy peel's arrays. None of it outlives the build — the kernel
+// copies what it keeps — so builds borrow it from buildPool and the
+// steady state allocates only the kernel itself.
+type buildScratch struct {
+	keys, tmp []uint64 // packed canonical edges; counting-sort buffer
+	table     []int32  // raw ID → dense ID (dense-ID lister path)
+	cnt       []int32  // counting-sort buckets
+	verts     []V      // dense ID → raw ID
+	off       []int32  // adjacency CSR offsets
+	fill      []int32  // CSR row cursors (adjacency, then DAG)
+	dense     []V      // adjacency CSR heads, dense IDs
+	deg, bin  []int32  // peel: remaining degrees, bucket starts
+	pos       []int32  // peel: vertex → position in vert (the rank)
+	vert      []V      // peel: vertices in peel order
+}
+
+var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
+
+// resize returns buf with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// degeneracy is the linear-time Batagelj–Zaveršnik peel over a CSR
 // adjacency — flat bin/position arrays, no per-bucket slices: order[i] is
 // the i-th vertex peeled (ascending remaining degree), rank its inverse
-// permutation.
-func degeneracyCSR(n int, off []int32, heads []V) (order []V, rank []int32) {
-	deg := make([]int32, n)
+// permutation. Both results are backed by s.
+func (s *buildScratch) degeneracy(n int, off []int32, heads []V) (order []V, rank []int32) {
+	s.deg = resize(s.deg, n)
+	deg := s.deg
 	maxDeg := int32(0)
 	for v := 0; v < n; v++ {
 		deg[v] = off[v+1] - off[v]
@@ -181,7 +214,9 @@ func degeneracyCSR(n int, off []int32, heads []V) (order []V, rank []int32) {
 		}
 	}
 	// Counting-sort vertices by degree: bin[d] = start of bucket d.
-	bin := make([]int32, maxDeg+2)
+	s.bin = resize(s.bin, int(maxDeg)+2)
+	bin := s.bin
+	clear(bin)
 	for v := 0; v < n; v++ {
 		bin[deg[v]]++
 	}
@@ -191,8 +226,8 @@ func degeneracyCSR(n int, off []int32, heads []V) (order []V, rank []int32) {
 		bin[d] = start
 		start += c
 	}
-	vert := make([]V, n)
-	pos := make([]int32, n)
+	s.vert, s.pos = resize(s.vert, n), resize(s.pos, n)
+	vert, pos := s.vert, s.pos
 	for v := 0; v < n; v++ {
 		pos[v] = bin[deg[v]]
 		vert[pos[v]] = V(v)
@@ -232,15 +267,20 @@ func degeneracyCSR(n int, off []int32, heads []V) (order []V, rank []int32) {
 // newGraphKernel flattens a Graph's adjacency into CSR form and builds the
 // kernel over it (identity vertex mapping).
 func newGraphKernel(g *Graph) *kernel {
-	off := make([]int32, g.n+1)
+	s := buildPool.Get().(*buildScratch)
+	defer buildPool.Put(s)
+	s.off = resize(s.off, g.n+1)
+	off := s.off
+	off[0] = 0
 	for v := 0; v < g.n; v++ {
 		off[v+1] = off[v] + int32(len(g.adj[v]))
 	}
-	heads := make([]V, off[g.n])
+	s.dense = resize(s.dense, int(off[g.n]))
+	heads := s.dense
 	for v := 0; v < g.n; v++ {
 		copy(heads[off[v]:off[v+1]], g.adj[v])
 	}
-	return newKernel(g.n, off, heads, nil)
+	return newKernel(g.n, off, heads, nil, s)
 }
 
 // getArena borrows an arena sized for cliques of up to p vertices; it is

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -60,6 +61,72 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLocalListerAllocsFlat is an alloc-regression canary: once the
+// build scratch is warm, indexing an edge list and visiting its K4s
+// allocates the same number of objects (the kernel's own arrays and one
+// arena) for a graph and for four disjoint copies of it, on the dense-ID
+// path and on the sparse one, and about as many bytes as the kernel keeps.
+func TestLocalListerAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	g := ErdosRenyi(60, 0.2, rand.New(rand.NewSource(7)))
+	small := g.Edges()
+	var large []Edge
+	for c := 0; c < 4; c++ {
+		for _, e := range small {
+			large = append(large, Edge{e.U + V(c*g.N()), e.V + V(c*g.N())})
+		}
+	}
+	spread := func(edges []Edge) []Edge {
+		out := make([]Edge, len(edges))
+		for i, e := range edges {
+			out[i] = Edge{e.U * 4099, e.V * 4099}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name         string
+		small, large []Edge
+	}{
+		{"dense", small, large},
+		{"sparse", spread(small), spread(large)},
+	} {
+		build := func(edges []Edge) func() {
+			return func() {
+				n := 0
+				NewLocalLister(edges).VisitCliques(4, func(Clique) { n++ })
+				if n == 0 {
+					t.Fatal("no K4s to visit")
+				}
+			}
+		}
+		build(tc.large)() // warm the scratch at the larger size
+		a := testing.AllocsPerRun(50, build(tc.small))
+		b := testing.AllocsPerRun(50, build(tc.large))
+		if a != b {
+			t.Fatalf("%s: %.0f allocs for %d edges but %.0f for %d", tc.name, a, len(tc.small), b, len(tc.large))
+		}
+		// The bytes, too, are the kernel's and little else: the packed
+		// keys, remap and adjacency CSR, each as large as the kernel's
+		// arrays or larger, must come from the warm scratch.
+		k := NewLocalLister(tc.large).kern
+		kept := 4*(len(k.orig)+len(k.off)+len(k.heads)) + 8*len(k.rows)
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			build(tc.large)()
+		}
+		runtime.ReadMemStats(&after)
+		perBuild := int(after.TotalAlloc-before.TotalAlloc) / runs
+		if perBuild > 2*kept+4096 {
+			t.Fatalf("%s: a warm build allocates %d B, the kernel keeps %d B", tc.name, perBuild, kept)
+		}
+		t.Logf("%s: %.0f allocs and %d B per build+visit (kernel keeps %d B)", tc.name, a, perBuild, kept)
+	}
+}
+
 // TestVisitCliquesUntil: early termination stops the enumeration and
 // reports it; completion reports true.
 func TestVisitCliquesUntil(t *testing.T) {
@@ -102,11 +169,11 @@ func TestLocalListerSparseIDs(t *testing.T) {
 	if !reflect.DeepEqual(tri, want) {
 		t.Fatalf("triangles = %v, want %v", tri, want)
 	}
-	if ll.HasEdge(-3, 4) || ll.HasEdge(4, -1) {
-		t.Error("negative-endpoint edges must be dropped")
-	}
-	if !ll.HasEdge(0, big) || ll.Neighbors(V(big))[0] != 0 {
-		t.Error("sparse-ID adjacency broken")
+	// p = 2 lists the known edges: the negative-endpoint ones are dropped
+	// and the huge-spread ones kept.
+	wantEdges := []Clique{{0, 7}, {0, big}, {0, 2 * big}, {7, big}, {big, 2 * big}}
+	if got := ll.ListCliques(2); !reflect.DeepEqual(got, wantEdges) {
+		t.Fatalf("edges = %v, want %v", got, wantEdges)
 	}
 }
 

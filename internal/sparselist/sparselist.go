@@ -299,23 +299,30 @@ func runListing(p int, realEdges, fakeEdges graph.EdgeList,
 		}
 	}
 	perTuple := make([]*graph.CliqueBag, len(distinct))
-	listTuple := func(j int) {
+	// Each worker gathers its tuples' edges into one reused scratch: the
+	// edge slice, the part pairs already gathered (at most p(p+1)/2, so a
+	// linear scan beats a map) and the signature buffer.
+	type tupleScratch struct {
+		local []graph.Edge
+		pairs []int
+		sig   []int32
+	}
+	listTuple := func(j int, s *tupleScratch) {
 		tup := asg.Tuples[distinct[j]]
-		var local []graph.Edge
-		seenPair := make(map[int]bool, p*p)
+		s.local, s.pairs = s.local[:0], s.pairs[:0]
 		for i := 0; i < p; i++ {
 			for jj := i; jj < p; jj++ {
 				pi := partition.PairIndex(int(tup[i]), int(tup[jj]), t)
-				if seenPair[pi] {
+				if slices.Contains(s.pairs, pi) {
 					continue
 				}
-				seenPair[pi] = true
-				local = append(local, edgesByPair[pi]...)
+				s.pairs = append(s.pairs, pi)
+				s.local = append(s.local, edgesByPair[pi]...)
 			}
 		}
-		sig := make([]int32, p)
+		sig := s.sig
 		out := graph.NewCliqueBag(p)
-		graph.NewLocalLister(local).VisitCliques(p, func(c graph.Clique) {
+		graph.NewLocalLister(s.local).VisitCliques(p, func(c graph.Clique) {
 			for i, v := range c {
 				sig[i] = part.PartOf[v]
 			}
@@ -330,8 +337,9 @@ func runListing(p int, realEdges, fakeEdges graph.EdgeList,
 		workers = len(distinct)
 	}
 	if workers <= 1 {
+		s := &tupleScratch{sig: make([]int32, p)}
 		for j := range distinct {
-			listTuple(j)
+			listTuple(j, s)
 		}
 	} else {
 		var next atomic.Int64
@@ -340,12 +348,13 @@ func runListing(p int, realEdges, fakeEdges graph.EdgeList,
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				s := &tupleScratch{sig: make([]int32, p)}
 				for {
 					j := int(next.Add(1)) - 1
 					if j >= len(distinct) {
 						return
 					}
-					listTuple(j)
+					listTuple(j, s)
 				}
 			}()
 		}
