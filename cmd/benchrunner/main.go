@@ -53,6 +53,7 @@ type golden struct {
 // exactly the output of `benchrunner -quick -only <tags>`.
 func goldens() []golden {
 	return []golden{
+		{file: "theorems_quick.golden", tags: []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"}},
 		{file: "workloads_quick.golden", tags: []string{"e9", "e10"}},
 		{file: "server_quick.golden", tags: []string{"e11"}},
 		{file: "dynamic_quick.golden", tags: []string{"e12"}},

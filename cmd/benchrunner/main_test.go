@@ -102,13 +102,21 @@ func checkGolden(t *testing.T, tags, file string, headers ...string) {
 	}
 }
 
-// TestWorkloadExperimentsGolden pins the full -quick output of the
+// TestTheoremExperimentsGolden pins the full -quick output of the
+// paper's round-bill experiments (E1–E8), so a change to any engine's
+// bill or listing shows up as a diff; TestWorkloadExperimentsGolden the
 // workload-family experiments (E9/E10); TestServerExperimentGolden the
 // serving experiment (E11); TestDynamicExperimentGolden the dynamic-graph
 // churn experiment (E12). Everything printed is deterministic under the
 // default seed; regenerate with `go test ./cmd/benchrunner -run Golden
 // -update` after intentional changes to the generators, the engines or
 // the table format.
+func TestTheoremExperimentsGolden(t *testing.T) {
+	checkGolden(t, "e1,e2,e3,e4,e5,e6,e7,e8", "theorems_quick.golden",
+		"==== E1 ====", "==== E2 ====", "==== E3 ====", "==== E4 ====",
+		"==== E5 ====", "==== E6 ====", "==== E7 ====", "==== E8 ====")
+}
+
 func TestServerExperimentGolden(t *testing.T) {
 	checkGolden(t, "e11", "server_quick.golden", "==== E11 ====")
 }
