@@ -7,6 +7,7 @@ package kplist_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -288,5 +289,58 @@ func TestDifferentialKernelVsReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDifferentialOuterLoop covers what the default runs above never
+// reach: at these sizes every CONGEST and FastK4 run starts below the
+// final phase's cutoff, so ARB-LIST and the cluster listing never run. A
+// low FinalExponent forces at least one outer arboricity-halving
+// iteration, and the listing must still match the reference enumerator
+// byte for byte.
+func TestDifferentialOuterLoop(t *testing.T) {
+	const finalExponent = 0.2
+	trials := 2
+	if testing.Short() {
+		trials = 1
+	}
+	rng := rand.New(rand.NewSource(20260730))
+	forced := 0
+	for _, family := range workload.Families() {
+		for trial := 0; trial < trials; trial++ {
+			n := 80 + rng.Intn(60)
+			seed := rng.Int63n(1 << 30)
+			inst, err := workload.Generate(workload.DefaultSpec(family, n, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := inst.G
+			if g.Degeneracy().Degeneracy <= int(math.Ceil(math.Pow(float64(n), finalExponent))) {
+				continue // already below the cutoff: no exponent forces an iteration
+			}
+			forced++
+			for _, run := range []struct {
+				p    int
+				fast bool
+			}{{4, false}, {5, false}, {4, true}} {
+				opt := kplist.Options{Seed: seed, FinalExponent: finalExponent, FastK4: run.fast, Paranoid: true}
+				res, err := kplist.ListCONGEST(g, run.p, opt)
+				if err != nil {
+					t.Fatalf("%s n=%d seed=%d p=%d fast=%v: %v", family, n, seed, run.p, run.fast, err)
+				}
+				if res.OuterIterations < 1 {
+					t.Errorf("%s n=%d seed=%d p=%d fast=%v: OuterIterations = 0, ladder %v",
+						family, n, seed, run.p, run.fast, res.ArboricityLadder)
+				}
+				if cliqueBytes(res.Cliques) != cliqueBytes(referenceListCliques(g, run.p)) {
+					t.Errorf("%s n=%d seed=%d p=%d fast=%v: listing differs from the reference enumerator",
+						family, n, seed, run.p, run.fast)
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d graphs ran the outer loop", forced, len(workload.Families())*trials)
+	if want := len(workload.Families()) * trials / 2; forced < want {
+		t.Fatalf("only %d graphs were above the cutoff, want at least %d", forced, want)
 	}
 }

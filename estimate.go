@@ -142,7 +142,7 @@ func (s *Session) Estimate(ctx context.Context, req EstimateRequest) (*EstimateR
 	st := s.state.Load()
 	key := sketchKey{p: req.P, precision: req.Precision, seed: req.Seed}
 	dec := sketch.Plan(sketch.PlanInput{
-		N: st.g.N(), M: st.g.M(), Degeneracy: st.degen.Degeneracy, P: req.P,
+		N: st.g.N(), M: st.g.M(), Degeneracy: st.g.Degeneracy().Degeneracy, P: req.P,
 		Budget:         req.Budget,
 		HasFreshSketch: s.sketchFresh(key, st.g),
 		Method:         req.Method,

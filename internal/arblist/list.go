@@ -80,11 +80,9 @@ func List(n int, edges graph.EdgeList, prm Params, cm congest.CostModel, ledger 
 		if err != nil {
 			return nil, err
 		}
-		cliques, err := baseline.BroadcastList(n, full, fullGraph.DegeneracyOrientation(), prm.P, cm, ledger)
-		if err != nil {
+		if err := baseline.BroadcastList(fullGraph, cm, ledger, out.Cliques); err != nil {
 			return nil, fmt.Errorf("arblist: fallback: %w", err)
 		}
-		out.Cliques.AddBag(cliques)
 		// Everything left is now listed; Er is consumed, Es survives as
 		// the sparse remainder contract.
 	}

@@ -14,8 +14,8 @@ func TestBroadcastListExact(t *testing.T) {
 	for _, p := range []int{3, 4, 5} {
 		g := graph.ErdosRenyi(80, 0.3, rng)
 		var ledger congest.Ledger
-		got, err := BroadcastListGraph(g, p, congest.UnitCosts(), &ledger)
-		if err != nil {
+		got := graph.NewCliqueBag(p)
+		if err := BroadcastList(g, congest.UnitCosts(), &ledger, got); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 		if got, want := got.Cliques(), g.ListCliques(p); !slices.EqualFunc(got, want, slices.Equal) {
@@ -31,11 +31,12 @@ func TestBroadcastListExact(t *testing.T) {
 
 func TestBroadcastListEmptyAndErrors(t *testing.T) {
 	var ledger congest.Ledger
-	got, err := BroadcastList(5, nil, nil, 3, congest.UnitCosts(), &ledger)
-	if err != nil || len(got.Cliques()) != 0 {
+	empty := graph.MustNew(5, nil)
+	got := graph.NewCliqueBag(3)
+	if err := BroadcastList(empty, congest.UnitCosts(), &ledger, got); err != nil || len(got.Cliques()) != 0 {
 		t.Errorf("empty: %v, %d cliques", err, len(got.Cliques()))
 	}
-	if _, err := BroadcastList(5, nil, nil, 1, congest.UnitCosts(), &ledger); err == nil {
+	if err := BroadcastList(empty, congest.UnitCosts(), &ledger, graph.NewCliqueBag(1)); err == nil {
 		t.Error("p=1 should error")
 	}
 }
@@ -45,10 +46,10 @@ func TestBroadcastListRoundsScaleWithDensity(t *testing.T) {
 	sparse := graph.ErdosRenyi(200, 0.05, rng)
 	dense := graph.ErdosRenyi(200, 0.5, rng)
 	var l1, l2 congest.Ledger
-	if _, err := BroadcastListGraph(sparse, 4, congest.UnitCosts(), &l1); err != nil {
+	if err := BroadcastList(sparse, congest.UnitCosts(), &l1, graph.NewCliqueBag(4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BroadcastListGraph(dense, 4, congest.UnitCosts(), &l2); err != nil {
+	if err := BroadcastList(dense, congest.UnitCosts(), &l2, graph.NewCliqueBag(4)); err != nil {
 		t.Fatal(err)
 	}
 	if l2.Rounds() <= l1.Rounds() {

@@ -13,53 +13,34 @@ import (
 	"kplist/internal/graph"
 )
 
-// BroadcastList lists every Kp in the edge set by the trivial CONGEST
-// algorithm: every node broadcasts its outgoing edges (under the given
-// orientation) to all neighbors; every node then locally lists the cliques
-// it sees. Completeness: in any Kp, every edge is oriented away from some
-// member, every member is adjacent to every other, so each member receives
-// every edge of the clique.
+// BroadcastList lists every Kp of g, appending each to into (whose clique
+// size is p), by the trivial CONGEST algorithm: every node broadcasts its
+// outgoing edges (under g's degeneracy orientation) to all neighbors;
+// every node then locally lists the cliques it sees. Completeness: in any
+// Kp, every edge is oriented away from some member, every member is
+// adjacent to every other, so each member receives every edge of the
+// clique.
 //
 // The bill is maxOutDegree rounds (each node pushes its ≤ maxOutDegree
 // out-edges down every incident edge, one word per round). The local
-// enumeration is performed once globally — per-node enumeration would
-// produce the identical union at the identical bill — so the returned bag
-// holds each clique exactly once.
-func BroadcastList(n int, edges graph.EdgeList, orient *graph.Orientation, p int, cm congest.CostModel, ledger *congest.Ledger) (*graph.CliqueBag, error) {
-	if p < 2 {
-		return nil, fmt.Errorf("baseline: p=%d < 2", p)
+// enumeration is performed once globally, on g's own kernel — per-node
+// enumeration would produce the identical union at the identical bill —
+// so each clique is appended exactly once.
+func BroadcastList(g *graph.Graph, cm congest.CostModel, ledger *congest.Ledger, into *graph.CliqueBag) error {
+	if p := into.P(); p < 2 {
+		return fmt.Errorf("baseline: p=%d < 2", p)
 	}
-	if orient == nil {
-		g, err := edges.Graph(n)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: %w", err)
-		}
-		orient = g.DegeneracyOrientation()
-	}
-	// Rounds: every node broadcasts its out-edges on every incident edge.
-	maxOut := int64(orient.MaxOutDegree())
+	orient := g.DegeneracyOrientation()
 	// Messages: each node sends outdeg words to each of its deg neighbors.
-	av, err := graph.NewAdjacencyView(n, edges)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
 	var msgs int64
-	for v := 0; v < n; v++ {
-		msgs += int64(orient.OutDegree(graph.V(v))) * int64(av.Degree(graph.V(v)))
+	for v := graph.V(0); int(v) < g.N(); v++ {
+		msgs += int64(orient.OutDegree(v)) * int64(g.Degree(v))
 	}
-	rounds := cm.BroadcastRounds(maxOut)
+	rounds := cm.BroadcastRounds(int64(orient.MaxOutDegree()))
 	if rounds < 1 {
 		rounds = 1
 	}
 	ledger.Charge("broadcast-listing", rounds, msgs)
-
-	cliques := graph.NewCliqueBag(p)
-	graph.NewLocalLister(edges).AddCliques(cliques)
-	return cliques, nil
-}
-
-// BroadcastListGraph is BroadcastList over a whole graph with its
-// degeneracy orientation.
-func BroadcastListGraph(g *graph.Graph, p int, cm congest.CostModel, ledger *congest.Ledger) (*graph.CliqueBag, error) {
-	return BroadcastList(g.N(), graph.NewEdgeList(g.Edges()), g.DegeneracyOrientation(), p, cm, ledger)
+	g.VisitCliques(into.P(), into.Add)
+	return nil
 }

@@ -92,17 +92,14 @@ func EdenK4List(g *graph.Graph, prm EdenK4Params, cm congest.CostModel, ledger *
 	}
 	// Remaining sparse edges (Es accumulation plus any stuck Er) get the
 	// trivial treatment, as in their final phase.
-	rest := graph.Union(esAll, er)
-	if len(rest) > 0 {
+	if rest := graph.Union(esAll, er); len(rest) > 0 {
 		restGraph, err := rest.Graph(n)
 		if err != nil {
 			return nil, err
 		}
-		got, err := BroadcastList(n, rest, restGraph.DegeneracyOrientation(), 4, cm, ledger)
-		if err != nil {
+		if err := BroadcastList(restGraph, cm, ledger, cliques); err != nil {
 			return nil, err
 		}
-		cliques.AddBag(got)
 	}
 	// The per-cluster passes above over-approximate: intersect against
 	// reality is unnecessary (all edges checked against g), but cliques

@@ -45,7 +45,7 @@ func TestBroadcastListLocalBillMatchesGlobal(t *testing.T) {
 	el := graph.NewEdgeList(g.Edges())
 	or := g.DegeneracyOrientation()
 	var l1, l2 congest.Ledger
-	if _, err := BroadcastList(g.N(), el, or, 4, congest.UnitCosts(), &l1); err != nil {
+	if err := BroadcastList(g, congest.UnitCosts(), &l1, graph.NewCliqueBag(4)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := BroadcastListLocal(g.N(), el, or, 4, congest.UnitCosts(), &l2); err != nil {

@@ -349,8 +349,8 @@ func E4Comparison(cfg Config) ([]Series, error) {
 			ae.msgs += l2.Messages()
 			ae.cliques += float64(len(r2.Cliques()))
 			var l3 congest.Ledger
-			r3, err := baseline.BroadcastListGraph(g, 4, congest.UnitCosts(), &l3)
-			if err != nil {
+			r3 := graph.NewCliqueBag(4)
+			if err := baseline.BroadcastList(g, congest.UnitCosts(), &l3, r3); err != nil {
 				return nil, fmt.Errorf("E4 bcast n=%d: %w", n, err)
 			}
 			ab.rounds += l3.Rounds()

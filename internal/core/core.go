@@ -101,16 +101,21 @@ func ListCliques(g *graph.Graph, prm Params, cm congest.CostModel, ledger *conge
 	if n == 0 {
 		return &Result{Cliques: graph.NewCliqueBag(prm.P)}, nil
 	}
-	edges := graph.NewEdgeList(g.Edges())
 	finalThr := int(math.Ceil(math.Pow(float64(n), prm.finalExponent())))
 	maxOuter := prm.MaxOuter
 	if maxOuter <= 0 {
 		maxOuter = int(congest.Log2Ceil(n)) + 4
 	}
 
+	// cur is the working graph, and its degeneracy (memoized on it) the
+	// certified out-degree bound each outer iteration halves: the paper's
+	// n^{d_k}. Its edge list is built only when an iteration needs it, and
+	// each iteration's leftover graph serves both the next bound and the
+	// final phase.
 	out := &Result{Cliques: graph.NewCliqueBag(prm.P)}
-	arbBound := currentArbBound(n, edges)
-	for iter := 0; iter < maxOuter && len(edges) > 0 && arbBound > finalThr; iter++ {
+	cur := g
+	arbBound := cur.Degeneracy().Degeneracy
+	for iter := 0; iter < maxOuter && cur.M() > 0 && arbBound > finalThr; iter++ {
 		if err := congest.CtxErr(prm.Ctx); err != nil {
 			return nil, err
 		}
@@ -123,7 +128,7 @@ func ListCliques(g *graph.Graph, prm Params, cm congest.CostModel, ledger *conge
 		if threshold < 1 {
 			threshold = 1
 		}
-		res, err := arblist.List(n, edges, arblist.Params{
+		res, err := arblist.List(n, graph.NewEdgeList(cur.Edges()), arblist.Params{
 			Ctx:               prm.Ctx,
 			P:                 prm.P,
 			ClusterThreshold:  threshold,
@@ -139,8 +144,10 @@ func ListCliques(g *graph.Graph, prm Params, cm congest.CostModel, ledger *conge
 		out.Cliques.AddBag(res.Cliques)
 		out.ListResults = append(out.ListResults, res)
 		out.OuterIterations++
-		edges = res.Es
-		newBound := currentArbBound(n, edges)
+		if cur, err = res.Es.Graph(n); err != nil {
+			return nil, err
+		}
+		newBound := cur.Degeneracy().Degeneracy
 		if newBound >= arbBound {
 			// No sparsification progress; the final phase handles the rest
 			// at its (honest) broadcast price.
@@ -153,40 +160,14 @@ func ListCliques(g *graph.Graph, prm Params, cm congest.CostModel, ledger *conge
 	// Final phase (§2.2): the remaining graph has low arboricity; every
 	// node broadcasts its outgoing edges and lists locally.
 	out.ArboricityLadder = append(out.ArboricityLadder, arbBound)
-	out.FinalEdges = len(edges)
-	if len(edges) > 0 {
+	out.FinalEdges = cur.M()
+	if cur.M() > 0 {
 		if err := congest.CtxErr(prm.Ctx); err != nil {
 			return nil, err
 		}
-		fullGraph, err := edges.Graph(n)
-		if err != nil {
-			return nil, err
-		}
-		cliques, err := baseline.BroadcastList(n, edges, fullGraph.DegeneracyOrientation(), prm.P, cm, ledger)
-		if err != nil {
+		if err := baseline.BroadcastList(cur, cm, ledger, out.Cliques); err != nil {
 			return nil, fmt.Errorf("core: final phase: %w", err)
 		}
-		out.Cliques.AddBag(cliques)
 	}
 	return out, nil
-}
-
-// currentArbBound returns the degeneracy of the working edge set — the
-// certified out-degree bound the pipeline halves per outer iteration (the
-// paper's n^{d_k}).
-func currentArbBound(n int, edges graph.EdgeList) int {
-	if len(edges) == 0 {
-		return 0
-	}
-	g, err := edges.Graph(n)
-	if err != nil {
-		// Edges came from a validated working set; a failure here is a
-		// programming error upstream.
-		panic(fmt.Sprintf("core: invalid working edge set: %v", err))
-	}
-	d := g.Degeneracy().Degeneracy
-	if d < 1 {
-		d = 1
-	}
-	return d
 }

@@ -283,14 +283,7 @@ func (s CliqueSet) Cliques() []Clique {
 // kernel returns the graph's enumeration kernel, built once on first use
 // and shared by every subsequent listing (the Graph is immutable).
 func (g *Graph) kernel() *kernel {
-	if k := g.kern.Load(); k != nil {
-		return k
-	}
-	k := newGraphKernel(g)
-	if g.kern.CompareAndSwap(nil, k) {
-		return k
-	}
-	return g.kern.Load()
+	return memo(&g.kern, func() *kernel { return newGraphKernel(g) })
 }
 
 // ListCliques enumerates every clique of exactly p vertices in g, returning

@@ -65,8 +65,24 @@ type Graph struct {
 	// kern caches the clique-enumeration kernel (flat CSR of the
 	// degeneracy DAG), built lazily on the first listing call and shared
 	// by every subsequent one — the graph is immutable, so the kernel
-	// never invalidates.
-	kern atomic.Pointer[kernel]
+	// never invalidates. degen and orient cache the bucket peel and the
+	// orientation derived from it the same way.
+	kern   atomic.Pointer[kernel]
+	degen  atomic.Pointer[DegeneracyResult]
+	orient atomic.Pointer[Orientation]
+}
+
+// memo returns the value cached in p, computing it with build on first
+// use. Racing first calls may each build, but all of them return the one
+// value that won the compare-and-swap.
+func memo[T any](p *atomic.Pointer[T], build func() *T) *T {
+	if v := p.Load(); v != nil {
+		return v
+	}
+	if v := build(); p.CompareAndSwap(nil, v) {
+		return v
+	}
+	return p.Load()
 }
 
 // New builds a graph with n vertices from an edge list. Duplicate edges and

@@ -3,12 +3,15 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Orientation assigns a direction to every edge of a working edge set. The
 // pipeline maintains the paper's invariant that the out-degree of every
 // vertex is bounded by (a constant multiple of) the arboricity, which is
-// what makes "send your outgoing edges" phases cheap.
+// what makes "send your outgoing edges" phases cheap. An Orientation is
+// immutable once built: Graph.DegeneracyOrientation hands the same one to
+// every caller, so the lists Out returns are shared.
 type Orientation struct {
 	n   int
 	out [][]V // out[v] = heads of edges oriented away from v, sorted
@@ -133,7 +136,9 @@ func (o *Orientation) Merge(other *Orientation) (*Orientation, error) {
 	return NewOrientation(o.n, out)
 }
 
-// DegeneracyResult carries the output of a core-decomposition peel.
+// DegeneracyResult carries the output of a core-decomposition peel. A
+// Graph computes it once and hands the same value to every caller, so
+// its slices are shared and must not be modified.
 type DegeneracyResult struct {
 	// Order is the elimination order: Order[i] is the i-th vertex peeled.
 	Order []V
@@ -146,10 +151,24 @@ type DegeneracyResult struct {
 	Degeneracy int
 }
 
-// Degeneracy computes the degeneracy ordering of g with the linear-time
-// bucket algorithm (Matula–Beck). Orienting each edge from the earlier to
-// the later vertex in the order yields out-degree ≤ degeneracy.
+// peels counts bucket peels (Graph.peel runs); see Peels.
+var peels atomic.Int64
+
+// Peels returns how many degeneracy peels have run since process start
+// (test instrumentation for the once-per-graph memo).
+func Peels() int64 { return peels.Load() }
+
+// Degeneracy returns the degeneracy ordering of g, computed on first use
+// with the linear-time bucket algorithm (Matula–Beck) and memoized on g.
+// Orienting each edge from the earlier to the later vertex in the order
+// yields out-degree ≤ degeneracy.
 func (g *Graph) Degeneracy() *DegeneracyResult {
+	return memo(&g.degen, g.peel)
+}
+
+// peel runs the bucket peel behind Degeneracy.
+func (g *Graph) peel() *DegeneracyResult {
+	peels.Add(1)
 	n := g.n
 	deg := make([]int, n)
 	maxDeg := 0
@@ -230,8 +249,13 @@ func (g *Graph) Degeneracy() *DegeneracyResult {
 // DegeneracyOrientation orients every edge of g from the endpoint peeled
 // earlier to the one peeled later, giving max out-degree = degeneracy ≤
 // 2·arboricity − 1. This is the orientation the pipeline threads through
-// the paper's Theorems 2.8/2.9.
+// the paper's Theorems 2.8/2.9. It is built once and memoized on g.
 func (g *Graph) DegeneracyOrientation() *Orientation {
+	return memo(&g.orient, g.orientByRank)
+}
+
+// orientByRank builds the orientation behind DegeneracyOrientation.
+func (g *Graph) orientByRank() *Orientation {
 	res := g.Degeneracy()
 	out := make([][]V, g.n)
 	for u := 0; u < g.n; u++ {

@@ -84,8 +84,8 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 			check("cclique", r3.Cliques)
 
 			var l4 congest.Ledger
-			r4, err := baseline.BroadcastListGraph(g, 4, congest.UnitCosts(), &l4)
-			if err != nil {
+			r4 := graph.NewCliqueBag(4)
+			if err := baseline.BroadcastList(g, congest.UnitCosts(), &l4, r4); err != nil {
 				t.Fatalf("broadcast: %v", err)
 			}
 			check("broadcast", r4)

@@ -409,7 +409,8 @@ func CongestedCliqueOnGraph(g *graph.Graph, p int, seed int64, workers int, cm c
 // CongestedCliqueOnGraphCtx is CongestedCliqueOnGraph under an optional
 // context (nil means no cancellation); see Input.Ctx for the poll points.
 func CongestedCliqueOnGraphCtx(ctx context.Context, g *graph.Graph, p int, seed int64, workers int, cm congest.CostModel, ledger *congest.Ledger) (*Result, error) {
-	in := Input{Ctx: ctx, N: g.N(), P: p, Edges: graph.NewEdgeList(g.Edges()), Seed: seed, Workers: workers}
+	in := Input{Ctx: ctx, N: g.N(), P: p, Edges: graph.NewEdgeList(g.Edges()),
+		Orient: g.DegeneracyOrientation(), Seed: seed, Workers: workers}
 	res, err := CongestedClique(in, false, cm, ledger)
 	if err != nil {
 		return nil, err

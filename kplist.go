@@ -229,8 +229,8 @@ func listBroadcastContext(ctx context.Context, g *Graph, p int, opt Options) (*R
 		return nil, err
 	}
 	var ledger congest.Ledger
-	bag, err := baseline.BroadcastListGraph(g, p, opt.costModel(), &ledger)
-	if err != nil {
+	bag := graph.NewCliqueBag(p)
+	if err := baseline.BroadcastList(g, opt.costModel(), &ledger, bag); err != nil {
 		return nil, err
 	}
 	return newResult(bag, &ledger), nil

@@ -129,7 +129,8 @@ func (s *Session) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, err
 		return res, nil
 	}
 	newG := s.dyn.Snapshot()
-	next := &sessionState{g: newG, degen: newG.Degeneracy()}
+	newG.Degeneracy() // peel the new snapshot before it commits, as NewSession does
+	next := &sessionState{g: newG}
 
 	// Decide, per clique size currently cached or memoized, whether the
 	// batch changed that listing. The existence checks enumerate around

@@ -123,10 +123,10 @@ type SessionStats struct {
 type Session struct {
 	cfg SessionConfig
 
-	// state is the current immutable graph plus the artefacts derived from
-	// it (the degeneracy peel). Queries snapshot it once at execution
-	// start, so a concurrent Apply never tears a single query: every
-	// response is computed against exactly one linearized mutation prefix.
+	// state is the current immutable graph, which memoizes what is
+	// derived from it. Queries snapshot it once at execution start, so a
+	// concurrent Apply never tears a single query: every response is
+	// computed against exactly one linearized mutation prefix.
 	state atomic.Pointer[sessionState]
 
 	sem chan struct{}
@@ -157,10 +157,11 @@ type Session struct {
 	sketches map[sketchKey]*sketchEntry
 }
 
-// sessionState is one immutable snapshot of the served graph.
+// sessionState is one immutable snapshot of the served graph. What is
+// derived from it (the degeneracy peel, its orientation, the enumeration
+// kernel) is memoized on the Graph itself, so it outlives the session.
 type sessionState struct {
-	g     *Graph
-	degen *graph.DegeneracyResult
+	g *Graph
 }
 
 type sessionEntry struct {
@@ -211,9 +212,10 @@ var noTruth = &gtEntry{}
 // the constant-memory visitor, as every visit stream once did.
 var visitMemoCeiling = 64 << 20
 
-// NewSession opens a session on g, paying the shared preprocessing once:
-// the degeneracy peel (degree order + coreness, the artefact every
-// pipeline's orientation phase consumes) runs here, not per query.
+// NewSession opens a session on g. The shared preprocessing, the
+// degeneracy peel (degree order + coreness, the artefact every
+// pipeline's orientation phase consumes), runs here, not per query; it is
+// memoized on g, so only the first session on a graph pays it.
 func NewSession(g *Graph, cfg SessionConfig) *Session {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = runtime.GOMAXPROCS(0)
@@ -228,7 +230,8 @@ func NewSession(g *Graph, cfg SessionConfig) *Session {
 		gt:       make(map[gtKey]*gtEntry),
 		sketches: make(map[sketchKey]*sketchEntry),
 	}
-	s.state.Store(&sessionState{g: g, degen: g.Degeneracy()})
+	g.Degeneracy() // warm the graph's memo: the open pays the peel, not a query
+	s.state.Store(&sessionState{g: g})
 	return s
 }
 
@@ -238,7 +241,7 @@ func (s *Session) Graph() *Graph { return s.state.Load().g }
 
 // Degeneracy returns the precomputed degeneracy of the session's current
 // graph; no Kp with p > Degeneracy()+1 exists.
-func (s *Session) Degeneracy() int { return s.state.Load().degen.Degeneracy }
+func (s *Session) Degeneracy() int { return s.state.Load().g.Degeneracy().Degeneracy }
 
 // normalize applies the Algo defaulting rule and validates the query.
 // Domain violations wrap ErrInvalidQuery; unrecognized engines wrap
@@ -352,7 +355,7 @@ func (s *Session) serveOnce(ctx context.Context, key, q Query, counted *bool) (r
 	// describes the pre-apply prefix, and Apply has already dropped this
 	// entry from the cache if that listing changed).
 	st := s.state.Load()
-	pruned := s.cfg.PruneByDegeneracy && q.P > st.degen.Degeneracy+1
+	pruned := s.cfg.PruneByDegeneracy && q.P > st.g.Degeneracy().Degeneracy+1
 	if pruned {
 		s.stats.Pruned++
 	}
@@ -567,7 +570,7 @@ func (s *Session) groundTruthFor(st *sessionState, p int) []Clique {
 // keeps full memoization. Concurrent first requests coalesce on the
 // entry's done channel.
 func (s *Session) truthFor(st *sessionState, key gtKey) *gtEntry {
-	if key.p < 1 || key.p > st.degen.Degeneracy+1 {
+	if key.p < 1 || key.p > st.g.Degeneracy().Degeneracy+1 {
 		return noTruth
 	}
 	s.gtMu.Lock()
