@@ -23,7 +23,7 @@ type Params struct {
 	// within one round of work. nil means no cancellation.
 	Ctx context.Context
 	// P is the clique size, ≥ 4 (use sparselist.CongestedClique for p=3 in
-	// the congested clique, or baseline.BroadcastListGraph in CONGEST).
+	// the congested clique, or baseline.BroadcastList in CONGEST).
 	P int
 	// FastK4 selects the Theorem 1.2 variant (§3); requires P == 4.
 	FastK4 bool

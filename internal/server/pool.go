@@ -23,9 +23,12 @@ type PoolStats struct {
 }
 
 // SessionPool is an LRU cache of open kplist.Sessions keyed by graph ID.
-// Opening a session pays the graph's preprocessing (the degeneracy peel),
-// so the pool is the serving layer's working set: capacity bounds resident
-// preprocessed state, and least-recently-queried graphs are evicted first.
+// A session holds a graph's query state (its result cache, ground-truth
+// memo and sketches), so the pool is the serving layer's working set:
+// capacity bounds that state, and least-recently-queried graphs are
+// evicted first. The degeneracy peel, its orientation and the enumeration
+// kernel are memoized on the registered Graph itself: only a graph's
+// first open pays the peel, and an eviction does not undo it.
 //
 // Acquire/release is refcounted: an evicted session is removed from the
 // pool immediately (new acquires open a fresh one) but closed only when
@@ -77,11 +80,12 @@ func NewSessionPool(capacity int, cfg kplist.SessionConfig) *SessionPool {
 // not captured at request-decode time — so a mutation (PATCH) that lands
 // between the caller's registry lookup and the open never freezes a
 // pre-mutation graph into the pool. Concurrent first acquires for the
-// same id coalesce onto one opening; the expensive open (degeneracy peel)
-// runs outside the pool lock. A caller coalescing onto someone else's
-// open honors ctx while waiting (the opener itself always finishes the
-// open — others depend on it), so a short-deadline request never pins its
-// admission slot for the full preprocessing of a large graph.
+// same id coalesce onto one opening; the open (which peels the graph the
+// first time it is opened) runs outside the pool lock. A caller
+// coalescing onto someone else's open honors ctx while waiting (the
+// opener itself always finishes the open — others depend on it), so a
+// short-deadline request never pins its admission slot for the full
+// preprocessing of a large graph.
 func (p *SessionPool) Acquire(ctx context.Context, id string, open func() *kplist.Graph) (*kplist.Session, func(), error) {
 	p.mu.Lock()
 	if e, ok := p.entries[id]; ok {
