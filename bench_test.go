@@ -114,7 +114,7 @@ func BenchmarkE3_Thm13_CongestedClique(b *testing.B) {
 			var rounds int64
 			for i := 0; i < b.N; i++ {
 				var ledger congest.Ledger
-				_, err := sparselist.CongestedCliqueOnGraph(g, tc.p, 3, 0, congest.UnitCosts(), &ledger)
+				_, err := sparselist.CongestedCliqueOnGraph(g, tc.p, 3, congest.UnitCosts(), &ledger)
 				if err != nil {
 					b.Fatal(err)
 				}

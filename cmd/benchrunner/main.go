@@ -153,7 +153,7 @@ func run(args []string, w io.Writer) error {
 		{"e5", func() ([]bench.Series, error) { return bench.E5LowerBoundGap(cfg) }},
 		{"e6", func() ([]bench.Series, error) { return bench.E6IterativeDecay(ablN, 0.4, *seed, *workers) }},
 		{"e7", func() ([]bench.Series, error) { return bench.E7Ablations(ablN, 0.4, *seed, *workers) }},
-		{"e8", func() ([]bench.Series, error) { return bench.E8CountingVsListing(ccN, *seed, *workers) }},
+		{"e8", func() ([]bench.Series, error) { return bench.E8CountingVsListing(ccN, *seed) }},
 		{"e9", func() ([]bench.Series, error) { return bench.E9WorkloadFamilies(cfg) }},
 		{"e10", func() ([]bench.Series, error) { return bench.E10SessionAmortization(cfg) }},
 		{"e11", func() ([]bench.Series, error) { return bench.E11ServerThroughput(cfg) }},

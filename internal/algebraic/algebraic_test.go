@@ -67,7 +67,7 @@ func TestCountingCheaperThanListingWhenDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ll congest.Ledger
-	res, err := sparselist.CongestedCliqueOnGraph(g, 3, 2, 0, congest.UnitCosts(), &ll)
+	res, err := sparselist.CongestedCliqueOnGraph(g, 3, 2, congest.UnitCosts(), &ll)
 	if err != nil {
 		t.Fatal(err)
 	}

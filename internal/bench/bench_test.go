@@ -248,7 +248,7 @@ func TestE10SessionAmortizationSmoke(t *testing.T) {
 }
 
 func TestE8Smoke(t *testing.T) {
-	series, err := E8CountingVsListing(80, 3, 0)
+	series, err := E8CountingVsListing(80, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

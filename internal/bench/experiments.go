@@ -269,7 +269,7 @@ func E3CongestedClique(cfg Config) ([]Series, error) {
 			}
 			g := graph.GNM(cfg.CCN, m, rand.New(rand.NewSource(cfg.Seed+int64(m))))
 			var ledger congest.Ledger
-			res, err := sparselist.CongestedCliqueOnGraph(g, p, cfg.Seed, cfg.Workers, congest.UnitCosts(), &ledger)
+			res, err := sparselist.CongestedCliqueOnGraph(g, p, cfg.Seed, congest.UnitCosts(), &ledger)
 			if err != nil {
 				return nil, fmt.Errorf("E3 m=%d p=%d: %w", m, p, err)
 			}
@@ -545,7 +545,7 @@ func maxI(a, b int) int {
 // lister (Θ̃(1 + m/n^{5/3}) rounds) in the CONGESTED CLIQUE, sweeping
 // density at fixed n. The lister wins while the graph is sparse; the
 // counter wins once m crosses ≈ n^{4/3+1/3}.
-func E8CountingVsListing(n int, seed int64, workers int) ([]Series, error) {
+func E8CountingVsListing(n int, seed int64) ([]Series, error) {
 	counting := Series{Name: fmt.Sprintf("E8: algebraic triangle counting (CC, n=%d)", n), XLabel: "m"}
 	listing := Series{Name: fmt.Sprintf("E8: sparsity-aware triangle listing (CC, n=%d)", n), XLabel: "m"}
 	maxM := n * (n - 1) / 2
@@ -562,7 +562,7 @@ func E8CountingVsListing(n int, seed int64, workers int) ([]Series, error) {
 			Meta: map[string]float64{"triangles": float64(count)},
 		})
 		var ll congest.Ledger
-		res, err := sparselist.CongestedCliqueOnGraph(g, 3, seed, workers, congest.UnitCosts(), &ll)
+		res, err := sparselist.CongestedCliqueOnGraph(g, 3, seed, congest.UnitCosts(), &ll)
 		if err != nil {
 			return nil, fmt.Errorf("E8 list m=%d: %w", m, err)
 		}

@@ -54,3 +54,39 @@ func TestPeelOnceAcrossSessions(t *testing.T) {
 		t.Error("the memo-hit query differs from the first")
 	}
 }
+
+// TestCongestedCliqueKernelOnce is the congested-clique half of the
+// canary: the Theorem 1.3 lister lists on the graph's own memoized kernel,
+// so its first run on a graph builds that one kernel and a second run on
+// the same graph builds no kernel and runs no peel.
+func TestCongestedCliqueKernelOnce(t *testing.T) {
+	inst, err := kplist.GenerateWorkload(kplist.WorkloadSpec{Family: kplist.WorkloadPlantedClique, N: 256, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := inst.G
+	list := func() *kplist.Result {
+		res, err := kplist.ListCongestedClique(g, 3, kplist.Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	builds := graph.KernelBuilds()
+	first := list()
+	if d := graph.KernelBuilds() - builds; d != 1 {
+		t.Fatalf("first congested-clique run built %d kernels, want 1 (the graph's own)", d)
+	}
+	builds, peels := graph.KernelBuilds(), graph.Peels()
+	second := list()
+	if d := graph.KernelBuilds() - builds; d != 0 {
+		t.Errorf("second congested-clique run built %d kernels, want 0", d)
+	}
+	if d := graph.Peels() - peels; d != 0 {
+		t.Errorf("second congested-clique run peeled %d times, want 0", d)
+	}
+	if len(first.Cliques) == 0 || !slices.EqualFunc(first.Cliques, second.Cliques, slices.Equal) ||
+		first.Rounds != second.Rounds || first.Messages != second.Messages {
+		t.Error("the second run differs from the first, or lists nothing")
+	}
+}

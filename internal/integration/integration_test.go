@@ -77,7 +77,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 			check("fastk4", r2.Cliques)
 
 			var l3 congest.Ledger
-			r3, err := sparselist.CongestedCliqueOnGraph(g, 4, 7, 0, congest.UnitCosts(), &l3)
+			r3, err := sparselist.CongestedCliqueOnGraph(g, 4, 7, congest.UnitCosts(), &l3)
 			if err != nil {
 				t.Fatalf("cclique: %v", err)
 			}
@@ -117,7 +117,7 @@ func TestHigherCliquesAgree(t *testing.T) {
 					t.Errorf("congest disagrees with ground truth: %d vs %d", len(got), len(want))
 				}
 				var l2 congest.Ledger
-				r2, err := sparselist.CongestedCliqueOnGraph(g, p, 13, 0, congest.UnitCosts(), &l2)
+				r2, err := sparselist.CongestedCliqueOnGraph(g, p, 13, congest.UnitCosts(), &l2)
 				if err != nil {
 					t.Fatalf("cclique: %v", err)
 				}
@@ -142,7 +142,7 @@ func TestTriangleRoutesAgree(t *testing.T) {
 			t.Errorf("%s: algebraic %d vs enumeration %d", name, count, g.CountCliques(3))
 		}
 		var ll congest.Ledger
-		res, err := sparselist.CongestedCliqueOnGraph(g, 3, 5, 0, congest.UnitCosts(), &ll)
+		res, err := sparselist.CongestedCliqueOnGraph(g, 3, 5, congest.UnitCosts(), &ll)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -188,7 +188,7 @@ func TestPaperCostModelMonotone(t *testing.T) {
 		}},
 		{"cclique", func(cm congest.CostModel) (int64, error) {
 			var l congest.Ledger
-			_, err := sparselist.CongestedCliqueOnGraph(g, 4, 3, 0, cm, &l)
+			_, err := sparselist.CongestedCliqueOnGraph(g, 4, 3, cm, &l)
 			return l.Rounds(), err
 		}},
 		{"eden", func(cm congest.CostModel) (int64, error) {

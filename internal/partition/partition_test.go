@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -194,59 +195,64 @@ func TestAssignmentSubscribersComplete(t *testing.T) {
 }
 
 // TestAssignmentCoversEveryCliquePattern is the key correctness property of
-// §2.4.3: for ANY multiset of p parts (the parts of a Kp's vertices), some
-// node's tuple contains every pair from the multiset, hence learns every
-// edge of that clique.
+// §2.4.3, and the one the simulated listing step rests on: for ANY multiset
+// of p parts (the parts of a Kp's vertices), some node subscribes to every
+// pair from the multiset, hence learns every edge of that clique. It is
+// checked on the subscription table itself, at the shapes the engines
+// build (k = n listing nodes, t = PartsForListing(n, p)) and at one shape
+// with several repeated parts per multiset.
 func TestAssignmentCoversEveryCliquePattern(t *testing.T) {
-	tparts, p := 3, 4
-	a, err := NewAssignment(TupleCount(tparts, p), tparts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var multisets [][]int32
-	var build func(cur []int32, next int32)
-	build = func(cur []int32, next int32) {
-		if len(cur) == p {
-			ms := make([]int32, p)
-			copy(ms, cur)
-			multisets = append(multisets, ms)
-			return
-		}
-		for d := next; d < int32(tparts); d++ {
-			build(append(cur, d), d)
+	type shape struct{ k, tparts, p int }
+	shapes := []shape{{81, 3, 4}}
+	for _, n := range []int{50, 200, 256, 384, 576} {
+		for p := 3; p <= 6; p++ {
+			shapes = append(shapes, shape{n, PartsForListing(n, p), p})
 		}
 	}
-	build(nil, 0)
-	for _, ms := range multisets {
-		// The node whose tuple is exactly this multiset (in some order)
-		// subscribes to all pairs. Find any node subscribed to all pairs.
-		found := false
-		for id := 0; id < a.K && !found; id++ {
-			tup := a.Tuples[id]
-			if tup == nil {
-				continue
+	for _, sh := range shapes {
+		a, err := NewAssignment(sh.k, sh.tparts, sh.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits := make([]int, sh.k) // per node, the multiset's pairs it subscribes to
+		var pairs []int
+		checked := 0
+		var build func(cur []int32, next int32)
+		build = func(cur []int32, next int32) {
+			if len(cur) < sh.p {
+				for d := next; d < int32(sh.tparts); d++ {
+					build(append(cur, d), d)
+				}
+				return
 			}
-			have := make(map[int32]int)
-			for _, d := range tup {
-				have[d]++
-			}
-			need := make(map[int32]int)
-			for _, d := range ms {
-				need[d] = 1 // only need presence, not multiplicity, for pair coverage
-			}
-			ok := true
-			for d := range need {
-				if have[d] == 0 {
-					ok = false
-					break
+			checked++
+			pairs = pairs[:0]
+			for i := range cur {
+				for j := i + 1; j < len(cur); j++ {
+					if pi := PairIndex(int(cur[i]), int(cur[j]), sh.tparts); !slices.Contains(pairs, pi) {
+						pairs = append(pairs, pi)
+					}
 				}
 			}
-			if ok {
-				found = true
+			clear(hits)
+			for _, pi := range pairs {
+				for _, id := range a.SubscribersOf[pi] {
+					if hits[id]++; hits[id] == len(pairs) {
+						return
+					}
+				}
 			}
+			t.Fatalf("k=%d t=%d p=%d: no node subscribes to every pair of part multiset %v",
+				sh.k, sh.tparts, sh.p, cur)
 		}
-		if !found {
-			t.Fatalf("part multiset %v covered by no node", ms)
+		build(nil, 0)
+		want := 1 // C(t+p−1, p)
+		for i := 1; i <= sh.p; i++ {
+			want = want * (sh.tparts - 1 + i) / i
+		}
+		if checked != want {
+			t.Fatalf("k=%d t=%d p=%d: checked %d multisets, want C(t+p-1,p) = %d",
+				sh.k, sh.tparts, sh.p, checked, want)
 		}
 	}
 }

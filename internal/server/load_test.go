@@ -226,7 +226,7 @@ func TestDeadlineReturns503(t *testing.T) {
 		c.Session = kplist.SessionConfig{MaxConcurrent: 1}
 	})
 	// A dense stochastic-block graph: a cold congested-clique p=4 query
-	// on it runs ~10ms, so the 50-query batch below holds the slot for
+	// on it runs ~2ms, so the 400-query batch below holds the slot for
 	// hundreds of ms.
 	spec := kplist.DefaultWorkloadSpec(kplist.WorkloadStochasticBlock, 256, 19)
 	resp0, body0 := postJSON(t, ts.URL+"/v1/graphs", map[string]any{"workload": spec})
@@ -242,7 +242,7 @@ func TestDeadlineReturns503(t *testing.T) {
 	// A batch of distinct-seed cold queries serialized through a
 	// MaxConcurrent=1 session holds the slot for hundreds of ms.
 	var batch []map[string]any
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 400; i++ {
 		batch = append(batch, map[string]any{"p": 4, "algo": "congested-clique", "seed": i})
 	}
 	slow := make(chan int, 1)

@@ -10,7 +10,9 @@ import (
 	"kplist/internal/congest"
 	"kplist/internal/expander"
 	"kplist/internal/graph"
+	"kplist/internal/partition"
 	"kplist/internal/routing"
+	"kplist/internal/workload"
 )
 
 func TestCongestedCliqueMatchesGroundTruth(t *testing.T) {
@@ -28,7 +30,7 @@ func TestCongestedCliqueMatchesGroundTruth(t *testing.T) {
 	} {
 		g := graph.ErdosRenyi(tc.n, tc.dens, rng)
 		var ledger congest.Ledger
-		res, err := CongestedCliqueOnGraph(g, tc.p, 42, 0, congest.UnitCosts(), &ledger)
+		res, err := CongestedCliqueOnGraph(g, tc.p, 42, congest.UnitCosts(), &ledger)
 		if err != nil {
 			t.Fatalf("n=%d p=%d: %v", tc.n, tc.p, err)
 		}
@@ -38,8 +40,8 @@ func TestCongestedCliqueMatchesGroundTruth(t *testing.T) {
 			t.Errorf("n=%d p=%d: got %d cliques, want %d; missing=%v extra=%v",
 				tc.n, tc.p, len(got), len(want), ws.Minus(gs), gs.Minus(ws))
 		}
-		// Each listing node keeps only the cliques whose signature it
-		// owns, so no clique reaches the bag twice.
+		// The listing step enumerates the real edges once, so no clique
+		// reaches the bag twice.
 		if rows := len(slices.Collect(res.Cliques.All())); rows != len(want) {
 			t.Errorf("n=%d p=%d: %d cliques emitted for %d distinct", tc.n, tc.p, rows, len(want))
 		}
@@ -53,7 +55,7 @@ func TestCongestedCliquePlantedCliques(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g, planted := graph.PlantedCliques(120, 6, 3, 0.03, rng)
 	var ledger congest.Ledger
-	res, err := CongestedCliqueOnGraph(g, 6, 7, 0, congest.UnitCosts(), &ledger)
+	res, err := CongestedCliqueOnGraph(g, 6, 7, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +70,17 @@ func TestCongestedCliquePlantedCliques(t *testing.T) {
 func TestCongestedCliqueEmptyAndTiny(t *testing.T) {
 	var ledger congest.Ledger
 	g := graph.MustNew(5, nil)
-	res, err := CongestedCliqueOnGraph(g, 3, 1, 0, congest.UnitCosts(), &ledger)
+	res, err := CongestedCliqueOnGraph(g, 3, 1, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatalf("empty graph: %v", err)
 	}
 	if len(res.Cliques.Cliques()) != 0 {
 		t.Error("empty graph has no cliques")
 	}
-	if _, err := CongestedClique(Input{N: 0, P: 3}, false, congest.UnitCosts(), &ledger); err == nil {
+	if _, err := CongestedClique(nil, graph.MustNew(0, nil), 3, 1, false, congest.UnitCosts(), &ledger); err == nil {
 		t.Error("n=0 should error")
 	}
-	if _, err := CongestedClique(Input{N: 5, P: 2}, false, congest.UnitCosts(), &ledger); err == nil {
+	if _, err := CongestedClique(nil, g, 2, 1, false, congest.UnitCosts(), &ledger); err == nil {
 		t.Error("p=2 should error")
 	}
 }
@@ -92,7 +94,7 @@ func TestTheorem13RoundShape(t *testing.T) {
 	roundsAt := func(m int) int64 {
 		g := graph.GNM(n, m, rng)
 		var ledger congest.Ledger
-		_, err := CongestedCliqueOnGraph(g, p, 5, 0, congest.UnitCosts(), &ledger)
+		_, err := CongestedCliqueOnGraph(g, p, 5, congest.UnitCosts(), &ledger)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,13 +117,12 @@ func TestTheorem13RoundShape(t *testing.T) {
 func TestFakeEdgePaddingOnlyAffectsBill(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.ErdosRenyi(50, 0.2, rng)
-	in := Input{N: g.N(), P: 3, Edges: graph.NewEdgeList(g.Edges()), Seed: 9}
 	var l1, l2 congest.Ledger
-	plain, err := CongestedClique(in, false, congest.UnitCosts(), &l1)
+	plain, err := CongestedClique(nil, g, 3, 9, false, congest.UnitCosts(), &l1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	padded, err := CongestedClique(in, true, congest.UnitCosts(), &l2)
+	padded, err := CongestedClique(nil, g, 3, 9, true, congest.UnitCosts(), &l2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestQuickCongestedCliqueExact(t *testing.T) {
 		p := 3 + int(pRaw%3)
 		g := graph.ErdosRenyi(40, 0.15+float64(densRaw%100)/300.0, rng)
 		var ledger congest.Ledger
-		res, err := CongestedCliqueOnGraph(g, p, seed, 0, congest.UnitCosts(), &ledger)
+		res, err := CongestedCliqueOnGraph(g, p, seed, congest.UnitCosts(), &ledger)
 		if err != nil {
 			return false
 		}
@@ -192,7 +193,7 @@ func TestInClusterListsEverythingItKnows(t *testing.T) {
 		heldBy[owner] = append(heldBy[owner], e)
 	}
 	var ledger congest.Ledger
-	in := Input{N: g.N(), P: 4, Edges: nil, Seed: 11}
+	in := Input{N: g.N(), P: 4, Seed: 11}
 	res, err := InCluster(rt, rs, in, congest.UnitCosts(), &ledger, heldBy)
 	if err != nil {
 		t.Fatalf("InCluster: %v", err)
@@ -236,7 +237,7 @@ func TestResultLoadStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.ErdosRenyi(80, 0.3, rng)
 	var ledger congest.Ledger
-	res, err := CongestedCliqueOnGraph(g, 4, 3, 0, congest.UnitCosts(), &ledger)
+	res, err := CongestedCliqueOnGraph(g, 4, 3, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestCongestedCliqueDeterministic(t *testing.T) {
 	g := graph.ErdosRenyi(70, 0.3, rng)
 	run := func() (int64, int) {
 		var ledger congest.Ledger
-		res, err := CongestedCliqueOnGraph(g, 4, 99, 0, congest.UnitCosts(), &ledger)
+		res, err := CongestedCliqueOnGraph(g, 4, 99, congest.UnitCosts(), &ledger)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,5 +298,77 @@ func TestCheckCliquesRejectsFabricated(t *testing.T) {
 	err := checkCliques(g, bag)
 	if err == nil || !strings.Contains(err.Error(), "fabricated clique [1 2 3]") {
 		t.Fatalf("non-clique tuple: %v, want a fabricated clique error", err)
+	}
+}
+
+// TestListedCliquesWereDelivered pins the argument that lets the listing
+// step enumerate the real edges once: every clique the engine returns was
+// fully received by some listing node. The delivery is rebuilt from the
+// run's partition and subscription table (its total must match the billed
+// TotalMessages), and each listed clique is looked up in it.
+func TestListedCliquesWereDelivered(t *testing.T) {
+	gen := func(spec workload.Spec) *graph.Graph {
+		inst, err := workload.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst.G
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"erdos-renyi", graph.ErdosRenyi(150, 0.2, rand.New(rand.NewSource(21)))},
+		{"planted-clique", gen(workload.DefaultSpec(workload.FamilyPlantedClique, 200, 22))},
+		{"kronecker", gen(workload.DefaultSpec(workload.FamilyKronecker, 256, 23))},
+	} {
+		name, g := tc.name, tc.g
+		for _, p := range []int{3, 4} {
+			const seed = 17
+			var ledger congest.Ledger
+			res, err := CongestedCliqueOnGraph(g, p, seed, congest.UnitCosts(), &ledger)
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", name, p, err)
+			}
+			n := g.N()
+			tparts := partition.PartsForListing(n, p)
+			part := partition.Random(n, tparts, rand.New(rand.NewSource(seed)))
+			asg, err := partition.NewAssignment(n, tparts, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delivered := make([]map[graph.Edge]bool, n)
+			var msgs int64
+			for _, e := range g.Edges() {
+				for _, s := range asg.Subscribers(part.PartOf[e.U], part.PartOf[e.V]) {
+					if delivered[s] == nil {
+						delivered[s] = make(map[graph.Edge]bool)
+					}
+					delivered[s][e] = true
+					msgs++
+				}
+			}
+			if msgs != res.TotalMessages {
+				t.Fatalf("%s p=%d: rebuilt delivery sends %d words, the run billed %d", name, p, msgs, res.TotalMessages)
+			}
+			cliques := res.Cliques.Cliques()
+			if len(cliques) == 0 {
+				t.Fatalf("%s p=%d: no cliques listed; the check would be vacuous", name, p)
+			}
+			for _, c := range cliques {
+				if !slices.ContainsFunc(asg.Subscribers(part.PartOf[c[0]], part.PartOf[c[1]]), func(s int32) bool {
+					for i := range c {
+						for j := i + 1; j < len(c); j++ {
+							if !delivered[s][graph.Edge{U: c[i], V: c[j]}] {
+								return false
+							}
+						}
+					}
+					return true
+				}) {
+					t.Fatalf("%s p=%d: no listing node received every edge of %v", name, p, c)
+				}
+			}
+		}
 	}
 }

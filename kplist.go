@@ -121,10 +121,11 @@ type Options struct {
 	// FinalExponent overrides the outer loop's stopping exponent
 	// (default max(3/4, p/(p+2)), or 2/3 under FastK4).
 	FinalExponent float64
-	// Workers bounds the host goroutines used to simulate phases the
-	// paper runs in parallel (per-cluster work, listing nodes). 0 means
-	// GOMAXPROCS, 1 forces sequential simulation; results and round
-	// bills are identical for every value — only wall-clock changes.
+	// Workers bounds the host goroutines ListCONGEST uses to simulate
+	// the per-cluster work the paper runs in parallel; the congested
+	// clique and broadcast listers ignore it. 0 means GOMAXPROCS, 1
+	// forces sequential simulation; results and round bills are
+	// identical for every value — only wall-clock changes.
 	Workers int
 }
 
@@ -208,7 +209,7 @@ func ListCongestedClique(g *Graph, p int, opt Options) (*Result, error) {
 
 func listCongestedCliqueContext(ctx context.Context, g *Graph, p int, opt Options) (*Result, error) {
 	var ledger congest.Ledger
-	res, err := sparselist.CongestedCliqueOnGraphCtx(ctx, g, p, opt.Seed, opt.Workers, opt.costModel(), &ledger)
+	res, err := sparselist.CongestedCliqueOnGraphCtx(ctx, g, p, opt.Seed, opt.costModel(), &ledger)
 	if err != nil {
 		return nil, err
 	}
