@@ -1,8 +1,8 @@
 // Benchmarks: one testing.B target per paper artefact (DESIGN.md §4).
 // Each benchmark executes the full simulated algorithm and reports the
 // charged CONGEST rounds as a custom metric alongside wall-clock cost.
-// cmd/benchrunner regenerates the full sweep tables recorded in
-// EXPERIMENTS.md; these targets pin each experiment at a representative
+// cmd/benchrunner regenerates the full sweep tables indexed in DESIGN.md
+// §4; these targets pin each experiment at a representative
 // point so `go test -bench=.` exercises every code path.
 package kplist
 
@@ -199,11 +199,10 @@ func BenchmarkE5_LowerBoundGap(b *testing.B) {
 func BenchmarkE6_IterativeDecay(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.ErdosRenyi(240, 0.4, rng)
-	el := graph.NewEdgeList(g.Edges())
 	var passes int
 	for i := 0; i < b.N; i++ {
 		var ledger congest.Ledger
-		res, err := arblist.List(g.N(), el, arblist.Params{P: 4, Seed: 5}, congest.UnitCosts(), &ledger)
+		res, err := arblist.List(g, arblist.Params{P: 4, Seed: 5}, congest.UnitCosts(), &ledger)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +224,7 @@ func BenchmarkE7_Ablations(b *testing.B) {
 			var maxLearned int64
 			for i := 0; i < b.N; i++ {
 				var ledger congest.Ledger
-				res, err := arblist.ArbList(g.N(), nil, nil, el, arblist.Params{
+				res, err := arblist.ArbList(g, nil, nil, el, arblist.Params{
 					P: 4, Seed: 1, BadThreshold: mode.bad, ClusterThreshold: thr,
 				}, congest.UnitCosts(), &ledger)
 				if err != nil {

@@ -1,6 +1,5 @@
-// Command benchrunner regenerates every experiment series recorded in
-// EXPERIMENTS.md (the paper's per-theorem round-complexity artefacts,
-// DESIGN.md §4) and drives the continuous-benchmarking loop (DESIGN.md
+// Command benchrunner regenerates every experiment series indexed in
+// DESIGN.md §4 (the paper's per-theorem round-complexity artefacts) and drives the continuous-benchmarking loop (DESIGN.md
 // §11). Run with no flags for the full suite, or select experiments with
 // -only.
 //

@@ -8,7 +8,7 @@
 // The paper under reproduction notes (§5) that counting via this route is
 // faster than listing on dense graphs but resists the sparsity-aware
 // treatment that makes listing implementable in CONGEST — this module
-// exists to reproduce that comparison (EXPERIMENTS.md E8).
+// exists to reproduce that comparison (DESIGN.md §4, E8).
 //
 // As with the rest of the pipeline, the computation is performed centrally
 // (dense bitset row intersections — exactly the semiring products the

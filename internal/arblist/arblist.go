@@ -50,16 +50,17 @@ type ArbStats struct {
 }
 
 // ArbList runs one pass of Algorithm ARB-LIST (Theorem 2.9) on the current
-// working graph E = es ∪ er over n vertices. esOrient orients es (nil for
-// empty es). It decomposes er, brings every outside edge that could form a
-// Kp with a cluster goal edge into the cluster (heavy/light machinery,
-// §2.4.1), verifies the §2.4.2 coverage, and lists inside each cluster via
-// the sparsity-aware algorithm (§2.4.3). All round charges follow
-// DESIGN.md §5.
-func ArbList(n int, es graph.EdgeList, esOrient *graph.Orientation, er graph.EdgeList, prm Params, cm congest.CostModel, ledger *congest.Ledger) (*ArbResult, error) {
+// working graph g, whose edges es and er partition. esOrient orients es
+// (nil for empty es). It decomposes er, brings every outside edge that
+// could form a Kp with a cluster goal edge into the cluster (heavy/light
+// machinery, §2.4.1), verifies the §2.4.2 coverage, and lists inside each
+// cluster via the sparsity-aware algorithm (§2.4.3). All round charges
+// follow DESIGN.md §5.
+func ArbList(g *graph.Graph, es graph.EdgeList, esOrient *graph.Orientation, er graph.EdgeList, prm Params, cm congest.CostModel, ledger *congest.Ledger) (*ArbResult, error) {
 	if prm.P < 3 {
 		return nil, fmt.Errorf("arblist: p=%d < 3", prm.P)
 	}
+	n := g.N()
 	if esOrient == nil {
 		var err error
 		esOrient, err = graph.NewOrientation(n, make([][]graph.V, n))
@@ -67,12 +68,7 @@ func ArbList(n int, es graph.EdgeList, esOrient *graph.Orientation, er graph.Edg
 			return nil, err
 		}
 	}
-	full := graph.Union(es, er)
-	fullGraph, err := full.Graph(n)
-	if err != nil {
-		return nil, fmt.Errorf("arblist: building working graph: %w", err)
-	}
-	fullOrient := fullGraph.DegeneracyOrientation()
+	fullOrient := g.DegeneracyOrientation()
 	arb := fullOrient.MaxOutDegree()
 	if arb < 1 {
 		arb = 1
@@ -133,7 +129,7 @@ func ArbList(n int, es graph.EdgeList, esOrient *graph.Orientation, er graph.Edg
 		out := &outs[i]
 		out.cliques = graph.NewCliqueBag(prm.P)
 		out.ledger = &congest.Ledger{}
-		out.bad, out.err = processCluster(n, fullGraph, fullOrient, decomp.Clusters[i],
+		out.bad, out.err = processCluster(n, g, fullOrient, decomp.Clusters[i],
 			prm, heavyThr, badThr, cm, out.ledger, out.cliques, &out.stats)
 		if out.err != nil {
 			failed.Store(true)
@@ -184,7 +180,7 @@ func ArbList(n int, es graph.EdgeList, esOrient *graph.Orientation, er graph.Edg
 	if prm.FastK4 {
 		// §3: light-incident K4s are listed by the light nodes themselves,
 		// sequentially over clusters.
-		if err := fastK4LightPass(n, fullGraph, decomp, heavyThr, ledger, cliques); err != nil {
+		if err := fastK4LightPass(n, g, decomp, heavyThr, ledger, cliques); err != nil {
 			return nil, fmt.Errorf("arblist: fast-K4 light pass: %w", err)
 		}
 	}

@@ -2,6 +2,7 @@ package arblist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kplist/internal/congest"
@@ -44,9 +45,9 @@ func checkArbContract(t *testing.T, n int, es, er graph.EdgeList, res *ArbResult
 		t.Fatal(err)
 	}
 	listed := res.Cliques.Cliques()
-	listedSet := graph.NewCliqueSet(listed)
 	for _, c := range g.ListCliques(p) {
-		if cliqueTouches(c, res.EmHat) && !listedSet.Has(c) {
+		_, ok := slices.BinarySearchFunc(listed, c, slices.Compare)
+		if cliqueTouches(c, res.EmHat) && !ok {
 			t.Fatalf("K%d %v has a goal edge but was not listed", p, c)
 		}
 	}
@@ -67,7 +68,7 @@ func TestArbListDenseGraphK4(t *testing.T) {
 	g := graph.ErdosRenyi(150, 0.4, rng)
 	er := graph.NewEdgeList(g.Edges())
 	var ledger congest.Ledger
-	res, err := ArbList(g.N(), nil, nil, er, Params{P: 4, Seed: 1, Paranoid: true}, congest.UnitCosts(), &ledger)
+	res, err := ArbList(g, nil, nil, er, Params{P: 4, Seed: 1, Paranoid: true}, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatalf("ArbList: %v", err)
 	}
@@ -92,7 +93,7 @@ func TestArbListK5AndK6(t *testing.T) {
 	er := graph.NewEdgeList(g.Edges())
 	for _, p := range []int{5, 6} {
 		var ledger congest.Ledger
-		res, err := ArbList(g.N(), nil, nil, er, Params{P: p, Seed: 2}, congest.UnitCosts(), &ledger)
+		res, err := ArbList(g, nil, nil, er, Params{P: p, Seed: 2}, congest.UnitCosts(), &ledger)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -108,7 +109,7 @@ func TestArbListWithPriorEs(t *testing.T) {
 	esOrient, esEdges, _ := graph.PeelOrientation(g.N(), all, 10)
 	er := graph.Subtract(all, esEdges)
 	var ledger congest.Ledger
-	res, err := ArbList(g.N(), esEdges, esOrient, er, Params{P: 4, Seed: 3}, congest.UnitCosts(), &ledger)
+	res, err := ArbList(g, esEdges, esOrient, er, Params{P: 4, Seed: 3}, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatalf("ArbList: %v", err)
 	}
@@ -124,7 +125,7 @@ func TestArbListFastK4(t *testing.T) {
 	g := graph.ErdosRenyi(150, 0.4, rng)
 	er := graph.NewEdgeList(g.Edges())
 	var ledger congest.Ledger
-	res, err := ArbList(g.N(), nil, nil, er, Params{P: 4, Seed: 4, FastK4: true}, congest.UnitCosts(), &ledger)
+	res, err := ArbList(g, nil, nil, er, Params{P: 4, Seed: 4, FastK4: true}, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatalf("ArbList fast-K4: %v", err)
 	}
@@ -138,7 +139,7 @@ func TestArbListSparseGraphNoClusters(t *testing.T) {
 	g := graph.Cycle(60)
 	er := graph.NewEdgeList(g.Edges())
 	var ledger congest.Ledger
-	res, err := ArbList(g.N(), nil, nil, er, Params{P: 4, ClusterThreshold: 3, Seed: 5}, congest.UnitCosts(), &ledger)
+	res, err := ArbList(g, nil, nil, er, Params{P: 4, ClusterThreshold: 3, Seed: 5}, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatalf("ArbList: %v", err)
 	}
@@ -155,7 +156,7 @@ func TestArbListSparseGraphNoClusters(t *testing.T) {
 
 func TestArbListRejectsBadP(t *testing.T) {
 	var ledger congest.Ledger
-	if _, err := ArbList(10, nil, nil, nil, Params{P: 2}, congest.UnitCosts(), &ledger); err == nil {
+	if _, err := ArbList(graph.MustNew(10, nil), nil, nil, nil, Params{P: 2}, congest.UnitCosts(), &ledger); err == nil {
 		t.Error("p=2 should error")
 	}
 }
@@ -165,7 +166,7 @@ func TestListContract(t *testing.T) {
 	g := graph.ErdosRenyi(140, 0.4, rng)
 	edges := graph.NewEdgeList(g.Edges())
 	var ledger congest.Ledger
-	res, err := List(g.N(), edges, Params{P: 4, Seed: 6}, congest.UnitCosts(), &ledger)
+	res, err := List(g, Params{P: 4, Seed: 6}, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatalf("List: %v", err)
 	}
@@ -174,10 +175,11 @@ func TestListContract(t *testing.T) {
 		t.Fatal("Es contains foreign edges")
 	}
 	// Contract: every K4 with at least one edge outside Es is listed.
-	listed := graph.NewCliqueSet(res.Cliques.Cliques())
+	listed := res.Cliques.Cliques()
 	for _, c := range g.ListCliques(4) {
 		removed := graph.Subtract(edges, res.Es)
-		if cliqueTouches(c, removed) && !listed.Has(c) {
+		_, ok := slices.BinarySearchFunc(listed, c, slices.Compare)
+		if cliqueTouches(c, removed) && !ok {
 			t.Fatalf("K4 %v touches removed edges but was not listed", c)
 		}
 	}
@@ -192,9 +194,8 @@ func TestListContract(t *testing.T) {
 func TestListErDecay(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.ErdosRenyi(160, 0.45, rng)
-	edges := graph.NewEdgeList(g.Edges())
 	var ledger congest.Ledger
-	res, err := List(g.N(), edges, Params{P: 4, Seed: 7}, congest.UnitCosts(), &ledger)
+	res, err := List(g, Params{P: 4, Seed: 7}, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatalf("List: %v", err)
 	}
@@ -214,10 +215,9 @@ func TestListErDecay(t *testing.T) {
 func TestListOrientationLadder(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := graph.ErdosRenyi(140, 0.4, rng)
-	edges := graph.NewEdgeList(g.Edges())
 	var ledger congest.Ledger
 	prm := Params{P: 4, Seed: 8}
-	res, err := List(g.N(), edges, prm, congest.UnitCosts(), &ledger)
+	res, err := List(g, prm, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatalf("List: %v", err)
 	}
@@ -237,7 +237,7 @@ func TestListOrientationLadder(t *testing.T) {
 
 func TestListEmptyInput(t *testing.T) {
 	var ledger congest.Ledger
-	res, err := List(20, nil, Params{P: 4, Seed: 1}, congest.UnitCosts(), &ledger)
+	res, err := List(graph.MustNew(20, nil), Params{P: 4, Seed: 1}, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatalf("List: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestListFallbackOnIterationCap(t *testing.T) {
 	g := graph.ErdosRenyi(120, 0.4, rng)
 	edges := graph.NewEdgeList(g.Edges())
 	var ledger congest.Ledger
-	res, err := List(g.N(), edges, Params{P: 4, Seed: 9, MaxIterations: 1}, congest.UnitCosts(), &ledger)
+	res, err := List(g, Params{P: 4, Seed: 9, MaxIterations: 1}, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatalf("List: %v", err)
 	}
@@ -259,10 +259,11 @@ func TestListFallbackOnIterationCap(t *testing.T) {
 		t.Skip("Er emptied in one pass; fallback not exercised")
 	}
 	// Even with the fallback, the full contract holds.
-	listed := graph.NewCliqueSet(res.Cliques.Cliques())
+	listed := res.Cliques.Cliques()
 	for _, c := range g.ListCliques(4) {
 		removed := graph.Subtract(edges, res.Es)
-		if cliqueTouches(c, removed) && !listed.Has(c) {
+		_, ok := slices.BinarySearchFunc(listed, c, slices.Compare)
+		if cliqueTouches(c, removed) && !ok {
 			t.Fatalf("K4 %v not listed despite fallback", c)
 		}
 	}

@@ -2,6 +2,7 @@ package arblist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kplist/internal/congest"
@@ -39,7 +40,7 @@ func attach(v graph.V, lo, count int) []graph.Edge {
 func runArb(t *testing.T, g *graph.Graph, prm Params) *ArbResult {
 	t.Helper()
 	var ledger congest.Ledger
-	res, err := ArbList(g.N(), nil, nil, graph.NewEdgeList(g.Edges()), prm, congest.UnitCosts(), &ledger)
+	res, err := ArbList(g, nil, nil, graph.NewEdgeList(g.Edges()), prm, congest.UnitCosts(), &ledger)
 	if err != nil {
 		t.Fatalf("ArbList: %v", err)
 	}
@@ -78,7 +79,7 @@ func TestCoverageHeavyHeavyOutsideEdge(t *testing.T) {
 	if !res.EmHat.Contains(graph.Edge{U: u, V: w}) {
 		t.Skip("goal edge landed outside EmHat in this decomposition")
 	}
-	if !graph.NewCliqueSet(res.Cliques.Cliques()).Has(want) {
+	if _, ok := slices.BinarySearchFunc(res.Cliques.Cliques(), want, slices.Compare); !ok {
 		t.Errorf("heavy-heavy K4 %v not listed", want)
 	}
 }
@@ -108,7 +109,7 @@ func TestCoverageLightOutsideEdge(t *testing.T) {
 	if !res.EmHat.Contains(graph.Edge{U: u, V: w}) {
 		t.Skip("goal edge landed outside EmHat in this decomposition")
 	}
-	if !graph.NewCliqueSet(res.Cliques.Cliques()).Has(want) {
+	if _, ok := slices.BinarySearchFunc(res.Cliques.Cliques(), want, slices.Compare); !ok {
 		t.Errorf("light-endpoint K4 %v not listed", want)
 	}
 }
@@ -131,7 +132,7 @@ func TestCoverageLightEdgeFastK4(t *testing.T) {
 		t.Fatal("pocket did not become a cluster")
 	}
 	want := graph.Clique{u, w, v, vp}
-	if !graph.NewCliqueSet(res.Cliques.Cliques()).Has(want) {
+	if _, ok := slices.BinarySearchFunc(res.Cliques.Cliques(), want, slices.Compare); !ok {
 		t.Errorf("fast-K4 light pass missed %v", want)
 	}
 }
@@ -166,7 +167,7 @@ func TestCoverageK5WithTwoOutsiders(t *testing.T) {
 	if !touched {
 		t.Skip("K5 has no goal edge in this decomposition")
 	}
-	if !graph.NewCliqueSet(res.Cliques.Cliques()).Has(want) {
+	if _, ok := slices.BinarySearchFunc(res.Cliques.Cliques(), want, slices.Compare); !ok {
 		t.Errorf("K5 with two outsiders %v not listed", want)
 	}
 }
@@ -187,11 +188,11 @@ func TestBadNodesExcludedFromLightLearning(t *testing.T) {
 	}
 	g := graph.MustNew(n, edges)
 	var withLedger, withoutLedger congest.Ledger
-	if _, err := ArbList(g.N(), nil, nil, graph.NewEdgeList(g.Edges()),
+	if _, err := ArbList(g, nil, nil, graph.NewEdgeList(g.Edges()),
 		Params{P: 4, Seed: 6, ClusterThreshold: 10, BadThreshold: 20}, congest.UnitCosts(), &withLedger); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ArbList(g.N(), nil, nil, graph.NewEdgeList(g.Edges()),
+	if _, err := ArbList(g, nil, nil, graph.NewEdgeList(g.Edges()),
 		Params{P: 4, Seed: 6, ClusterThreshold: 10, BadThreshold: 1 << 30}, congest.UnitCosts(), &withoutLedger); err != nil {
 		t.Fatal(err)
 	}

@@ -32,22 +32,24 @@ type ListResult struct {
 	ErSizes []int
 }
 
-// List runs Algorithm LIST (Theorem 2.8): iterate ARB-LIST on the working
-// graph, listing every Kp that has at least one edge in each pass's EmHat
-// and removing those edges, until Er is empty. The surviving Es has an
-// orientation whose out-degree grew by at most the cluster threshold per
-// pass — the paper's guarantee that the output arboricity is A/2 when the
-// threshold is A/(2 log n).
-func List(n int, edges graph.EdgeList, prm Params, cm congest.CostModel, ledger *congest.Ledger) (*ListResult, error) {
+// List runs Algorithm LIST (Theorem 2.8) on g: iterate ARB-LIST on the
+// working graph, listing every Kp that has at least one edge in each
+// pass's EmHat and removing those edges, until Er is empty. The surviving
+// Es has an orientation whose out-degree grew by at most the cluster
+// threshold per pass — the paper's guarantee that the output arboricity
+// is A/2 when the threshold is A/(2 log n). The first pass works on g
+// itself, so its memoized peel serves it.
+func List(g *graph.Graph, prm Params, cm congest.CostModel, ledger *congest.Ledger) (*ListResult, error) {
 	if prm.P < 3 {
 		return nil, fmt.Errorf("arblist: p=%d < 3", prm.P)
 	}
+	n := g.N()
 	es := graph.EdgeList{}
 	esOrient, err := graph.NewOrientation(n, make([][]graph.V, n))
 	if err != nil {
 		return nil, err
 	}
-	er := edges
+	er := graph.NewEdgeList(g.Edges())
 	out := &ListResult{Cliques: graph.NewCliqueBag(prm.P)}
 	cap := prm.maxIterations(n)
 	for iter := 0; len(er) > 0 && iter < cap; iter++ {
@@ -57,7 +59,12 @@ func List(n int, edges graph.EdgeList, prm Params, cm congest.CostModel, ledger 
 		out.ErSizes = append(out.ErSizes, len(er))
 		passPrm := prm
 		passPrm.Seed = prm.Seed + int64(iter)*1_000_003
-		res, err := ArbList(n, es, esOrient, er, passPrm, cm, ledger)
+		if iter > 0 {
+			if g, err = graph.Union(es, er).Graph(n); err != nil {
+				return nil, fmt.Errorf("arblist: pass %d: building working graph: %w", iter, err)
+			}
+		}
+		res, err := ArbList(g, es, esOrient, er, passPrm, cm, ledger)
 		if err != nil {
 			return nil, fmt.Errorf("arblist: pass %d: %w", iter, err)
 		}

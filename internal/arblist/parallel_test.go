@@ -20,7 +20,7 @@ func TestArbListWorkersEquivalent(t *testing.T) {
 		el := graph.NewEdgeList(g.Edges())
 		run := func(workers int) (*ArbResult, []congest.PhaseCost) {
 			var ledger congest.Ledger
-			res, err := ArbList(g.N(), nil, nil, el, Params{
+			res, err := ArbList(g, nil, nil, el, Params{
 				P: 4, Seed: 99, ClusterThreshold: 6, Workers: workers,
 			}, congest.UnitCosts(), &ledger)
 			if err != nil {
@@ -55,10 +55,9 @@ func TestArbListWorkersEquivalent(t *testing.T) {
 func TestListWorkersEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := graph.ErdosRenyi(80, 0.35, rng)
-	el := graph.NewEdgeList(g.Edges())
 	run := func(workers int) *ListResult {
 		var ledger congest.Ledger
-		res, err := List(g.N(), el, Params{P: 4, Seed: 5, ClusterThreshold: 5, Workers: workers},
+		res, err := List(g, Params{P: 4, Seed: 5, ClusterThreshold: 5, Workers: workers},
 			congest.UnitCosts(), &ledger)
 		if err != nil {
 			t.Fatalf("List(workers=%d): %v", workers, err)

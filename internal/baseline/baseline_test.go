@@ -67,8 +67,7 @@ func TestEdenK4Exact(t *testing.T) {
 			t.Fatalf("EdenK4List: %v", err)
 		}
 		if got, want := got.Cliques(), g.ListCliques(4); !slices.EqualFunc(got, want, slices.Equal) {
-			t.Errorf("dens=%v: got %d cliques, want %d; missing=%v",
-				dens, len(got), len(want), graph.NewCliqueSet(want).Minus(graph.NewCliqueSet(got)))
+			t.Errorf("dens=%v: got %d cliques, want %d", dens, len(got), len(want))
 		}
 		if ledger.Rounds() == 0 {
 			t.Error("no rounds charged")
@@ -110,9 +109,9 @@ func TestEdenPlantedCliques(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listed := graph.NewCliqueSet(got.Cliques())
+	listed := got.Cliques()
 	for _, c := range planted {
-		if !listed.Has(graph.Clique(c)) {
+		if _, ok := slices.BinarySearchFunc(listed, graph.Clique(c), slices.Compare); !ok {
 			t.Errorf("planted K4 %v missing", c)
 		}
 	}

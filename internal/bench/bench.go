@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: parameter sweeps over the
 // listing algorithms, log-log exponent fitting, and text renderers for the
-// series that EXPERIMENTS.md records. Each E-runner regenerates one of the
-// paper artefacts indexed in DESIGN.md §4.
+// series. Each E-runner regenerates one of the paper artefacts indexed in
+// DESIGN.md §4.
 package bench
 
 import (
@@ -29,7 +29,8 @@ type Series struct {
 	XLabel string
 	// Expected is the reference exponent for this curve — the cost-model
 	// prediction for the sweep's workload family (0 if not applicable).
-	// The paper-asymptotic exponents are discussed in EXPERIMENTS.md.
+	// DESIGN.md §4 says how each series' reference relates to the paper's
+	// asymptotic exponent.
 	Expected float64
 	Points   []Point
 }

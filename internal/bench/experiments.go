@@ -37,7 +37,7 @@ type Config struct {
 	Repeats int
 	// FinalExponent is the outer-loop cutoff passed to the pipeline. The
 	// paper's max(3/4, p/(p+2)) only bites at astronomical n (see
-	// EXPERIMENTS.md); the default 0.45 forces the machinery to run so its
+	// DESIGN.md §4); the default 0.45 forces the machinery to run so its
 	// round structure is measurable. Set to a negative value to use the
 	// paper-literal cutoff.
 	FinalExponent float64
@@ -157,7 +157,7 @@ func E1Theorem11(cfg Config) ([]Series, error) {
 	for _, p := range cfg.Ps {
 		// Workload-derived reference: the dominant in-cluster listing phase
 		// charges p²·m_C/k^{1+2/p} with m_C ∝ n² and k ∝ n on the community
-		// family, i.e. exponent 1−2/p (see EXPERIMENTS.md for the mapping to
+		// family, i.e. exponent 1−2/p (see DESIGN.md §4 for the mapping to
 		// the theorem's n^{p/(p+2)}).
 		expected := 1 - 2.0/float64(p)
 		s := Series{
@@ -263,7 +263,7 @@ func E3CongestedClique(cfg Config) ([]Series, error) {
 			// Guard: exact listing must enumerate every clique; skip
 			// points whose expected output exceeds the simulation budget
 			// (the skip is reported, not silent — the m value is absent
-			// from the table and noted in EXPERIMENTS.md).
+			// from the table and noted in DESIGN.md §4).
 			if expectedCliques(cfg.CCN, m, p) > 5e6 {
 				continue
 			}
@@ -406,7 +406,7 @@ func E6IterativeDecay(n int, density float64, seed int64, workers int) ([]Series
 	g := graph.ChungLu(graph.PowerLawWeights(n, 2.2, 12), rng)
 	const thr = 6
 	var ledger congest.Ledger
-	lres, err := arblist.List(g.N(), graph.NewEdgeList(g.Edges()),
+	lres, err := arblist.List(g,
 		arblist.Params{P: 4, Seed: seed, ClusterThreshold: thr, Workers: workers}, congest.UnitCosts(), &ledger)
 	if err != nil {
 		return nil, fmt.Errorf("E6 LIST: %w", err)
@@ -466,7 +466,7 @@ func E7Ablations(n int, density float64, seed int64, workers int) ([]Series, err
 		thr int
 	}{{&aOn, 0}, {&aOff, 1 << 30}} {
 		var ledger congest.Ledger
-		res, err := arblist.ArbList(gc.N(), nil, nil, elc,
+		res, err := arblist.ArbList(gc, nil, nil, elc,
 			arblist.Params{P: 4, Seed: seed, BadThreshold: mode.thr, ClusterThreshold: 10, Workers: workers},
 			congest.UnitCosts(), &ledger)
 		if err != nil {
@@ -493,7 +493,7 @@ func E7Ablations(n int, density float64, seed int64, workers int) ([]Series, err
 		g, thr := communityGraph(nn, 0.7, seed)
 		el := graph.NewEdgeList(g.Edges())
 		var ledger congest.Ledger
-		if _, err := arblist.ArbList(g.N(), nil, nil, el,
+		if _, err := arblist.ArbList(g, nil, nil, el,
 			arblist.Params{P: 4, Seed: seed, ClusterThreshold: thr, Workers: workers},
 			congest.UnitCosts(), &ledger); err != nil {
 			return nil, err
@@ -515,7 +515,7 @@ func E7Ablations(n int, density float64, seed int64, workers int) ([]Series, err
 	c := Series{Name: fmt.Sprintf("E7c: rounds vs heavy threshold (community n=%d)", g7.N()), XLabel: "heavyThr"}
 	for _, thr := range []int{2, 4, 8, 16, 32} {
 		var ledger congest.Ledger
-		res, err := arblist.ArbList(g7.N(), nil, nil, el7,
+		res, err := arblist.ArbList(g7, nil, nil, el7,
 			arblist.Params{P: 4, Seed: seed, HeavyThreshold: thr, ClusterThreshold: thr7, Workers: workers},
 			congest.UnitCosts(), &ledger)
 		if err != nil {

@@ -128,7 +128,7 @@ func ListCliques(g *graph.Graph, prm Params, cm congest.CostModel, ledger *conge
 		if threshold < 1 {
 			threshold = 1
 		}
-		res, err := arblist.List(n, graph.NewEdgeList(cur.Edges()), arblist.Params{
+		res, err := arblist.List(cur, arblist.Params{
 			Ctx:               prm.Ctx,
 			P:                 prm.P,
 			ClusterThreshold:  threshold,

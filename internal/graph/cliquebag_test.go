@@ -31,19 +31,21 @@ func randomBag(rng *rand.Rand, p, count int, maxV V) (*CliqueBag, []Clique) {
 }
 
 // TestCliqueBagMatchesCliqueSet: for p from 2 to 8 and vertex ranges on
-// both sides of the packed path's p·w ≤ 64 limit, Cliques equals the
-// sorted members of a CliqueSet of the same tuples, and every clique is
-// capped at p.
+// both sides of the radix path's sortPackedMaxID limit, Cliques equals
+// the set of the same tuples as a comparison sort and compaction give
+// it, and every clique is capped at p.
 func TestCliqueBagMatchesCliqueSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for p := 2; p <= 8; p++ {
-		for _, maxV := range []V{0, 1, 7, 255, 1<<16 - 1, 1 << 16, 1 << 20, 1<<31 - 1} {
+		for _, maxV := range []V{0, 1, 7, 255, 1<<16 - 1, 1 << 16, sortPackedMaxID - 1, sortPackedMaxID, 1 << 20, 1<<31 - 1} {
 			t.Run(fmt.Sprintf("p=%d/maxV=%d", p, maxV), func(t *testing.T) {
 				for trial := 0; trial < 5; trial++ {
 					bag, added := randomBag(rng, p, 1+rng.Intn(300), maxV)
 					got := bag.Cliques()
-					want := NewCliqueSet(added).Cliques()
-					if !slices.EqualFunc(got, want, slices.Equal) {
+					want := slices.Clone(added)
+					slices.SortFunc(want, cmpClique)
+					want = slices.CompactFunc(want, slices.Equal)
+					if !sameCliques(got, want) {
 						t.Fatalf("trial %d: bag gives %d cliques, set %d", trial, len(got), len(want))
 					}
 					for _, c := range got {
@@ -61,8 +63,8 @@ func TestCliqueBagMatchesCliqueSet(t *testing.T) {
 	}
 }
 
-// TestCliqueBagNegativeVertices: a negative vertex takes the wide path and
-// keeps cmpClique's signed order.
+// TestCliqueBagNegativeVertices: a negative vertex takes the comparison
+// sort and keeps cmpClique's signed order.
 func TestCliqueBagNegativeVertices(t *testing.T) {
 	bag := NewCliqueBag(2)
 	for _, c := range []Clique{{1, 2}, {-3, 4}, {1, 2}, {-3, -1}} {
@@ -124,9 +126,34 @@ func TestCliqueBagAddBag(t *testing.T) {
 	a.AddBag(NewCliqueBag(4))
 }
 
+// TestCliqueBagAddBagShares: merged bags share rows, yet each keeps
+// growing on its own without changing what the other holds, across slab
+// boundaries on both sides.
+func TestCliqueBagAddBagShares(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a, aRows := randomBag(rng, 3, 40, 99)
+	b, bRows := randomBag(rng, 3, 25, 99)
+	a.AddBag(b)
+	want := append(slices.Clone(aRows), bRows...)
+	for i := 0; i < 100; i++ {
+		ca, cb := Clique{V(i), V(i + 1), V(i + 2)}, Clique{V(i), V(i + 3), V(i + 5)}
+		a.Add(ca)
+		b.Add(cb)
+		want = append(want, ca)
+		bRows = append(bRows, cb)
+	}
+	if got := slices.Collect(a.All()); !sameCliques(got, want) {
+		t.Fatalf("merged bag changed when the merged-from bag grew: %d rows, want %d", len(got), len(want))
+	}
+	if got := slices.Collect(b.All()); !sameCliques(got, bRows) {
+		t.Fatalf("merged-from bag changed when the merged bag grew: %d rows, want %d", len(got), len(bRows))
+	}
+}
+
 // BenchmarkCliqueBag times the engines' accumulate-then-sort pattern: 64
 // per-cluster bags of K4s with repeats, merged into one and sorted once.
-// The vertex range picks the packed or the wide sort path.
+// The vertex range picks the radix ("packed") or the comparison ("wide")
+// sort.
 func BenchmarkCliqueBag(b *testing.B) {
 	for _, tc := range []struct {
 		name string

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -10,29 +9,14 @@ import (
 // output of every listing algorithm in this repository.
 type Clique []V
 
-// AppendKey appends the clique's canonical key bytes to dst and returns
-// the extended slice. The clique must already be sorted; this is the
-// allocation-free form of Key for hot paths that own a scratch buffer.
+// AppendKey appends the clique's canonical key bytes, four little-endian
+// bytes per vertex, to dst and returns the extended slice: the clique
+// sketches' hash input. The clique must already be sorted.
 func (c Clique) AppendKey(dst []byte) []byte {
 	for _, v := range c {
 		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
 	return dst
-}
-
-// Key packs the clique into a string usable as a map key. The clique must
-// already be sorted (all producers in this repository sort).
-func (c Clique) Key() string {
-	return string(c.AppendKey(make([]byte, 0, 4*len(c))))
-}
-
-// CliqueFromKey reverses Clique.Key.
-func CliqueFromKey(k string) Clique {
-	c := make(Clique, len(k)/4)
-	for i := range c {
-		c[i] = V(binary.LittleEndian.Uint32([]byte(k[4*i : 4*i+4])))
-	}
-	return c
 }
 
 func (c Clique) String() string {
@@ -198,86 +182,6 @@ func badLine(line []byte, why string) error {
 		line = line[:64]
 	}
 	return fmt.Errorf("bad clique line %q: %s", line, why)
-}
-
-// CliqueSet is a set of cliques, used to compare algorithm output against
-// ground truth exactly and to track a dynamic graph's listings. The
-// engines accumulate into a CliqueBag instead, which is cheaper to fill.
-type CliqueSet map[string]struct{}
-
-// NewCliqueSet builds a set from a list of cliques, sorting each.
-func NewCliqueSet(cs []Clique) CliqueSet {
-	s := make(CliqueSet, len(cs))
-	for _, c := range cs {
-		s.Add(c)
-	}
-	return s
-}
-
-// keyInto canonicalizes c (copy + sort) into the provided scratch buffers
-// and returns its key bytes; no heap allocation for cliques up to 16
-// vertices (every p this repository lists).
-func keyInto(c Clique, vbuf []V, kbuf []byte) []byte {
-	cp := Clique(vbuf[:0])
-	if len(c) > cap(vbuf) {
-		cp = make(Clique, 0, len(c))
-	}
-	cp = append(cp, c...)
-	sortV(cp)
-	return cp.AppendKey(kbuf[:0])
-}
-
-// Add inserts a copy of c (sorted) into the set.
-func (s CliqueSet) Add(c Clique) {
-	var vbuf [16]V
-	var kbuf [64]byte
-	s[string(keyInto(c, vbuf[:], kbuf[:]))] = struct{}{}
-}
-
-// Has reports membership of c (order-insensitive).
-func (s CliqueSet) Has(c Clique) bool {
-	var vbuf [16]V
-	var kbuf [64]byte
-	_, ok := s[string(keyInto(c, vbuf[:], kbuf[:]))]
-	return ok
-}
-
-// Len returns the number of cliques in the set.
-func (s CliqueSet) Len() int { return len(s) }
-
-// Equal reports exact set equality.
-func (s CliqueSet) Equal(t CliqueSet) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for k := range s {
-		if _, ok := t[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Minus returns the cliques in s that are not in t, sorted.
-func (s CliqueSet) Minus(t CliqueSet) []Clique {
-	var out []Clique
-	for k := range s {
-		if _, ok := t[k]; !ok {
-			out = append(out, CliqueFromKey(k))
-		}
-	}
-	slices.SortFunc(out, cmpClique)
-	return out
-}
-
-// Cliques returns the members sorted lexicographically.
-func (s CliqueSet) Cliques() []Clique {
-	out := make([]Clique, 0, len(s))
-	for k := range s {
-		out = append(out, CliqueFromKey(k))
-	}
-	slices.SortFunc(out, cmpClique)
-	return out
 }
 
 // kernel returns the graph's enumeration kernel, built once on first use
@@ -497,34 +401,9 @@ func countPass(src, dst []uint64, cnt []int32, shift uint) {
 	}
 }
 
-// VisitCliques enumerates every p-clique within the known edges, yielding
-// each exactly once (sorted ascending; the slice is reused between calls).
-func (ll *LocalLister) VisitCliques(p int, yield func(Clique)) {
-	if p < 2 {
-		return
-	}
-	ll.kern.visitSeq(p, func(c Clique) bool {
-		yield(c)
-		return true
-	})
-}
-
 // AddCliques enumerates every bag.P()-clique within the known edges and
-// appends each to bag; the engines' local-listing hot path.
+// appends each to bag, in the kernel's sequential order; the engines'
+// local-listing hot path.
 func (ll *LocalLister) AddCliques(bag *CliqueBag) {
-	if bag.P() < 2 {
-		return
-	}
-	ll.kern.visitSeq(bag.P(), func(c Clique) bool {
-		bag.Add(c)
-		return true
-	})
-}
-
-// ListCliques returns all p-cliques known to the lister, sorted.
-func (ll *LocalLister) ListCliques(p int) []Clique {
-	if p < 2 {
-		return nil
-	}
-	return ll.kern.list(p, 1)
+	ll.kern.collect(bag, 1)
 }

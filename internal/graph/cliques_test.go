@@ -1,10 +1,23 @@
 package graph
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
+
+// localCliques lists ll's p-cliques through AddCliques, sorted.
+func localCliques(ll *LocalLister, p int) []Clique {
+	bag := NewCliqueBag(p)
+	ll.AddCliques(bag)
+	return bag.Cliques()
+}
+
+// sameCliques reports that two listings hold the same cliques in the same
+// order (nil and empty alike).
+func sameCliques(a, b []Clique) bool { return slices.EqualFunc(a, b, slices.Equal) }
 
 // binomial computes C(n, k) exactly for small inputs.
 func binomial(n, k int) int64 {
@@ -52,8 +65,7 @@ func TestListCliquesSortedUnique(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := ErdosRenyi(60, 0.25, rng)
 	cs := g.ListCliques(4)
-	seen := make(map[string]struct{})
-	for _, c := range cs {
+	for k, c := range cs {
 		for i := 1; i < len(c); i++ {
 			if c[i-1] >= c[i] {
 				t.Fatalf("clique %v not strictly sorted", c)
@@ -66,21 +78,21 @@ func TestListCliquesSortedUnique(t *testing.T) {
 				}
 			}
 		}
-		if _, dup := seen[c.Key()]; dup {
-			t.Fatalf("duplicate clique %v", c)
+		if k > 0 && cmpClique(cs[k-1], c) >= 0 {
+			t.Fatalf("clique %v after %v: not strictly increasing", c, cs[k-1])
 		}
-		seen[c.Key()] = struct{}{}
 	}
 }
 
-// bruteForceCliques is an O(n^p) reference used only at tiny sizes.
-func bruteForceCliques(g *Graph, p int) CliqueSet {
-	s := make(CliqueSet)
+// bruteForceCliques is an O(n^p) reference used only at tiny sizes; it
+// picks vertices in increasing order, so its output is lexicographic.
+func bruteForceCliques(g *Graph, p int) []Clique {
+	var s []Clique
 	n := g.N()
 	var pick func(start int, cur []V)
 	pick = func(start int, cur []V) {
 		if len(cur) == p {
-			s.Add(cur)
+			s = append(s, slices.Clone(Clique(cur)))
 			return
 		}
 		for v := start; v < n; v++ {
@@ -107,10 +119,8 @@ func TestListCliquesVsBruteForce(t *testing.T) {
 		g := ErdosRenyi(n, 0.4+0.3*rng.Float64(), rng)
 		for p := 3; p <= 5; p++ {
 			want := bruteForceCliques(g, p)
-			got := NewCliqueSet(g.ListCliques(p))
-			if !got.Equal(want) {
-				t.Fatalf("trial %d n=%d p=%d: got %d cliques, want %d; missing=%v extra=%v",
-					trial, n, p, got.Len(), want.Len(), want.Minus(got), got.Minus(want))
+			if got := g.ListCliques(p); !sameCliques(got, want) {
+				t.Fatalf("trial %d n=%d p=%d: got %v, want %v", trial, n, p, got, want)
 			}
 		}
 	}
@@ -119,59 +129,27 @@ func TestListCliquesVsBruteForce(t *testing.T) {
 func TestPlantedCliquesAreFound(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g, planted := PlantedCliques(80, 5, 3, 0.05, rng)
-	found := NewCliqueSet(g.ListCliques(5))
+	found := g.ListCliques(5)
 	for _, c := range planted {
-		if !found.Has(Clique(c)) {
+		if _, ok := slices.BinarySearchFunc(found, Clique(c), cmpClique); !ok {
 			t.Errorf("planted clique %v not listed", c)
 		}
-	}
-}
-
-func TestCliqueKeyRoundTrip(t *testing.T) {
-	c := Clique{0, 7, 123456, 1 << 20}
-	got := CliqueFromKey(c.Key())
-	if len(got) != len(c) {
-		t.Fatalf("round trip length %d", len(got))
-	}
-	for i := range c {
-		if got[i] != c[i] {
-			t.Errorf("round trip [%d] = %d, want %d", i, got[i], c[i])
-		}
-	}
-}
-
-func TestCliqueSetOps(t *testing.T) {
-	s := NewCliqueSet([]Clique{{3, 1, 2}, {4, 5, 6}})
-	if !s.Has(Clique{1, 2, 3}) {
-		t.Error("Has should be order-insensitive")
-	}
-	tset := NewCliqueSet([]Clique{{1, 2, 3}})
-	diff := s.Minus(tset)
-	if len(diff) != 1 || diff[0].Key() != (Clique{4, 5, 6}).Key() {
-		t.Errorf("Minus = %v", diff)
-	}
-	if s.Equal(tset) {
-		t.Error("unequal sets reported equal")
-	}
-	if !s.Equal(NewCliqueSet([]Clique{{6, 5, 4}, {2, 1, 3}})) {
-		t.Error("equal sets reported unequal")
 	}
 }
 
 func TestLocalLister(t *testing.T) {
 	edges := []Edge{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {1, 3}, {0, 3}}
 	ll := NewLocalLister(edges)
-	got := NewCliqueSet(ll.ListCliques(4))
-	if got.Len() != 1 || !got.Has(Clique{0, 1, 2, 3}) {
-		t.Errorf("local K4 listing = %v", got.Cliques())
+	if got := localCliques(ll, 4); !sameCliques(got, []Clique{{0, 1, 2, 3}}) {
+		t.Errorf("local K4 listing = %v", got)
 	}
-	tri := NewCliqueSet(ll.ListCliques(3))
-	if tri.Len() != 4 {
-		t.Errorf("local K3 count = %d, want 4", tri.Len())
+	wantTri := []Clique{{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}}
+	if got := localCliques(ll, 3); !sameCliques(got, wantTri) {
+		t.Errorf("local K3 listing = %v, want %v", got, wantTri)
 	}
 	// p = 2 lists exactly the known edges, canonical and sorted.
 	wantEdges := []Clique{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
-	if got := ll.ListCliques(2); !reflect.DeepEqual(got, wantEdges) {
+	if got := localCliques(ll, 2); !reflect.DeepEqual(got, wantEdges) {
 		t.Errorf("local edge listing = %v, want %v", got, wantEdges)
 	}
 }
@@ -182,9 +160,7 @@ func TestLocalListerMatchesGraph(t *testing.T) {
 		g := ErdosRenyi(40, 0.3, rng)
 		ll := NewLocalLister(g.Edges())
 		for p := 3; p <= 5; p++ {
-			want := NewCliqueSet(g.ListCliques(p))
-			got := NewCliqueSet(ll.ListCliques(p))
-			if !got.Equal(want) {
+			if !sameCliques(localCliques(ll, p), g.ListCliques(p)) {
 				t.Fatalf("trial %d p=%d: local lister diverges from graph lister", trial, p)
 			}
 		}
@@ -208,42 +184,23 @@ func TestVisitCliquesEdgeCases(t *testing.T) {
 	}
 }
 
+// TestAppendKeyMatchesKey: AppendKey writes the documented key, four
+// little-endian bytes per vertex, after whatever dst already holds.
 func TestAppendKeyMatchesKey(t *testing.T) {
 	cs := []Clique{{}, {0}, {5, 9}, {1, 2, 3, 4}, {7, 123456, 1 << 20, 1<<30 + 17}}
 	for _, c := range cs {
+		var want []byte
+		for _, v := range c {
+			want = binary.LittleEndian.AppendUint32(want, uint32(v))
+		}
 		var buf [64]byte
-		if got := string(c.AppendKey(buf[:0])); got != c.Key() {
-			t.Errorf("AppendKey(%v) != Key()", c)
+		if got := c.AppendKey(buf[:0]); string(got) != string(want) {
+			t.Errorf("AppendKey(%v) = %x, want %x", c, got, want)
 		}
 		// Appending must extend, not clobber.
-		pre := []byte("pre")
-		ext := c.AppendKey(pre)
-		if string(ext[:3]) != "pre" || string(ext[3:]) != c.Key() {
+		ext := c.AppendKey([]byte("pre"))
+		if string(ext[:3]) != "pre" || string(ext[3:]) != string(want) {
 			t.Errorf("AppendKey(%v) with prefix corrupted the buffer", c)
 		}
-	}
-}
-
-func TestCliqueSetAddHasUnsorted(t *testing.T) {
-	s := make(CliqueSet)
-	s.Add(Clique{9, 1, 5})
-	if !s.Has(Clique{5, 9, 1}) || !s.Has(Clique{1, 5, 9}) {
-		t.Error("Add/Has must canonicalize order")
-	}
-	if s.Has(Clique{1, 5}) {
-		t.Error("prefix must not be a member")
-	}
-	// Cliques longer than the stack scratch still work.
-	long := make(Clique, 24)
-	for i := range long {
-		long[i] = V(24 - i)
-	}
-	s.Add(long)
-	rev := make(Clique, 24)
-	for i := range rev {
-		rev[i] = V(i + 1)
-	}
-	if !s.Has(rev) {
-		t.Error("long cliques must round-trip through Add/Has")
 	}
 }

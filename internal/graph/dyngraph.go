@@ -125,10 +125,18 @@ type DynStats struct {
 	AddedEdges, RemovedEdges int64
 }
 
-// cliqueTracker is the maintained listing of one clique size.
+// cliqueTracker is the maintained listing of one clique size: its
+// cliques packed with stride p in lexicographic order, each once.
 type cliqueTracker struct {
-	p   int
-	set CliqueSet
+	p    int
+	rows []V
+}
+
+// newTracker lists g's p-cliques, p ≥ 2, on its kernel.
+func newTracker(g *Graph, p int) *cliqueTracker {
+	bag := NewCliqueBag(p)
+	g.kernel().collect(bag, 0)
+	return &cliqueTracker{p: p, rows: bag.sorted()}
 }
 
 // DynGraph is a mutable simple graph over a fixed vertex set [0, N) with
@@ -170,7 +178,7 @@ func NewDynGraph(g *Graph, cfg DynConfig, ps ...int) *DynGraph {
 		if p < 2 {
 			continue
 		}
-		d.tracked = append(d.tracked, &cliqueTracker{p: p, set: NewCliqueSet(g.ListCliques(p))})
+		d.tracked = append(d.tracked, newTracker(g, p))
 	}
 	return d
 }
@@ -220,7 +228,7 @@ func (d *DynGraph) Count(p int) (n int64, ok bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if tr := d.trackerLocked(p); tr != nil {
-		return int64(tr.set.Len()), true
+		return int64(len(tr.rows) / tr.p), true
 	}
 	return 0, false
 }
@@ -232,7 +240,7 @@ func (d *DynGraph) Cliques(p int) (cs []Clique, ok bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if tr := d.trackerLocked(p); tr != nil {
-		return tr.set.Cliques(), true
+		return cliquesOf(slices.Clone(tr.rows), tr.p), true
 	}
 	return nil, false
 }
@@ -257,8 +265,7 @@ func (d *DynGraph) Track(p int) {
 	if d.trackerLocked(p) != nil {
 		return
 	}
-	tr := &cliqueTracker{p: p, set: NewCliqueSet(d.snapshotLocked().ListCliques(p))}
-	d.tracked = append(d.tracked, tr)
+	d.tracked = append(d.tracked, newTracker(d.snapshotLocked(), p))
 	sort.Slice(d.tracked, func(i, j int) bool { return d.tracked[i].p < d.tracked[j].p })
 }
 
@@ -384,7 +391,7 @@ func (d *DynGraph) ApplyBatch(muts []Mutation) (*Delta, error) {
 	// deleted edge — these are exactly the cliques the batch removes. The
 	// edge loop is outermost so the endpoints' common neighborhood is
 	// intersected once and shared across every tracked clique size.
-	var removed []CliqueSet
+	var removed []*CliqueBag
 	if !rebuild {
 		removed = d.frontierCliques(delta.RemovedEdges)
 	}
@@ -410,8 +417,8 @@ func (d *DynGraph) ApplyBatch(muts []Mutation) (*Delta, error) {
 		d.stats.Rebuilds++
 		delta.Rebuilt = true
 		snap := d.snapshotLocked()
-		for _, tr := range d.tracked {
-			tr.set = NewCliqueSet(snap.ListCliques(tr.p))
+		for i, tr := range d.tracked {
+			d.tracked[i] = newTracker(snap, tr.p)
 			delta.Cliques = append(delta.Cliques, CliqueDelta{P: tr.p})
 		}
 		return delta, nil
@@ -419,46 +426,68 @@ func (d *DynGraph) ApplyBatch(muts []Mutation) (*Delta, error) {
 	d.stats.Incremental++
 
 	// Phase 3: cliques of the NEW graph through each inserted edge — these
-	// are exactly the cliques the batch adds. Patch the tracked sets.
+	// are exactly the cliques the batch adds. Merge both into the tracked
+	// listings.
 	added := d.frontierCliques(delta.AddedEdges)
 	for i, tr := range d.tracked {
-		for k := range removed[i] {
-			delete(tr.set, k)
-		}
-		for k := range added[i] {
-			tr.set[k] = struct{}{}
-		}
+		gone, gained := removed[i].sorted(), added[i].sorted()
+		tr.rows = patchRows(tr.rows, gone, gained, tr.p)
 		delta.Cliques = append(delta.Cliques, CliqueDelta{
 			P:       tr.p,
-			Added:   added[i].Cliques(),
-			Removed: removed[i].Cliques(),
+			Added:   cliquesOf(gained, tr.p),
+			Removed: cliquesOf(gone, tr.p),
 		})
 	}
 	return delta, nil
 }
 
 // frontierCliques enumerates, per tracked clique size, the cliques of the
-// current adjacency passing through each of the given edges (deduplicated
-// — a clique spanning several frontier edges lands once). Each edge's
-// common neighborhood is intersected once and reused for every size.
-func (d *DynGraph) frontierCliques(edges []Edge) []CliqueSet {
-	sets := make([]CliqueSet, len(d.tracked))
-	for i := range sets {
-		sets[i] = make(CliqueSet)
+// current adjacency passing through each of the given edges into a bag
+// (a clique spanning several frontier edges lands more than once; the
+// bag's sort drops the repeats). Each edge's common neighborhood is
+// intersected once and reused for every size.
+func (d *DynGraph) frontierCliques(edges []Edge) []*CliqueBag {
+	bags := make([]*CliqueBag, len(d.tracked))
+	for i, tr := range d.tracked {
+		bags[i] = NewCliqueBag(tr.p)
 	}
 	if len(d.tracked) == 0 {
-		return sets
+		return bags
 	}
 	for _, e := range edges {
 		common := IntersectSorted(d.adj[e.U], d.adj[e.V])
 		for i, tr := range d.tracked {
 			visitCliquesThroughEdgeCommon(d.adj, e, common, tr.p, func(c Clique) bool {
-				sets[i].Add(c)
+				bags[i].Add(c)
 				return true
 			})
 		}
 	}
-	return sets
+	return bags
+}
+
+// patchRows returns (rows − gone) ∪ gained in a fresh array. All three are
+// stride-p rows in lexicographic order, each row once, and gained shares
+// no row with rows − gone: a clique the batch adds contains an inserted
+// edge, so the old graph did not have it. Kept rows are copied in runs.
+func patchRows(rows, gone, gained []V, p int) []V {
+	out := make([]V, 0, max(len(rows)-len(gone), 0)+len(gained))
+	start := 0 // rows[start:i] are kept and not yet copied
+	for i := 0; i < len(rows); i += p {
+		r := Clique(rows[i : i+p])
+		for len(gained) > 0 && cmpClique(Clique(gained[:p]), r) < 0 {
+			out = append(append(out, rows[start:i]...), gained[:p]...)
+			start, gained = i, gained[p:]
+		}
+		for len(gone) > 0 && cmpClique(Clique(gone[:p]), r) < 0 {
+			gone = gone[p:]
+		}
+		if len(gone) > 0 && cmpClique(Clique(gone[:p]), r) == 0 {
+			out = append(out, rows[start:i]...)
+			start, gone = i+p, gone[p:]
+		}
+	}
+	return append(append(out, rows[start:]...), gained...)
 }
 
 func edgesFromKeys(keys []uint64) []Edge {

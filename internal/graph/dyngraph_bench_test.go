@@ -50,3 +50,30 @@ func benchDynApply(b *testing.B, cfg DynConfig) {
 		}
 	}
 }
+
+// TestDynGraphApplyAllocs is an alloc-regression canary for the
+// incremental engine on the benchmark's workload: one 1%-of-edges batch on
+// G(256, 0.4) with p = 4 tracked patches the maintained listing through
+// clique bags, at a few allocations per frontier edge, not one or more per
+// clique (string-keyed sets took about 92,000 per batch).
+func TestDynGraphApplyAllocs(t *testing.T) {
+	g := ErdosRenyi(256, 0.4, rand.New(rand.NewSource(1)))
+	d := NewDynGraph(g, DynConfig{}, 4)
+	fwd, rev := churnPair(g, 0.01, 7)
+	i := 0
+	allocs := testing.AllocsPerRun(4, func() {
+		batch := fwd
+		if i%2 == 1 {
+			batch = rev
+		}
+		i++
+		delta, err := d.ApplyBatch(batch)
+		if err != nil || delta.Rebuilt || len(delta.Cliques[0].Added)+len(delta.Cliques[0].Removed) == 0 {
+			t.Fatalf("batch %d: err %v, rebuilt or no clique delta", i, err)
+		}
+	})
+	t.Logf("%.0f allocs per incremental batch of %d edges", allocs, len(fwd))
+	if allocs > 1200 {
+		t.Fatalf("an incremental batch allocated %.0f objects, want ≤ 1200", allocs)
+	}
+}

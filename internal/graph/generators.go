@@ -236,7 +236,7 @@ func RandomRegular(n, d int, rng *rand.Rand) *Graph {
 // are triangle-free (hence Kp-free for p ≥ 3) while still dense, which
 // makes them the round-complexity workload of choice: communication loads
 // are as heavy as in a dense graph, but the listing output stays tiny, so
-// exact simulation remains tractable at large n (see EXPERIMENTS.md).
+// exact simulation remains tractable at large n (see DESIGN.md §4).
 func RandomBipartite(n int, prob float64, rng *rand.Rand) *Graph {
 	half := n / 2
 	var edges []Edge

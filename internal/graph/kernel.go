@@ -47,7 +47,7 @@ var (
 type kernel struct {
 	n      int
 	orig   []V     // orig[r] = caller-facing vertex ID of rank r
-	maxID  V       // max caller-facing ID (radix-sort digit bound)
+	maxID  V       // max caller-facing ID (the radix-sort bound)
 	off    []int32 // len n+1: CSR offsets into heads
 	heads  []V     // DAG out-neighbors in rank space, ascending per row
 	maxOut int     // max DAG out-degree = degeneracy of the vertex set
@@ -516,45 +516,11 @@ func (k *kernel) count(p, workers int) int64 {
 	return total.Load()
 }
 
-// cliqueCollector accumulates packed clique copies (stride p, no slice
-// headers) carved out of slabs, so a million-clique listing costs dozens —
-// not millions — of allocations and the merge phase can radix-sort one
-// flat backing array.
-type cliqueCollector struct {
-	full [][]V // filled slabs
-	slab []V   // current slab, len = packed cliques so far
-	p    int
-}
-
-// grab returns the next stride-p slot in the current slab.
-func (c *cliqueCollector) grab() []V {
-	if cap(c.slab)-len(c.slab) < c.p {
-		if len(c.slab) > 0 {
-			c.full = append(c.full, c.slab)
-		}
-		c.slab = make([]V, 0, 8192*c.p)
-	}
-	n := len(c.slab)
-	c.slab = c.slab[:n+c.p]
-	return c.slab[n : n+c.p : n+c.p]
-}
-
-func (c *cliqueCollector) add(cl Clique) {
-	copy(c.grab(), cl)
-}
-
-func (c *cliqueCollector) size() int {
-	n := len(c.slab)
-	for _, s := range c.full {
-		n += len(s)
-	}
-	return n
-}
-
-// collectRange enumerates roots [lo, hi) straight into the collector:
+// collectRange enumerates roots [lo, hi) straight into the bag:
 // completed cliques are mapped to caller IDs and sorted in place inside
-// the slab slot, skipping the visitor indirection and the scratch copy.
-func (k *kernel) collectRange(lo, hi, p int, a *kernelArena, c *cliqueCollector) {
+// the bag's next slot, skipping the visitor indirection and the scratch
+// copy.
+func (k *kernel) collectRange(lo, hi, p int, a *kernelArena, bag *CliqueBag) {
 	need := p - 1
 	for r := lo; r < hi; r++ {
 		c0 := k.heads[k.off[r]:k.off[r+1]]
@@ -562,14 +528,14 @@ func (k *kernel) collectRange(lo, hi, p int, a *kernelArena, c *cliqueCollector)
 			continue
 		}
 		a.prefix[0] = V(r)
-		k.collectExpand(c0, 1, need, a, c)
+		k.collectExpand(c0, 1, need, a, bag)
 	}
 }
 
-func (k *kernel) collectExpand(cands []V, depth, need int, a *kernelArena, c *cliqueCollector) {
+func (k *kernel) collectExpand(cands []V, depth, need int, a *kernelArena, bag *CliqueBag) {
 	if need == 1 {
 		for _, w := range cands {
-			slot := c.grab()
+			slot := bag.next()
 			for i := 0; i < depth; i++ {
 				slot[i] = k.orig[a.prefix[i]]
 			}
@@ -588,133 +554,75 @@ func (k *kernel) collectExpand(cands []V, depth, need int, a *kernelArena, c *cl
 			continue
 		}
 		a.prefix[depth] = w
-		k.collectExpand(next, depth+1, need-1, a, c)
+		k.collectExpand(next, depth+1, need-1, a, bag)
+	}
+}
+
+// collect appends every bag.P()-clique to bag. One worker enumerates in
+// the kernel's sequential order; more split the roots in dynamic chunks,
+// the first filling bag and each other a bag of its own that is merged
+// into bag afterwards — so only the sorted listing, not the add order, is
+// independent of the worker count.
+func (k *kernel) collect(bag *CliqueBag, workers int) {
+	p := bag.P()
+	if k.empty(p) {
+		return
+	}
+	bag.bound |= uint32(k.maxID) // every caller-facing ID lies in [0, maxID]
+	workers = kernelWorkers(workers, k.n)
+	if workers == 1 {
+		a := k.getArena(p)
+		k.collectRange(0, k.n, p, a, bag)
+		k.putArena(a)
+		return
+	}
+	bags := make([]*CliqueBag, workers)
+	chunk := kernelRootChunk
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range bags {
+		bags[w] = bag
+		if w > 0 {
+			bags[w] = NewCliqueBag(p)
+		}
+		wg.Add(1)
+		go func(wb *CliqueBag) {
+			defer wg.Done()
+			a := k.getArena(p)
+			for {
+				lo := int(next.Add(int64(chunk))) - chunk
+				if lo >= k.n {
+					break
+				}
+				hi := min(lo+chunk, k.n)
+				k.collectRange(lo, hi, p, a, wb)
+			}
+			k.putArena(a)
+		}(bags[w])
+	}
+	wg.Wait()
+	segs := 0
+	for _, wb := range bags {
+		segs += len(wb.full) + 1
+	}
+	bag.full = slices.Grow(bag.full, segs)
+	for _, wb := range bags[1:] {
+		bag.AddBag(wb)
 	}
 }
 
 // list enumerates in parallel and returns every p-clique sorted
-// lexicographically — byte-identical for every worker count: the clique
-// vectors are pairwise distinct, so the final sort fully determines the
-// order regardless of how the dynamic root chunks interleaved.
+// lexicographically, or nil if there is none — byte-identical for every
+// worker count: the clique vectors are pairwise distinct, so the bag's
+// sort fully determines the order however the root chunks interleaved.
 func (k *kernel) list(p, workers int) []Clique {
 	if k.empty(p) {
 		return nil
 	}
-	workers = kernelWorkers(workers, k.n)
-	collectors := make([]cliqueCollector, workers)
-	for i := range collectors {
-		collectors[i].p = p
-	}
-	if workers == 1 {
-		a := k.getArena(p)
-		k.collectRange(0, k.n, p, a, &collectors[0])
-		k.putArena(a)
-	} else {
-		chunk := kernelRootChunk
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(c *cliqueCollector) {
-				defer wg.Done()
-				a := k.getArena(p)
-				for {
-					lo := int(next.Add(int64(chunk))) - chunk
-					if lo >= k.n {
-						break
-					}
-					hi := min(lo+chunk, k.n)
-					k.collectRange(lo, hi, p, a, c)
-				}
-				k.putArena(a)
-			}(&collectors[w])
-		}
-		wg.Wait()
-	}
-	total := 0
-	for i := range collectors {
-		total += collectors[i].size()
-	}
-	if total == 0 {
+	bag := NewCliqueBag(p)
+	k.collect(bag, workers)
+	if bag.rows == 0 {
 		return nil
 	}
-	count := total / p
-	flat := make([]V, 0, total)
-	for i := range collectors {
-		for _, s := range collectors[i].full {
-			flat = append(flat, s...)
-		}
-		flat = append(flat, collectors[i].slab...)
-	}
-	k.sortPacked(flat, p, count)
-	out := make([]Clique, count)
-	for i := 0; i < count; i++ {
-		out[i] = Clique(flat[i*p : (i+1)*p : (i+1)*p])
-	}
-	return out
-}
-
-// sortPackedMaxID bounds the vertex-ID range for which the packed sort
-// uses LSD radix passes (one counting array of maxID+1 entries per pass).
-const sortPackedMaxID = 1 << 18
-
-// sortPacked sorts count stride-p clique vectors packed in flat into
-// lexicographic order. Vertex IDs below sortPackedMaxID take the linear
-// LSD radix path — p stable counting passes, no comparator — and anything
-// larger falls back to a comparison sort on slice views.
-func (k *kernel) sortPacked(flat []V, p, count int) {
-	if int(k.maxID) >= sortPackedMaxID || count > 1<<30 {
-		views := make([]Clique, count)
-		for i := range views {
-			views[i] = Clique(flat[i*p : (i+1)*p])
-		}
-		slices.SortFunc(views, cmpClique)
-		sorted := make([]V, len(flat))
-		for i, v := range views {
-			copy(sorted[i*p:], v)
-		}
-		copy(flat, sorted)
-		return
-	}
-	tmp := make([]V, len(flat))
-	cnt := make([]int32, int(k.maxID)+2)
-	src, dst := flat, tmp
-	for d := p - 1; d >= 0; d-- {
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for i := 0; i < count; i++ {
-			cnt[src[i*p+d]]++
-		}
-		sum := int32(0)
-		for i := range cnt {
-			c := cnt[i]
-			cnt[i] = sum
-			sum += c
-		}
-		for i := 0; i < count; i++ {
-			v := src[i*p+d]
-			pos := cnt[v]
-			cnt[v]++
-			copy(dst[int(pos)*p:int(pos)*p+p], src[i*p:i*p+p])
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &flat[0] {
-		copy(flat, src)
-	}
-}
-
-// cmpClique orders cliques lexicographically (shorter prefixes first) for
-// slices.SortFunc and the set/diff helpers.
-func cmpClique(a, b Clique) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
+	return bag.Cliques()
 }

@@ -62,7 +62,7 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestLocalListerAllocsFlat is an alloc-regression canary: once the
-// build scratch is warm, indexing an edge list and visiting its K4s
+// build scratch is warm, indexing an edge list and counting its K4s
 // allocates the same number of objects (the kernel's own arrays and one
 // arena) for a graph and for four disjoint copies of it, on the dense-ID
 // path and on the sparse one, and about as many bytes as the kernel keeps.
@@ -94,10 +94,8 @@ func TestLocalListerAllocsFlat(t *testing.T) {
 	} {
 		build := func(edges []Edge) func() {
 			return func() {
-				n := 0
-				NewLocalLister(edges).VisitCliques(4, func(Clique) { n++ })
-				if n == 0 {
-					t.Fatal("no K4s to visit")
+				if NewLocalLister(edges).kern.count(4, 1) == 0 {
+					t.Fatal("no K4s to count")
 				}
 			}
 		}
@@ -123,7 +121,7 @@ func TestLocalListerAllocsFlat(t *testing.T) {
 		if perBuild > 2*kept+4096 {
 			t.Fatalf("%s: a warm build allocates %d B, the kernel keeps %d B", tc.name, perBuild, kept)
 		}
-		t.Logf("%s: %.0f allocs and %d B per build+visit (kernel keeps %d B)", tc.name, a, perBuild, kept)
+		t.Logf("%s: %.0f allocs and %d B per build+count (kernel keeps %d B)", tc.name, a, perBuild, kept)
 	}
 }
 
@@ -154,14 +152,14 @@ func TestVisitCliquesUntil(t *testing.T) {
 // IDs far apart) and the radix-sort fallback (IDs beyond the counting
 // bound), plus negative-endpoint filtering.
 func TestLocalListerSparseIDs(t *testing.T) {
-	const big = 1 << 20 // beyond sortPackedMaxID
+	const big = 1 << 20 // beyond the bag's radix-sort bound
 	edges := []Edge{
 		{0, big}, {0, 2 * big}, {big, 2 * big}, // triangle with huge spread
 		{0, 7}, {7, big}, // extra edges
 		{-3, 4}, {4, -1}, // dropped: negative endpoints
 	}
 	ll := NewLocalLister(edges)
-	tri := ll.ListCliques(3)
+	tri := localCliques(ll, 3)
 	if len(tri) != 2 {
 		t.Fatalf("listed %d triangles, want 2 ({0,7,big} and {0,big,2big}): %v", len(tri), tri)
 	}
@@ -172,13 +170,14 @@ func TestLocalListerSparseIDs(t *testing.T) {
 	// p = 2 lists the known edges: the negative-endpoint ones are dropped
 	// and the huge-spread ones kept.
 	wantEdges := []Clique{{0, 7}, {0, big}, {0, 2 * big}, {7, big}, {big, 2 * big}}
-	if got := ll.ListCliques(2); !reflect.DeepEqual(got, wantEdges) {
+	if got := localCliques(ll, 2); !reflect.DeepEqual(got, wantEdges) {
 		t.Fatalf("edges = %v, want %v", got, wantEdges)
 	}
 }
 
 // TestLocalListerAddCliques: the bag AddCliques fills holds exactly what
-// VisitCliques yields, in its order, and sorts to ListCliques.
+// the lister's kernel visits, in its order, and sorts to the graph's
+// ListCliques.
 func TestLocalListerAddCliques(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := ErdosRenyi(50, 0.3, rng)
@@ -187,11 +186,14 @@ func TestLocalListerAddCliques(t *testing.T) {
 		bag := NewCliqueBag(p)
 		ll.AddCliques(bag)
 		var visited []Clique
-		ll.VisitCliques(p, func(c Clique) { visited = append(visited, slices.Clone(c)) })
-		if got := slices.Collect(bag.All()); !slices.EqualFunc(got, visited, slices.Equal) {
-			t.Fatalf("p=%d: AddCliques diverges from VisitCliques (%d vs %d)", p, len(got), len(visited))
+		ll.kern.visitSeq(p, func(c Clique) bool {
+			visited = append(visited, slices.Clone(c))
+			return true
+		})
+		if got := slices.Collect(bag.All()); !sameCliques(got, visited) {
+			t.Fatalf("p=%d: AddCliques diverges from the kernel's visit (%d vs %d)", p, len(got), len(visited))
 		}
-		if got, want := bag.Cliques(), ll.ListCliques(p); !slices.EqualFunc(got, want, slices.Equal) {
+		if got, want := bag.Cliques(), g.ListCliques(p); !sameCliques(got, want) {
 			t.Fatalf("p=%d: sorted bag diverges from ListCliques (%d vs %d)", p, len(got), len(want))
 		}
 	}
@@ -211,7 +213,7 @@ func TestKernelDegenerateInputs(t *testing.T) {
 	if got := single.ListCliques(1); len(got) != 1 {
 		t.Errorf("K1 vertices = %v", got)
 	}
-	if ll := NewLocalLister(nil); ll.ListCliques(3) != nil {
+	if got := localCliques(NewLocalLister(nil), 3); len(got) != 0 {
 		t.Error("empty lister listed cliques")
 	}
 	// p = 2 lists exactly the edge set.
@@ -228,6 +230,7 @@ func TestKernelHugePIsFree(t *testing.T) {
 	g := ErdosRenyi(40, 0.3, rand.New(rand.NewSource(5)))
 	ll := NewLocalLister(g.Edges())
 	for _, p := range []int{g.Degeneracy().Degeneracy + 2, 1 << 30} {
+		bag := NewCliqueBag(p)
 		allocs := testing.AllocsPerRun(5, func() {
 			if n := g.CountCliques(p); n != 0 {
 				t.Fatalf("CountCliques(%d) = %d", p, n)
@@ -238,8 +241,8 @@ func TestKernelHugePIsFree(t *testing.T) {
 			if !g.VisitCliquesUntil(p, func(Clique) bool { t.Fatalf("VisitCliquesUntil(%d) yielded", p); return false }) {
 				t.Fatalf("VisitCliquesUntil(%d) did not complete", p)
 			}
-			if cs := ll.ListCliques(p); cs != nil {
-				t.Fatalf("LocalLister.ListCliques(%d) = %d cliques", p, len(cs))
+			if ll.AddCliques(bag); bag.rows != 0 {
+				t.Fatalf("LocalLister.AddCliques listed %d %d-cliques", bag.rows, p)
 			}
 		})
 		if allocs > 0 {

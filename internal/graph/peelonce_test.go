@@ -90,3 +90,29 @@ func TestCongestedCliqueKernelOnce(t *testing.T) {
 		t.Error("the second run differs from the first, or lists nothing")
 	}
 }
+
+// TestArbListPeelOnce is the ARB-LIST half of the canary: the first pass
+// of a CONGEST query's LIST works on the registered graph itself, whose
+// peel is memoized, so a query with one outer iteration peels only the
+// leftover graph its final phase lists on.
+func TestArbListPeelOnce(t *testing.T) {
+	for _, family := range []string{kplist.WorkloadKronecker, kplist.WorkloadPlantedClique} {
+		inst, err := kplist.GenerateWorkload(kplist.WorkloadSpec{Family: family, N: 300, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := inst.G
+		g.Degeneracy() // the registered graph's own peel, done once
+		peels := graph.Peels()
+		res, err := kplist.ListCONGEST(g, 4, kplist.Options{Seed: 1, FinalExponent: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OuterIterations != 1 {
+			t.Fatalf("%s: OuterIterations = %d, want 1 for this canary", family, res.OuterIterations)
+		}
+		if d := graph.Peels() - peels; d != 1 {
+			t.Errorf("%s: the query peeled %d graphs, want 1 (the leftover graph)", family, d)
+		}
+	}
+}

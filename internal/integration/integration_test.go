@@ -57,9 +57,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 			want := g.ListCliques(4)
 			check := func(algo string, bag *graph.CliqueBag) {
 				if got := bag.Cliques(); !slices.EqualFunc(got, want, slices.Equal) {
-					gs, ws := graph.NewCliqueSet(got), graph.NewCliqueSet(want)
-					t.Errorf("%s on %s: %d cliques, want %d; missing=%v extra=%v",
-						algo, name, len(got), len(want), ws.Minus(gs), gs.Minus(ws))
+					t.Errorf("%s on %s: %d cliques, want %d", algo, name, len(got), len(want))
 				}
 			}
 			var l1 congest.Ledger

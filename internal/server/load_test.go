@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -213,45 +214,51 @@ func TestAdmissionSheds429UnderSaturation(t *testing.T) {
 	}
 }
 
-// TestDeadlineReturns503 pins the per-request deadline: while a long batch
-// occupies the single execution slot, a request with a 5ms deadline must
-// leave the queue with 503 and a deadline error — and the server stays
-// serviceable afterwards. (Engine-level mid-run cancellation is covered by
-// the Session tests; this exercises the queue half of the deadline.)
+// TestDeadlineReturns503 pins the per-request deadline: while another
+// request holds the single execution slot, a request with a 5ms deadline
+// must leave the queue with 503 and a deadline error — and the server
+// stays serviceable afterwards. The slot is held by a registration whose
+// body the test streams itself: sent with "Expect: 100-continue", its
+// first byte leaves the client only once the admitted handler reads the
+// body, so when that write returns the slot is taken, and it stays taken
+// until the test writes the rest, however fast the engines are.
+// (Engine-level mid-run cancellation is covered by the Session tests;
+// this exercises the queue half of the deadline.)
 func TestDeadlineReturns503(t *testing.T) {
 	_, ts := newTestServer(t, func(c *server.Config) {
 		c.MaxInFlight = 1
 		c.QueueLimit = 8
 		c.DefaultDeadline = time.Minute
-		c.Session = kplist.SessionConfig{MaxConcurrent: 1}
 	})
-	// A dense stochastic-block graph: a cold congested-clique p=4 query
-	// on it runs ~2ms, so the 400-query batch below holds the slot for
-	// hundreds of ms.
-	spec := kplist.DefaultWorkloadSpec(kplist.WorkloadStochasticBlock, 256, 19)
-	resp0, body0 := postJSON(t, ts.URL+"/v1/graphs", map[string]any{"workload": spec})
-	if resp0.StatusCode != http.StatusCreated {
-		t.Fatalf("register: %d %s", resp0.StatusCode, body0)
-	}
-	var info server.GraphInfo
-	if err := json.Unmarshal(body0, &info); err != nil {
+	id, _ := registerWorkload(t, ts.URL, 90, 11)
+
+	hold, err := json.Marshal(map[string]any{"workload": kplist.DefaultWorkloadSpec(kplist.WorkloadPlantedClique, 60, 3)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	id := info.ID
-
-	// A batch of distinct-seed cold queries serialized through a
-	// MaxConcurrent=1 session holds the slot for hundreds of ms.
-	var batch []map[string]any
-	for i := 0; i < 400; i++ {
-		batch = append(batch, map[string]any{"p": 4, "algo": "congested-clique", "seed": i})
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/graphs", pr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	slow := make(chan int, 1)
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Expect", "100-continue")
+	holder := &http.Client{Transport: &http.Transport{ExpectContinueTimeout: time.Minute}}
+	t.Cleanup(holder.CloseIdleConnections)
+	held := make(chan int, 1)
 	go func() {
-		resp, _ := doPost(t, &http.Client{Timeout: time.Minute}, ts.URL+"/v1/graphs/"+id+"/query",
-			map[string]any{"queries": batch})
-		slow <- resp.StatusCode
+		resp, err := holder.Do(req)
+		if err != nil {
+			t.Errorf("holding registration: %v", err)
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
 	}()
-	time.Sleep(100 * time.Millisecond) // let the batch take the slot
+	if _, err := pw.Write(hold[:1]); err != nil { // returns once the handler holds the slot
+		t.Fatal(err)
+	}
 
 	resp, body := postJSON(t, ts.URL+"/v1/graphs/"+id+"/query?deadline_ms=5",
 		map[string]any{"p": 4, "seed": 999})
@@ -261,8 +268,12 @@ func TestDeadlineReturns503(t *testing.T) {
 	if !bytes.Contains(body, []byte("deadline")) {
 		t.Errorf("503 body should carry the deadline error, got %s", body)
 	}
-	if st := <-slow; st != http.StatusOK {
-		t.Fatalf("slow batch finished %d, want 200", st)
+	if _, err := pw.Write(hold[1:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if st := <-held; st != http.StatusCreated {
+		t.Fatalf("holding registration finished %d, want 201", st)
 	}
 	// The deadline miss left everything reusable.
 	resp, body = postJSON(t, ts.URL+"/v1/graphs/"+id+"/query", map[string]any{"p": 4, "seed": 999})

@@ -36,9 +36,7 @@ func TestCongestedCliqueMatchesGroundTruth(t *testing.T) {
 		}
 		got, want := res.Cliques.Cliques(), g.ListCliques(tc.p)
 		if !slices.EqualFunc(got, want, slices.Equal) {
-			gs, ws := graph.NewCliqueSet(got), graph.NewCliqueSet(want)
-			t.Errorf("n=%d p=%d: got %d cliques, want %d; missing=%v extra=%v",
-				tc.n, tc.p, len(got), len(want), ws.Minus(gs), gs.Minus(ws))
+			t.Errorf("n=%d p=%d: got %d cliques, want %d", tc.n, tc.p, len(got), len(want))
 		}
 		// The listing step enumerates the real edges once, so no clique
 		// reaches the bag twice.
@@ -59,9 +57,9 @@ func TestCongestedCliquePlantedCliques(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listed := graph.NewCliqueSet(res.Cliques.Cliques())
+	listed := res.Cliques.Cliques()
 	for _, c := range planted {
-		if !listed.Has(graph.Clique(c)) {
+		if _, ok := slices.BinarySearchFunc(listed, graph.Clique(c), slices.Compare); !ok {
 			t.Errorf("planted K6 %v not listed", c)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"kplist/internal/graph"
@@ -218,8 +219,7 @@ func TestMutationMetamorphicDeltaConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := graph.NewDynGraph(inst.G, graph.DynConfig{}, p)
-	prev, _ := d.Cliques(p)
-	model := graph.NewCliqueSet(prev)
+	model, _ := d.Cliques(p)
 	for i, batch := range tr.Batches {
 		delta, err := d.ApplyBatch(batch)
 		if err != nil {
@@ -230,19 +230,21 @@ func TestMutationMetamorphicDeltaConsistency(t *testing.T) {
 		}
 		cd := delta.Cliques[0]
 		for _, c := range cd.Removed {
-			if !model.Has(c) {
+			at, ok := slices.BinarySearchFunc(model, c, slices.Compare)
+			if !ok {
 				t.Fatalf("batch %d: removed clique %v was not present", i, c)
 			}
-			delete(model, c.Key())
+			model = slices.Delete(model, at, at+1)
 		}
 		for _, c := range cd.Added {
-			if model.Has(c) {
+			at, ok := slices.BinarySearchFunc(model, c, slices.Compare)
+			if ok {
 				t.Fatalf("batch %d: added clique %v was already present", i, c)
 			}
-			model.Add(c)
+			model = slices.Insert(model, at, c)
 		}
 		cur, _ := d.Cliques(p)
-		if !model.Equal(graph.NewCliqueSet(cur)) {
+		if !slices.EqualFunc(model, cur, slices.Equal) {
 			t.Fatalf("batch %d: replaying the delta does not reproduce the listing", i)
 		}
 	}

@@ -47,6 +47,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"kplist/internal/baseline"
 	"kplist/internal/congest"
@@ -63,12 +64,6 @@ type Edge = graph.Edge
 
 // Clique is a sorted list of vertex IDs forming a clique.
 type Clique = graph.Clique
-
-// CliqueSet is a set of cliques keyed canonically.
-type CliqueSet = graph.CliqueSet
-
-// NewCliqueSet builds a canonical set from a list of cliques.
-func NewCliqueSet(cs []Clique) CliqueSet { return graph.NewCliqueSet(cs) }
 
 // PhaseCost is one named phase's share of the round/message bill.
 type PhaseCost = congest.PhaseCost
@@ -263,16 +258,43 @@ func GroundTruth(g *Graph, p int) []Clique { return g.ListCliques(p) }
 func GroundTruthCount(g *Graph, p int) int64 { return g.CountCliques(p) }
 
 // Verify checks that cliques is exactly the set of Kp instances of g,
-// returning a descriptive error on the first discrepancy.
+// returning a descriptive error on the first discrepancy. The order of
+// the cliques and of the vertices within each does not matter, nor do
+// repeats; a clique of the wrong size or with a vertex outside [0, n)
+// counts as spurious.
 func Verify(g *Graph, p int, cliques []Clique) error {
-	got := graph.NewCliqueSet(cliques)
-	want := graph.NewCliqueSet(g.ListCliques(p))
-	if got.Equal(want) {
-		return nil
+	var bad []Clique // wrong size or out of range, in input order
+	bag := graph.NewCliqueBag(p)
+	for _, c := range cliques {
+		if len(c) != p || p < 1 || slices.ContainsFunc(c, func(v V) bool { return v < 0 || int(v) >= g.N() }) {
+			bad = append(bad, c)
+			continue
+		}
+		c = slices.Clone(c)
+		slices.Sort(c)
+		bag.Add(c)
 	}
-	if missing := want.Minus(got); len(missing) > 0 {
+	got, want := bag.Cliques(), g.ListCliques(p)
+	has := func(sorted []Clique, c Clique) bool {
+		_, ok := slices.BinarySearchFunc(sorted, c, slices.Compare)
+		return ok
+	}
+	var missing []Clique
+	for _, c := range want {
+		if !has(got, c) {
+			missing = append(missing, c)
+		}
+	}
+	if len(missing) > 0 {
 		return fmt.Errorf("kplist: %d cliques missing (first: %v)", len(missing), missing[0])
 	}
-	extra := got.Minus(want)
-	return fmt.Errorf("kplist: %d spurious cliques (first: %v)", len(extra), extra[0])
+	for _, c := range got {
+		if !has(want, c) {
+			bad = append(bad, c)
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("kplist: %d spurious cliques (first: %v)", len(bad), bad[0])
+	}
+	return nil
 }

@@ -1,6 +1,8 @@
 package kplist
 
 import (
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -110,6 +112,44 @@ func TestVerifyDetectsErrors(t *testing.T) {
 	bogus := append([]Clique{{0, 1, 2, 7}}, truth...)
 	if err := Verify(g, 4, bogus); err == nil {
 		t.Error("spurious clique should fail verification")
+	}
+}
+
+// TestVerifyMalformedInput: Verify ignores clique order, vertex order and
+// repeats, and reports a clique of the wrong size or with a vertex
+// outside [0, n) as spurious — without panicking, whatever the input.
+func TestVerifyMalformedInput(t *testing.T) {
+	g := Complete(5)
+	truth := GroundTruth(g, 4)
+	reordered := []Clique{{4, 3, 2, 1}}
+	for i := len(truth) - 1; i >= 0; i-- {
+		reordered = append(reordered, Clique{truth[i][3], truth[i][1], truth[i][0], truth[i][2]}, truth[i])
+	}
+	if err := Verify(g, 4, reordered); err != nil {
+		t.Errorf("unsorted, repeated truth should verify: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		bad  Clique
+	}{
+		{"short", Clique{0, 1, 2}},
+		{"long", Clique{0, 1, 2, 3, 4}},
+		{"empty", Clique{}},
+		{"vertex n", Clique{0, 1, 2, 5}},
+		{"vertex far out", Clique{1 << 30, 0, 1, 2}},
+		{"negative vertex", Clique{-1, 0, 1, 2}},
+		{"repeated vertex", Clique{0, 0, 1, 2}},
+	} {
+		err := Verify(g, 4, append(slices.Clone(truth), tc.bad))
+		if err == nil || !strings.Contains(err.Error(), "spurious") {
+			t.Errorf("%s clique %v: got %v, want a spurious-clique error", tc.name, tc.bad, err)
+		}
+	}
+	if err := Verify(g, 0, []Clique{{}}); err == nil {
+		t.Error("a 0-clique should not verify")
+	}
+	if err := Verify(g, -1, []Clique{{0}}); err == nil {
+		t.Error("a clique for p=-1 should not verify")
 	}
 }
 
