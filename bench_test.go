@@ -159,7 +159,7 @@ func BenchmarkE4_Comparison(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			var ledger congest.Ledger
-			if err := baseline.BroadcastList(g, congest.UnitCosts(), &ledger, graph.NewCliqueBag(4)); err != nil {
+			if err := baseline.BroadcastList(g, 4, congest.UnitCosts(), &ledger); err != nil {
 				b.Fatal(err)
 			}
 			rounds = ledger.Rounds()

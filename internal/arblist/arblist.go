@@ -13,13 +13,9 @@ import (
 	"kplist/internal/sparselist"
 )
 
-// ArbResult is the outcome of one ARB-LIST pass (Theorem 2.9).
+// ArbResult is the outcome of one ARB-LIST pass (Theorem 2.9). The pass
+// only bills: the Kp it covers are listed on the input graph (DESIGN.md §3).
 type ArbResult struct {
-	// Cliques are all Kp listed by this pass, appended in cluster order
-	// (a clique may appear more than once; Cliques() sorts and dedups):
-	// every Kp with at least one goal edge (EmHat) is guaranteed present;
-	// Kp discovered incidentally may appear too, which only helps.
-	Cliques *graph.CliqueBag
 	// EmHat are the goal edges: cluster edges minus bad edges. All their
 	// Kp instances are listed, so they can be removed from the graph.
 	EmHat graph.EdgeList
@@ -53,8 +49,8 @@ type ArbStats struct {
 // working graph g, whose edges es and er partition. esOrient orients es
 // (nil for empty es). It decomposes er, brings every outside edge that
 // could form a Kp with a cluster goal edge into the cluster (heavy/light
-// machinery, §2.4.1), verifies the §2.4.2 coverage, and lists inside each
-// cluster via the sparsity-aware algorithm (§2.4.3). All round charges
+// machinery, §2.4.1), verifies the §2.4.2 coverage, and bills the
+// sparsity-aware listing inside each cluster (§2.4.3). All round charges
 // follow DESIGN.md §5.
 func ArbList(g *graph.Graph, es graph.EdgeList, esOrient *graph.Orientation, er graph.EdgeList, prm Params, cm congest.CostModel, ledger *congest.Ledger) (*ArbResult, error) {
 	if prm.P < 3 {
@@ -68,27 +64,11 @@ func ArbList(g *graph.Graph, es graph.EdgeList, esOrient *graph.Orientation, er 
 			return nil, err
 		}
 	}
-	fullOrient := g.DegeneracyOrientation()
-	arb := fullOrient.MaxOutDegree()
-	if arb < 1 {
-		arb = 1
-	}
-	clusterThr := prm.clusterThreshold(n, arb)
-	heavyThr := prm.heavyThreshold(n, arb)
-	badThr := prm.badThreshold(n)
-
-	decomp, err := expander.Decompose(n, er, expander.Params{
-		Threshold: clusterThr,
-		Seed:      prm.Seed,
-	}, cm, ledger)
+	ps, err := newPass(g, er, prm, cm, ledger)
 	if err != nil {
-		return nil, fmt.Errorf("arblist: decomposition: %w", err)
+		return nil, err
 	}
-	if prm.Paranoid {
-		if err := decomp.Check(n, er); err != nil {
-			return nil, fmt.Errorf("arblist: decomposition invariants: %w", err)
-		}
-	}
+	decomp := ps.decomp
 
 	esHat := graph.Union(es, decomp.Es)
 	esHatOrient, err := esOrient.Merge(decomp.EsOrient)
@@ -98,27 +78,25 @@ func ArbList(g *graph.Graph, es graph.EdgeList, esOrient *graph.Orientation, er 
 
 	stats := ArbStats{
 		Clusters:    len(decomp.Clusters),
-		HeavyThresh: heavyThr,
-		BadThresh:   badThr,
-		ClusterThr:  clusterThr,
+		HeavyThresh: ps.heavyThr,
+		BadThresh:   ps.badThr,
+		ClusterThr:  ps.clusterThr,
 	}
-	cliques := graph.NewCliqueBag(prm.P)
 	var badEdgesAll graph.EdgeList
 
 	// Per-cluster phases run in parallel across clusters in the paper's
 	// model, and we simulate them the same way: each cluster is processed
-	// on its own host goroutine against a private ledger / clique bag /
-	// stats census, and the results are folded in cluster order, so the
-	// outcome is bit-identical to the sequential loop at any worker count.
-	// Every per-cluster phase charges with ChargeMax, so folding the
-	// private ledgers with MergeMax reproduces exactly the parallel
-	// super-phase bill (max rounds across clusters, messages summed).
+	// on its own host goroutine against a private ledger and stats census,
+	// and the results are folded in cluster order, so the outcome is
+	// bit-identical to the sequential loop at any worker count. Every
+	// per-cluster phase charges with ChargeMax, so folding the private
+	// ledgers with MergeMax reproduces exactly the parallel super-phase
+	// bill (max rounds across clusters, messages summed).
 	type clusterOut struct {
-		bad     graph.EdgeList
-		cliques *graph.CliqueBag
-		stats   ArbStats
-		ledger  *congest.Ledger
-		err     error
+		bad    graph.EdgeList
+		stats  ArbStats
+		ledger *congest.Ledger
+		err    error
 	}
 	outs := make([]clusterOut, len(decomp.Clusters))
 	var failed atomic.Bool // short-circuits remaining clusters once one errs
@@ -127,10 +105,8 @@ func ArbList(g *graph.Graph, es graph.EdgeList, esOrient *graph.Orientation, er 
 			return
 		}
 		out := &outs[i]
-		out.cliques = graph.NewCliqueBag(prm.P)
 		out.ledger = &congest.Ledger{}
-		out.bad, out.err = processCluster(n, g, fullOrient, decomp.Clusters[i],
-			prm, heavyThr, badThr, cm, out.ledger, out.cliques, &out.stats)
+		out.bad, out.err = ps.processCluster(decomp.Clusters[i], prm, cm, out.ledger, &out.stats)
 		if out.err != nil {
 			failed.Store(true)
 		}
@@ -167,22 +143,17 @@ func ArbList(g *graph.Graph, es graph.EdgeList, esOrient *graph.Orientation, er 
 	local := &congest.Ledger{}
 	for i := range decomp.Clusters {
 		out := &outs[i]
-		cliques.AddBag(out.cliques)
 		stats.HeavyNodes += out.stats.HeavyNodes
 		stats.LightNodes += out.stats.LightNodes
 		stats.BadNodes += out.stats.BadNodes
-		if out.stats.MaxLearned > stats.MaxLearned {
-			stats.MaxLearned = out.stats.MaxLearned
-		}
+		stats.MaxLearned = max(stats.MaxLearned, out.stats.MaxLearned)
 		local.MergeMax(out.ledger)
 		badEdgesAll = append(badEdgesAll, out.bad...)
 	}
 	if prm.FastK4 {
 		// §3: light-incident K4s are listed by the light nodes themselves,
 		// sequentially over clusters.
-		if err := fastK4LightPass(n, g, decomp, heavyThr, ledger, cliques); err != nil {
-			return nil, fmt.Errorf("arblist: fast-K4 light pass: %w", err)
-		}
+		ps.fastK4LightPass(ledger)
 	}
 	ledger.Merge(local)
 
@@ -193,7 +164,6 @@ func ArbList(g *graph.Graph, es graph.EdgeList, esOrient *graph.Orientation, er 
 	stats.GoalEdges = len(emHat)
 
 	return &ArbResult{
-		Cliques:     cliques,
 		EmHat:       emHat,
 		EsHat:       esHat,
 		EsHatOrient: esHatOrient,
@@ -202,14 +172,107 @@ func ArbList(g *graph.Graph, es graph.EdgeList, esOrient *graph.Orientation, er 
 	}, nil
 }
 
-// processCluster runs §2.4.1–§2.4.3 for one cluster: classify outside
-// nodes, import heavy out-edges, demote bad-bad edges, learn light-incident
-// outside edges (general mode), reshuffle, and list. Returns the bad edges
-// (moved to ErHat by the caller).
-func processCluster(n int, g *graph.Graph, fullOrient *graph.Orientation, cl *expander.Cluster,
-	prm Params, heavyThr, badThr int, cm congest.CostModel, local *congest.Ledger,
-	cliques *graph.CliqueBag, stats *ArbStats) (graph.EdgeList, error) {
+// pass is one ARB-LIST pass's frame: the working graph, its degeneracy
+// orientation and the thresholds derived from it, and the decomposition
+// of er that every later phase works on.
+type pass struct {
+	g                            *graph.Graph
+	orient                       *graph.Orientation
+	clusterThr, heavyThr, badThr int
+	decomp                       *expander.Decomposition
+}
 
+// newPass derives the pass's thresholds from g's memoized peel and
+// decomposes er, charging the decomposition to ledger.
+func newPass(g *graph.Graph, er graph.EdgeList, prm Params, cm congest.CostModel, ledger *congest.Ledger) (*pass, error) {
+	n := g.N()
+	orient := g.DegeneracyOrientation()
+	arb := max(orient.MaxOutDegree(), 1)
+	ps := &pass{
+		g: g, orient: orient,
+		clusterThr: prm.clusterThreshold(n, arb),
+		heavyThr:   prm.heavyThreshold(n, arb),
+		badThr:     prm.badThreshold(n),
+	}
+	var err error
+	ps.decomp, err = expander.Decompose(n, er, expander.Params{Threshold: ps.clusterThr, Seed: prm.Seed}, cm, ledger)
+	if err != nil {
+		return nil, fmt.Errorf("arblist: decomposition: %w", err)
+	}
+	if prm.Paranoid {
+		if err := ps.decomp.Check(n, er); err != nil {
+			return nil, fmt.Errorf("arblist: decomposition invariants: %w", err)
+		}
+	}
+	return ps, nil
+}
+
+// processCluster runs §2.4.1–§2.4.3 for one cluster: the import (learn),
+// then the reshuffle and the in-cluster listing, both billed from what
+// the import leaves each member knowing. Returns the bad edges (moved to
+// ErHat by the caller).
+func (ps *pass) processCluster(cl *expander.Cluster, prm Params, cm congest.CostModel,
+	local *congest.Ledger, stats *ArbStats) (graph.EdgeList, error) {
+	n, g, fullOrient := ps.g.N(), ps.g, ps.orient
+	imported, badEdges := ps.learn(cl, prm, local, stats)
+
+	// Reshuffle (§2.4.3): every edge known inside the cluster is routed to
+	// the member responsible for the vertex the edge is oriented away from.
+	rt := routing.NewRouter(cl, n, cm)
+	rs := routing.NewResponsibility(cl, n)
+	var envs []routing.Envelope[graph.Edge]
+	var maxKnown int64
+	addKnown := func(u graph.V, e graph.Edge) {
+		tail := fullOrient.Owner(e)
+		if tail < 0 {
+			tail = e.U
+		}
+		envs = append(envs, routing.Envelope[graph.Edge]{From: u, To: rs.OwnerOf(tail), Payload: e})
+	}
+	for _, u := range cl.Nodes {
+		for _, w := range g.Neighbors(u) {
+			addKnown(u, graph.Edge{U: u, V: w}.Canon())
+		}
+		for _, e := range imported[u] {
+			addKnown(u, e)
+		}
+		maxKnown = max(maxKnown, int64(g.Degree(u)+len(imported[u])))
+	}
+	stats.MaxLearned = max(stats.MaxLearned, maxKnown)
+	inbox, err := routing.Deliver(rt, local, "arb-reshuffle", envs)
+	if err != nil {
+		return nil, err
+	}
+	heldBy := make(map[graph.V]graph.EdgeList, len(inbox))
+	for owner, got := range inbox {
+		el := make(graph.EdgeList, 0, len(got))
+		for _, env := range got {
+			el = append(el, env.Payload)
+		}
+		el.Normalize()
+		heldBy[owner] = el
+	}
+
+	// Sparsity-aware listing (§2.4.3) over everything the cluster knows.
+	if _, err := sparselist.InCluster(rt, rs, sparselist.Input{
+		N:    n,
+		P:    prm.P,
+		Seed: prm.Seed ^ int64(cl.ID+1)*0x9E3779B9,
+	}, cm, local, heldBy); err != nil {
+		return nil, err
+	}
+	return badEdges, nil
+}
+
+// learn runs the §2.4.1 import for one cluster, charging each phase:
+// classify outside nodes, import heavy out-edges, demote bad-bad edges and
+// learn light-incident outside edges (general mode). It returns the edges
+// each member imported — the heavy out-edges it received, then the light
+// edges it learned; with its incident edges, that is all the member knows
+// — and the bad edges. The §2.4.2 coverage tests check this knowledge.
+func (ps *pass) learn(cl *expander.Cluster, prm Params, local *congest.Ledger, stats *ArbStats) (
+	imported map[graph.V][]graph.Edge, badEdges graph.EdgeList) {
+	g, heavyThr, badThr := ps.g, ps.heavyThr, ps.badThr
 	// Classification (§2.4.1). Every member broadcasts its cluster ID to
 	// its outside neighbors: one round; each outside node counts its
 	// in-cluster neighbors.
@@ -242,10 +305,10 @@ func processCluster(n int, g *graph.Graph, fullOrient *graph.Orientation, cl *ex
 
 	// Heavy nodes send all their out-edges into the cluster, chunked
 	// across their in-cluster neighbors (§2.4.1): rounds = max chunk.
-	receivedAt := make(map[graph.V][]graph.Edge)
+	imported = make(map[graph.V][]graph.Edge)
 	var maxChunk, heavyWords int64
 	for _, x := range heavies {
-		outs := fullOrient.Out(x)
+		outs := ps.orient.Out(x)
 		nbrs := clusterNbrs[x]
 		if len(nbrs) == 0 {
 			continue
@@ -256,15 +319,13 @@ func processCluster(n int, g *graph.Graph, fullOrient *graph.Orientation, cl *ex
 		}
 		for i, w := range outs {
 			u := nbrs[i%len(nbrs)]
-			receivedAt[u] = append(receivedAt[u], graph.Edge{U: x, V: w}.Canon())
+			imported[u] = append(imported[u], graph.Edge{U: x, V: w}.Canon())
 			heavyWords++
 		}
 	}
 	local.ChargeMax("arb-heavy-send", maxChunk, heavyWords)
 
 	// Bad nodes and light learning (general mode only; §3 skips both).
-	var badEdges graph.EdgeList
-	learnedAt := make(map[graph.V][]graph.Edge)
 	if !prm.FastK4 {
 		lightNbrs := make(map[graph.V][]graph.V, cl.K())
 		bad := make(map[graph.V]bool)
@@ -308,123 +369,50 @@ func processCluster(n int, g *graph.Graph, fullOrient *graph.Orientation, cl *ex
 				lightWords += 2 * int64(len(lights))
 				for _, w := range lights {
 					if x != w && g.HasEdge(x, w) {
-						learnedAt[u] = append(learnedAt[u], graph.Edge{U: x, V: w}.Canon())
+						imported[u] = append(imported[u], graph.Edge{U: x, V: w}.Canon())
 					}
 				}
 			}
 		}
 		local.ChargeMax("arb-light-learn", 2*maxLights, lightWords)
 	}
-
-	// Reshuffle (§2.4.3): every edge known inside the cluster is routed to
-	// the member responsible for the vertex the edge is oriented away from.
-	rt := routing.NewRouter(cl, n, cm)
-	rs := routing.NewResponsibility(cl, n)
-	var envs []routing.Envelope[graph.Edge]
-	var maxKnown int64
-	addKnown := func(u graph.V, e graph.Edge) {
-		tail := fullOrient.Owner(e)
-		if tail < 0 {
-			tail = e.U
-		}
-		envs = append(envs, routing.Envelope[graph.Edge]{From: u, To: rs.OwnerOf(tail), Payload: e})
-	}
-	for _, u := range cl.Nodes {
-		var known int64
-		for _, w := range g.Neighbors(u) {
-			addKnown(u, graph.Edge{U: u, V: w}.Canon())
-			known++
-		}
-		for _, e := range receivedAt[u] {
-			addKnown(u, e)
-			known++
-		}
-		for _, e := range learnedAt[u] {
-			addKnown(u, e)
-			known++
-		}
-		if known > maxKnown {
-			maxKnown = known
-		}
-	}
-	if maxKnown > stats.MaxLearned {
-		stats.MaxLearned = maxKnown
-	}
-	inbox, err := routing.Deliver(rt, local, "arb-reshuffle", envs)
-	if err != nil {
-		return nil, err
-	}
-	heldBy := make(map[graph.V]graph.EdgeList, len(inbox))
-	for owner, got := range inbox {
-		el := make(graph.EdgeList, 0, len(got))
-		for _, env := range got {
-			el = append(el, env.Payload)
-		}
-		el.Normalize()
-		heldBy[owner] = el
-	}
-
-	// Sparsity-aware listing (§2.4.3) over everything the cluster knows.
-	res, err := sparselist.InCluster(rt, rs, sparselist.Input{
-		N:    n,
-		P:    prm.P,
-		Seed: prm.Seed ^ int64(cl.ID+1)*0x9E3779B9,
-	}, cm, local, heldBy)
-	if err != nil {
-		return nil, err
-	}
-	cliques.AddBag(res.Cliques)
-	return badEdges, nil
+	return imported, badEdges
 }
 
-// fastK4LightPass implements the §3 sequential pass: for each cluster, each
+// fastK4LightPass bills the §3 sequential pass: for each cluster, each
 // C-light node broadcasts each of its cluster neighbors' IDs to all its
-// neighbors, learns which are adjacent, and lists the K4s it sees. Charged
-// additively per cluster (the pass is sequential over clusters).
-func fastK4LightPass(n int, g *graph.Graph, decomp *expander.Decomposition, heavyThr int,
-	ledger *congest.Ledger, cliques *graph.CliqueBag) error {
-	for _, cl := range decomp.Clusters {
-		// Identify light nodes of this cluster.
-		gvC := make(map[graph.V][]graph.V)
-		for _, u := range cl.Nodes {
-			for _, x := range g.Neighbors(u) {
-				if !cl.Contains(x) {
-					gvC[x] = append(gvC[x], u)
-				}
-			}
-		}
+// neighbors and learns which are adjacent, so it knows every K4 it shares
+// with the cluster. Charged additively per cluster (the pass is
+// sequential over clusters): 2·max|C_x| rounds, one query and one reply
+// per cluster neighbor and incident edge.
+func (ps *pass) fastK4LightPass(ledger *congest.Ledger) {
+	for _, cl := range ps.decomp.Clusters {
 		var maxCn, words int64
-		lights := make([]graph.V, 0, len(gvC))
-		for x, cn := range gvC {
-			if len(cn) <= heavyThr {
-				lights = append(lights, x)
-				if int64(len(cn)) > maxCn {
-					maxCn = int64(len(cn))
-				}
-			}
+		for x, cn := range lightNodes(ps.g, cl, ps.heavyThr) {
+			maxCn = max(maxCn, int64(len(cn)))
+			words += 2 * int64(len(cn)) * int64(ps.g.Degree(x))
 		}
-		sort.Slice(lights, func(i, j int) bool { return lights[i] < lights[j] })
-		for _, x := range lights {
-			cn := gvC[x]
-			known := make([]graph.Edge, 0, g.Degree(x)+len(cn)*4)
-			for _, y := range g.Neighbors(x) {
-				known = append(known, graph.Edge{U: x, V: y}.Canon())
-			}
-			// x broadcasts each cluster neighbor u to every neighbor y;
-			// y replies whether u ~ y.
-			for _, u := range cn {
-				for _, y := range g.Neighbors(x) {
-					words += 2
-					if y != u && g.HasEdge(u, y) {
-						known = append(known, graph.Edge{U: u, V: y}.Canon())
-					}
-				}
-			}
-			graph.NewLocalLister(known).AddCliques(cliques)
-		}
-		// Rounds for this cluster: each light node broadcasts |Cn| IDs and
-		// receives as many replies per edge, all lights in parallel.
 		ledger.Charge("arb-k4-light-list", 2*maxCn, words)
 	}
-	return nil
+}
+
+// lightNodes maps each C-light outside node of cl (at most heavyThr
+// cluster neighbors) to its cluster neighbors: the IDs it broadcasts in
+// the §3 pass. The fast-K4 coverage tests derive each light node's
+// knowledge from this map.
+func lightNodes(g *graph.Graph, cl *expander.Cluster, heavyThr int) map[graph.V][]graph.V {
+	gvC := make(map[graph.V][]graph.V)
+	for _, u := range cl.Nodes {
+		for _, x := range g.Neighbors(u) {
+			if !cl.Contains(x) {
+				gvC[x] = append(gvC[x], u)
+			}
+		}
+	}
+	for x, cn := range gvC {
+		if len(cn) > heavyThr {
+			delete(gvC, x)
+		}
+	}
+	return gvC
 }

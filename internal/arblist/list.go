@@ -8,12 +8,11 @@ import (
 	"kplist/internal/graph"
 )
 
-// ListResult is the outcome of Algorithm LIST (Theorem 2.8).
+// ListResult is the outcome of Algorithm LIST (Theorem 2.8). Like each
+// pass, LIST only bills: every Kp with at least one edge outside the
+// returned Es is known in full by some node of the pass that removed it
+// (or of the fallback broadcast).
 type ListResult struct {
-	// Cliques are all Kp listed, appended pass by pass (duplicates
-	// possible; Cliques() sorts and dedups): every Kp with at least one
-	// edge outside the returned Es is guaranteed present.
-	Cliques *graph.CliqueBag
 	// Es is the surviving sparse edge set (the theorem's Ẽs); its
 	// certified orientation bounds the new arboricity.
 	Es graph.EdgeList
@@ -33,7 +32,7 @@ type ListResult struct {
 }
 
 // List runs Algorithm LIST (Theorem 2.8) on g: iterate ARB-LIST on the
-// working graph, listing every Kp that has at least one edge in each
+// working graph, covering every Kp that has at least one edge in each
 // pass's EmHat and removing those edges, until Er is empty. The surviving
 // Es has an orientation whose out-degree grew by at most the cluster
 // threshold per pass — the paper's guarantee that the output arboricity
@@ -50,7 +49,7 @@ func List(g *graph.Graph, prm Params, cm congest.CostModel, ledger *congest.Ledg
 		return nil, err
 	}
 	er := graph.NewEdgeList(g.Edges())
-	out := &ListResult{Cliques: graph.NewCliqueBag(prm.P)}
+	out := &ListResult{}
 	cap := prm.maxIterations(n)
 	for iter := 0; len(er) > 0 && iter < cap; iter++ {
 		if err := congest.CtxErr(prm.Ctx); err != nil {
@@ -68,7 +67,6 @@ func List(g *graph.Graph, prm Params, cm congest.CostModel, ledger *congest.Ledg
 		if err != nil {
 			return nil, fmt.Errorf("arblist: pass %d: %w", iter, err)
 		}
-		out.Cliques.AddBag(res.Cliques)
 		out.PassStats = append(out.PassStats, res.Stats)
 		out.Iterations++
 		if len(res.ErHat) >= len(er) {
@@ -87,10 +85,10 @@ func List(g *graph.Graph, prm Params, cm congest.CostModel, ledger *congest.Ledg
 		if err != nil {
 			return nil, err
 		}
-		if err := baseline.BroadcastList(fullGraph, cm, ledger, out.Cliques); err != nil {
+		if err := baseline.BroadcastList(fullGraph, prm.P, cm, ledger); err != nil {
 			return nil, fmt.Errorf("arblist: fallback: %w", err)
 		}
-		// Everything left is now listed; Er is consumed, Es survives as
+		// Everything left is now covered; Er is consumed, Es survives as
 		// the sparse remainder contract.
 	}
 	out.Es = es

@@ -11,8 +11,10 @@ import (
 )
 
 // TestArbListWorkersEquivalent asserts that the parallel cluster fan-out is
-// invisible: every worker count yields the same cliques, edge sets, stats
-// census, and ledger bill as the fully sequential loop.
+// invisible: every worker count yields the same edge sets, stats census,
+// and ledger bill as the fully sequential loop, and the same knowledge —
+// each run's goal edges are the ones whose coverage the re-derived pass
+// checks.
 func TestArbListWorkersEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, dens := range []float64{0.15, 0.45} {
@@ -20,20 +22,17 @@ func TestArbListWorkersEquivalent(t *testing.T) {
 		el := graph.NewEdgeList(g.Edges())
 		run := func(workers int) (*ArbResult, []congest.PhaseCost) {
 			var ledger congest.Ledger
-			res, err := ArbList(g, nil, nil, el, Params{
-				P: 4, Seed: 99, ClusterThreshold: 6, Workers: workers,
-			}, congest.UnitCosts(), &ledger)
+			prm := Params{P: 4, Seed: 99, ClusterThreshold: 6, Workers: workers}
+			res, err := ArbList(g, nil, nil, el, prm, congest.UnitCosts(), &ledger)
 			if err != nil {
 				t.Fatalf("ArbList(workers=%d): %v", workers, err)
 			}
+			checkPassCoverage(t, g, el, prm, res)
 			return res, ledger.Phases()
 		}
 		seqRes, seqPhases := run(1)
 		for _, workers := range []int{2, 8} {
 			parRes, parPhases := run(workers)
-			if !slices.EqualFunc(seqRes.Cliques.Cliques(), parRes.Cliques.Cliques(), slices.Equal) {
-				t.Fatalf("workers=%d: clique sets differ", workers)
-			}
 			if !reflect.DeepEqual(seqRes.EmHat, parRes.EmHat) ||
 				!reflect.DeepEqual(seqRes.EsHat, parRes.EsHat) ||
 				!reflect.DeepEqual(seqRes.ErHat, parRes.ErHat) {
@@ -66,8 +65,8 @@ func TestListWorkersEquivalent(t *testing.T) {
 	}
 	seq := run(1)
 	par := run(4)
-	if !slices.EqualFunc(seq.Cliques.Cliques(), par.Cliques.Cliques(), slices.Equal) {
-		t.Fatal("clique sets differ between worker counts")
+	if !slices.Equal(seq.Es, par.Es) {
+		t.Fatal("surviving Es differs between worker counts")
 	}
 	if seq.Iterations != par.Iterations || !reflect.DeepEqual(seq.ErSizes, par.ErSizes) {
 		t.Fatalf("pass structure differs: %d/%v vs %d/%v",

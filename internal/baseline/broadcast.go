@@ -13,21 +13,18 @@ import (
 	"kplist/internal/graph"
 )
 
-// BroadcastList lists every Kp of g, appending each to into (whose clique
-// size is p), by the trivial CONGEST algorithm: every node broadcasts its
-// outgoing edges (under g's degeneracy orientation) to all neighbors;
-// every node then locally lists the cliques it sees. Completeness: in any
-// Kp, every edge is oriented away from some member, every member is
-// adjacent to every other, so each member receives every edge of the
-// clique.
+// BroadcastList bills the trivial CONGEST lister for the Kp of g: every
+// node broadcasts its outgoing edges (under g's degeneracy orientation) to
+// all neighbors, then lists the cliques it sees. Completeness: in any Kp,
+// every edge is oriented away from some member, every member is adjacent
+// to every other, so each member receives every edge of the clique.
 //
 // The bill is maxOutDegree rounds (each node pushes its ≤ maxOutDegree
-// out-edges down every incident edge, one word per round). The local
-// enumeration is performed once globally, on g's own kernel — per-node
-// enumeration would produce the identical union at the identical bill —
-// so each clique is appended exactly once.
-func BroadcastList(g *graph.Graph, cm congest.CostModel, ledger *congest.Ledger, into *graph.CliqueBag) error {
-	if p := into.P(); p < 2 {
+// out-edges down every incident edge, one word per round). Who lists which
+// clique never enters it, so BroadcastList only charges: the listing is
+// g's own, and a caller that needs it enumerates it once on g's kernel.
+func BroadcastList(g *graph.Graph, p int, cm congest.CostModel, ledger *congest.Ledger) error {
+	if p < 2 {
 		return fmt.Errorf("baseline: p=%d < 2", p)
 	}
 	orient := g.DegeneracyOrientation()
@@ -41,6 +38,5 @@ func BroadcastList(g *graph.Graph, cm congest.CostModel, ledger *congest.Ledger,
 		rounds = 1
 	}
 	ledger.Charge("broadcast-listing", rounds, msgs)
-	g.VisitCliques(into.P(), into.Add)
 	return nil
 }

@@ -349,13 +349,12 @@ func E4Comparison(cfg Config) ([]Series, error) {
 			ae.msgs += l2.Messages()
 			ae.cliques += float64(len(r2.Cliques()))
 			var l3 congest.Ledger
-			r3 := graph.NewCliqueBag(4)
-			if err := baseline.BroadcastList(g, congest.UnitCosts(), &l3, r3); err != nil {
+			if err := baseline.BroadcastList(g, 4, congest.UnitCosts(), &l3); err != nil {
 				return nil, fmt.Errorf("E4 bcast n=%d: %w", n, err)
 			}
 			ab.rounds += l3.Rounds()
 			ab.msgs += l3.Messages()
-			ab.cliques += float64(len(r3.Cliques()))
+			ab.cliques += float64(g.CountCliques(4))
 		}
 		rep := int64(cfg.Repeats)
 		for _, pair := range []struct {

@@ -268,142 +268,3 @@ func (g *Graph) VisitCliquesUntil(p int, yield func(Clique) bool) bool {
 	}
 	return g.kernel().visitSeq(p, yield)
 }
-
-// LocalLister enumerates p-cliques inside an arbitrary locally-known edge
-// set — this is what a single simulated node runs over the edges it has
-// learned. The vertex IDs are remapped onto a dense range and the edges
-// indexed once into a flat CSR; enumeration runs on the same kernel as
-// Graph.ListCliques.
-type LocalLister struct {
-	kern *kernel
-}
-
-// NewLocalLister indexes the given edges: canonicalized, packed into
-// uint64 keys, sorted and deduplicated, remapped onto dense IDs and laid
-// out as a CSR for the kernel build. Every buffer but the kernel's own
-// arrays is borrowed from buildPool, so a warm build allocates the same
-// handful of objects whatever the edge count.
-func NewLocalLister(edges []Edge) *LocalLister {
-	s := buildPool.Get().(*buildScratch)
-	defer buildPool.Put(s)
-	keys := s.keys[:0]
-	var maxRaw V
-	for _, e := range edges {
-		if e.U == e.V || e.U < 0 || e.V < 0 {
-			continue // vertices are dense in [0, N) throughout the repo
-		}
-		e = e.Canon()
-		maxRaw = max(maxRaw, e.V)
-		keys = append(keys, uint64(uint32(e.U))<<32|uint64(uint32(e.V)))
-	}
-	s.keys = keys
-
-	// Dense vertex remap: position in the sorted unique endpoint list.
-	// The relabeling is monotone, so canonical keys stay canonical and
-	// their order is the same in either space. When the raw ID range is
-	// within a constant factor of the edge count (the common case:
-	// engine-local edge sets over a dense parent graph), a presence table
-	// collects the endpoints in ID order and then serves as an O(1)
-	// remap, and the dense keys are ordered by a linear counting sort;
-	// sparse ID ranges fall back to comparison sorts and binary search.
-	var verts []V
-	if int(maxRaw) <= 4*len(keys)+1024 {
-		s.table = resize(s.table, int(maxRaw)+1)
-		table := s.table
-		clear(table)
-		for _, k := range keys {
-			table[k>>32] = 1
-			table[uint32(k)] = 1
-		}
-		verts = s.verts[:0]
-		for v, seen := range table {
-			if seen != 0 {
-				table[v] = int32(len(verts))
-				verts = append(verts, V(v))
-			}
-		}
-		for i, k := range keys {
-			keys[i] = uint64(table[k>>32])<<32 | uint64(table[uint32(k)])
-		}
-		s.sortDenseKeys(len(verts))
-	} else {
-		slices.Sort(keys)
-		verts = s.verts[:0]
-		for _, k := range keys {
-			verts = append(verts, V(k>>32), V(uint32(k)))
-		}
-		slices.Sort(verts)
-		verts = slices.Compact(verts)
-		for i, k := range keys {
-			u, _ := slices.BinarySearch(verts, V(k>>32))
-			v, _ := slices.BinarySearch(verts, V(uint32(k)))
-			keys[i] = uint64(u)<<32 | uint64(v)
-		}
-	}
-	s.verts = verts
-	keys = slices.Compact(keys)
-	n := len(verts)
-
-	s.off = resize(s.off, n+1)
-	off := s.off
-	clear(off)
-	for _, k := range keys {
-		off[k>>32+1]++
-		off[uint32(k)+1]++
-	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-	// Fill each CSR row in ascending order without per-row sorts: row v
-	// first receives its smaller neighbors (the U side of canonical keys,
-	// ascending because keys are sorted), then its larger neighbors (the
-	// V side, likewise ascending).
-	s.dense = resize(s.dense, int(off[n]))
-	s.fill = resize(s.fill, n)
-	dense, fill := s.dense, s.fill
-	copy(fill, off[:n])
-	for _, k := range keys {
-		v := uint32(k)
-		dense[fill[v]] = V(k >> 32)
-		fill[v]++
-	}
-	for _, k := range keys {
-		u := k >> 32
-		dense[fill[u]] = V(uint32(k))
-		fill[u]++
-	}
-	return &LocalLister{kern: newKernel(n, off, dense, verts, s)}
-}
-
-// sortDenseKeys sorts s.keys, packed dense-ID pairs below n in both
-// halves, by two stable counting passes: the low half, then the high.
-func (s *buildScratch) sortDenseKeys(n int) {
-	s.tmp = resize(s.tmp, len(s.keys))
-	s.cnt = resize(s.cnt, n+1)
-	countPass(s.keys, s.tmp, s.cnt, 0)
-	countPass(s.tmp, s.keys, s.cnt, 32)
-}
-
-// countPass stably scatters src into dst by the 32-bit digit at shift;
-// every digit must lie below len(cnt)-1.
-func countPass(src, dst []uint64, cnt []int32, shift uint) {
-	clear(cnt)
-	for _, k := range src {
-		cnt[uint32(k>>shift)+1]++
-	}
-	for d := 1; d < len(cnt); d++ {
-		cnt[d] += cnt[d-1]
-	}
-	for _, k := range src {
-		d := uint32(k >> shift)
-		dst[cnt[d]] = k
-		cnt[d]++
-	}
-}
-
-// AddCliques enumerates every bag.P()-clique within the known edges and
-// appends each to bag, in the kernel's sequential order; the engines'
-// local-listing hot path.
-func (ll *LocalLister) AddCliques(bag *CliqueBag) {
-	ll.kern.collect(bag, 1)
-}

@@ -8,13 +8,6 @@ import (
 	"testing"
 )
 
-// localCliques lists ll's p-cliques through AddCliques, sorted.
-func localCliques(ll *LocalLister, p int) []Clique {
-	bag := NewCliqueBag(p)
-	ll.AddCliques(bag)
-	return bag.Cliques()
-}
-
 // sameCliques reports that two listings hold the same cliques in the same
 // order (nil and empty alike).
 func sameCliques(a, b []Clique) bool { return slices.EqualFunc(a, b, slices.Equal) }
@@ -137,31 +130,43 @@ func TestPlantedCliquesAreFound(t *testing.T) {
 	}
 }
 
-func TestLocalLister(t *testing.T) {
-	edges := []Edge{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {1, 3}, {0, 3}}
-	ll := NewLocalLister(edges)
-	if got := localCliques(ll, 4); !sameCliques(got, []Clique{{0, 1, 2, 3}}) {
-		t.Errorf("local K4 listing = %v", got)
+// TestEdgeListGraphCliques: a Graph built from a raw edge list — both
+// orientations, repeats and self-loops — lists exactly the cliques of the
+// edges it holds, canonical and sorted, the same as the Graph it came from.
+func TestEdgeListGraphCliques(t *testing.T) {
+	edges := EdgeList{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 1}, {0, 3}, {1, 0}, {3, 3}}
+	g, err := edges.Graph(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.ListCliques(4); !sameCliques(got, []Clique{{0, 1, 2, 3}}) {
+		t.Errorf("K4 listing = %v", got)
 	}
 	wantTri := []Clique{{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}}
-	if got := localCliques(ll, 3); !sameCliques(got, wantTri) {
-		t.Errorf("local K3 listing = %v, want %v", got, wantTri)
+	if got := g.ListCliques(3); !sameCliques(got, wantTri) {
+		t.Errorf("K3 listing = %v, want %v", got, wantTri)
 	}
-	// p = 2 lists exactly the known edges, canonical and sorted.
+	// p = 2 lists exactly the edges, canonical and sorted.
 	wantEdges := []Clique{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
-	if got := localCliques(ll, 2); !reflect.DeepEqual(got, wantEdges) {
-		t.Errorf("local edge listing = %v, want %v", got, wantEdges)
+	if got := g.ListCliques(2); !reflect.DeepEqual(got, wantEdges) {
+		t.Errorf("edge listing = %v, want %v", got, wantEdges)
 	}
-}
 
-func TestLocalListerMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		g := ErdosRenyi(40, 0.3, rng)
-		ll := NewLocalLister(g.Edges())
+		raw := EdgeList(g.Edges())
+		for _, e := range g.Edges() {
+			raw = append(raw, Edge{e.V, e.U})
+		}
+		rng.Shuffle(len(raw), func(i, j int) { raw[i], raw[j] = raw[j], raw[i] })
+		rg, err := raw.Graph(g.N())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for p := 3; p <= 5; p++ {
-			if !sameCliques(localCliques(ll, p), g.ListCliques(p)) {
-				t.Fatalf("trial %d p=%d: local lister diverges from graph lister", trial, p)
+			if !sameCliques(rg.ListCliques(p), g.ListCliques(p)) {
+				t.Fatalf("trial %d p=%d: the raw edge list's graph lists differently", trial, p)
 			}
 		}
 	}

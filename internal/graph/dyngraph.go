@@ -466,28 +466,40 @@ func (d *DynGraph) frontierCliques(edges []Edge) []*CliqueBag {
 	return bags
 }
 
-// patchRows returns (rows − gone) ∪ gained in a fresh array. All three are
-// stride-p rows in lexicographic order, each row once, and gained shares
-// no row with rows − gone: a clique the batch adds contains an inserted
-// edge, so the old graph did not have it. Kept rows are copied in runs.
+// patchRows turns rows into (rows − gone) ∪ gained in place and returns
+// it; the array grows only when the batch adds more rows than it removes.
+// All three are stride-p rows in lexicographic order, each row once, and
+// gained shares no row with rows − gone: a clique the batch adds contains
+// an inserted edge, so the old graph did not have it. The gone rows are
+// cut out front to back, kept rows moving in runs; then the gained rows
+// are merged in from the back, so no row is overwritten before it moves.
+// The tracker owns rows (Cliques hands out a copy).
 func patchRows(rows, gone, gained []V, p int) []V {
-	out := make([]V, 0, max(len(rows)-len(gone), 0)+len(gained))
-	start := 0 // rows[start:i] are kept and not yet copied
-	for i := 0; i < len(rows); i += p {
+	w, start := 0, 0 // rows[:w] is final; rows[start:i] is kept, not yet moved
+	for i := 0; i < len(rows) && len(gone) > 0; i += p {
 		r := Clique(rows[i : i+p])
-		for len(gained) > 0 && cmpClique(Clique(gained[:p]), r) < 0 {
-			out = append(append(out, rows[start:i]...), gained[:p]...)
-			start, gained = i, gained[p:]
-		}
 		for len(gone) > 0 && cmpClique(Clique(gone[:p]), r) < 0 {
 			gone = gone[p:]
 		}
 		if len(gone) > 0 && cmpClique(Clique(gone[:p]), r) == 0 {
-			out = append(out, rows[start:i]...)
+			w += copy(rows[w:], rows[start:i])
 			start, gone = i+p, gone[p:]
 		}
 	}
-	return append(append(out, rows[start:]...), gained...)
+	w += copy(rows[w:], rows[start:])
+	kept := w
+	rows = slices.Grow(rows[:kept], len(gained))[:kept+len(gained)]
+	i, j := kept-p, len(gained)-p // the last kept and last gained rows
+	for k := len(rows) - p; j >= 0; k -= p {
+		if i >= 0 && cmpClique(Clique(rows[i:i+p]), Clique(gained[j:j+p])) > 0 {
+			copy(rows[k:k+p], rows[i:i+p])
+			i -= p
+		} else {
+			copy(rows[k:k+p], gained[j:j+p])
+			j -= p
+		}
+	}
+	return rows
 }
 
 func edgesFromKeys(keys []uint64) []Edge {

@@ -112,9 +112,9 @@ func FuzzNewGraph(f *testing.F) {
 
 // FuzzKernelCliques fuzzes the enumeration kernel against the O(n^p)
 // brute-force reference over random edge lists: the listing (sequential
-// and parallel), the counting mode, and the LocalLister — on the clean
-// edges, on the raw fuzzed list and on sparse spread-out IDs — must all
-// agree exactly for every p.
+// and parallel) and the counting mode, on the graph and on one built
+// from the raw fuzzed list through EdgeList.Graph, must all agree exactly
+// for every p.
 func FuzzKernelCliques(f *testing.F) {
 	f.Add(4, []byte{0, 1, 1, 2, 0, 2})                   // triangle + isolated
 	f.Add(5, []byte{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3}) // K4 + pendant
@@ -130,18 +130,12 @@ func FuzzKernelCliques(f *testing.F) {
 			edges = append(edges, Edge{V(int(raw[i]) % n), V(int(raw[i+1]) % n)})
 		}
 		g := MustNew(n, edges)
-		ll := NewLocalLister(g.Edges())
-		// The lister canonicalizes and dedups on its own: the raw list
-		// (duplicates, both orientations, self-loops) must list the same,
-		// and so must a copy with every ID spread by a large stride, which
-		// takes the sparse-ID binary-search remap.
-		const stride = 1 << 26
-		rawLL := NewLocalLister(edges)
-		spread := make([]Edge, len(edges))
-		for i, e := range edges {
-			spread[i] = Edge{e.U * stride, e.V * stride}
+		// The raw list (duplicates, both orientations, self-loops) builds
+		// its own graph, whose kernel must list the same.
+		fromRaw, err := EdgeList(edges).Graph(n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		spreadLL := NewLocalLister(spread)
 		for p := 2; p <= 5; p++ {
 			want := bruteForceCliques(g, p)
 			seq := g.ListCliquesWorkers(p, 1)
@@ -155,20 +149,8 @@ func FuzzKernelCliques(f *testing.F) {
 			if got := g.CountCliques(p); got != int64(len(want)) {
 				t.Fatalf("p=%d: count %d, want %d", p, got, len(want))
 			}
-			if got := localCliques(ll, p); !sameCliques(got, want) {
-				t.Fatalf("p=%d: LocalLister listed %v, want %v", p, got, want)
-			}
-			if got := localCliques(rawLL, p); !sameCliques(got, want) {
-				t.Fatalf("p=%d: LocalLister on raw edges listed %v, want %v", p, got, want)
-			}
-			unspread := localCliques(spreadLL, p)
-			for _, c := range unspread {
-				for i := range c {
-					c[i] /= stride
-				}
-			}
-			if !sameCliques(unspread, want) {
-				t.Fatalf("p=%d: LocalLister on spread IDs listed %v, want %v", p, unspread, want)
+			if got := fromRaw.ListCliquesWorkers(p, 1); !sameCliques(got, want) {
+				t.Fatalf("p=%d: the raw edge list's graph listed %v, want %v", p, got, want)
 			}
 		}
 	})

@@ -3,10 +3,10 @@ package graph
 // The clique-enumeration kernel: a flat CSR representation of the
 // degeneracy-oriented DAG with zero-allocation recursion and parallel
 // root-vertex fan-out. Every listing surface in the repository bottoms out
-// here — Graph.ListCliques/VisitCliques/CountCliques (the GroundTruth the
-// distributed engines are verified against), LocalLister (the per-node
-// enumeration inside every simulated engine), and the kplistd streaming
-// path. See DESIGN.md §8 for the layout and the intersection strategy.
+// here — Graph.ListCliques/VisitCliques/CountCliques (the GroundTruth, and
+// the listing every simulated engine returns: the engines only bill), the
+// DynGraph trackers' first listing, and the kplistd streaming path. See
+// DESIGN.md §8 for the layout and the intersection strategy.
 
 import (
 	"runtime"
@@ -41,12 +41,11 @@ var (
 // set: vertices relabeled by degeneracy rank so that every clique appears
 // exactly once as an increasing sequence of relabeled IDs, with the DAG
 // out-neighborhoods (bounded by the degeneracy) laid out in one flat CSR.
-// A kernel is built once per Graph (or LocalLister) and reused by every
-// subsequent enumeration; concurrent visits are safe, each borrowing a
-// private arena.
+// A kernel is built once per Graph and reused by every subsequent
+// enumeration; concurrent visits are safe, each borrowing a private arena.
 type kernel struct {
 	n      int
-	orig   []V     // orig[r] = caller-facing vertex ID of rank r
+	orig   []V     // orig[r] = the vertex of rank r
 	maxID  V       // max caller-facing ID (the radix-sort bound)
 	off    []int32 // len n+1: CSR offsets into heads
 	heads  []V     // DAG out-neighbors in rank space, ascending per row
@@ -82,26 +81,16 @@ var kernelBuilds atomic.Int64
 // zero-rebuild guarantee).
 func KernelBuilds() int64 { return kernelBuilds.Load() }
 
-// newKernel builds the kernel for a dense vertex set given its full
-// adjacency in CSR form (heads ascending per row) and the mapping from
-// dense IDs back to caller-facing IDs (orig[i] for dense vertex i; nil
-// means the identity). The kernel copies what it keeps, so the inputs may
-// be scratch memory; the peel's temporaries come from s.
-func newKernel(n int, adjOff []int32, adjHeads []V, orig []V, s *buildScratch) *kernel {
+// newKernel builds the kernel for the vertex set [0, n) given its full
+// adjacency in CSR form (heads ascending per row). The kernel copies what
+// it keeps, so the inputs may be scratch memory; the peel's temporaries
+// come from s.
+func newKernel(n int, adjOff []int32, adjHeads []V, s *buildScratch) *kernel {
 	kernelBuilds.Add(1)
 	order, rank := s.degeneracy(n, adjOff, adjHeads)
-	k := &kernel{n: n}
+	k := &kernel{n: n, maxID: V(max(n-1, 0))}
 	k.orig = make([]V, n)
-	for r := 0; r < n; r++ {
-		if orig == nil {
-			k.orig[r] = order[r]
-		} else {
-			k.orig[r] = orig[order[r]]
-		}
-		if k.orig[r] > k.maxID {
-			k.maxID = k.orig[r]
-		}
-	}
+	copy(k.orig, order)
 	// DAG rows in rank space: edge u→w when rank[u] < rank[w]. Row r's
 	// out-degree is counted into off[r+1], then prefix-summed in place.
 	k.off = make([]int32, n+1)
@@ -170,22 +159,17 @@ func kernelFromCSR(n int, off []int32, heads, orig []V, maxOut int, maxID V) *ke
 	return k
 }
 
-// buildScratch is the temporary memory of one kernel build: the lister's
-// packed edge keys, counting-sort buffers, ID remap and adjacency CSR, and
-// the degeneracy peel's arrays. None of it outlives the build — the kernel
-// copies what it keeps — so builds borrow it from buildPool and the
-// steady state allocates only the kernel itself.
+// buildScratch is the temporary memory of one kernel build: the
+// adjacency CSR and the degeneracy peel's arrays. None of it outlives the
+// build — the kernel copies what it keeps — so builds borrow it from
+// buildPool and the steady state allocates only the kernel itself.
 type buildScratch struct {
-	keys, tmp []uint64 // packed canonical edges; counting-sort buffer
-	table     []int32  // raw ID → dense ID (dense-ID lister path)
-	cnt       []int32  // counting-sort buckets
-	verts     []V      // dense ID → raw ID
-	off       []int32  // adjacency CSR offsets
-	fill      []int32  // CSR row cursors (adjacency, then DAG)
-	dense     []V      // adjacency CSR heads, dense IDs
-	deg, bin  []int32  // peel: remaining degrees, bucket starts
-	pos       []int32  // peel: vertex → position in vert (the rank)
-	vert      []V      // peel: vertices in peel order
+	off      []int32 // adjacency CSR offsets
+	fill     []int32 // DAG row cursors
+	dense    []V     // adjacency CSR heads
+	deg, bin []int32 // peel: remaining degrees, bucket starts
+	pos      []int32 // peel: vertex → position in vert (the rank)
+	vert     []V     // peel: vertices in peel order
 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
@@ -265,7 +249,7 @@ func (s *buildScratch) degeneracy(n int, off []int32, heads []V) (order []V, ran
 }
 
 // newGraphKernel flattens a Graph's adjacency into CSR form and builds the
-// kernel over it (identity vertex mapping).
+// kernel over it.
 func newGraphKernel(g *Graph) *kernel {
 	s := buildPool.Get().(*buildScratch)
 	defer buildPool.Put(s)
@@ -280,7 +264,7 @@ func newGraphKernel(g *Graph) *kernel {
 	for v := 0; v < g.n; v++ {
 		copy(heads[off[v]:off[v+1]], g.adj[v])
 	}
-	return newKernel(g.n, off, heads, nil, s)
+	return newKernel(g.n, off, heads, s)
 }
 
 // getArena borrows an arena sized for cliques of up to p vertices; it is

@@ -71,17 +71,3 @@ func BenchmarkKernelCount(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkLocalLister measures the per-node local listing path the
-// engines run: index an edge list, then enumerate.
-func BenchmarkLocalLister(b *testing.B) {
-	for _, tc := range benchKernelGraphs(testing.Short()) {
-		edges := tc.g.Edges()
-		b.Run(fmt.Sprintf("%s/p=4", tc.name), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				NewLocalLister(edges).AddCliques(NewCliqueBag(4))
-			}
-		})
-	}
-}

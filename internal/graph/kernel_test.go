@@ -3,7 +3,6 @@ package graph
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 )
@@ -61,70 +60,6 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLocalListerAllocsFlat is an alloc-regression canary: once the
-// build scratch is warm, indexing an edge list and counting its K4s
-// allocates the same number of objects (the kernel's own arrays and one
-// arena) for a graph and for four disjoint copies of it, on the dense-ID
-// path and on the sparse one, and about as many bytes as the kernel keeps.
-func TestLocalListerAllocsFlat(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled scratch at random")
-	}
-	g := ErdosRenyi(60, 0.2, rand.New(rand.NewSource(7)))
-	small := g.Edges()
-	var large []Edge
-	for c := 0; c < 4; c++ {
-		for _, e := range small {
-			large = append(large, Edge{e.U + V(c*g.N()), e.V + V(c*g.N())})
-		}
-	}
-	spread := func(edges []Edge) []Edge {
-		out := make([]Edge, len(edges))
-		for i, e := range edges {
-			out[i] = Edge{e.U * 4099, e.V * 4099}
-		}
-		return out
-	}
-	for _, tc := range []struct {
-		name         string
-		small, large []Edge
-	}{
-		{"dense", small, large},
-		{"sparse", spread(small), spread(large)},
-	} {
-		build := func(edges []Edge) func() {
-			return func() {
-				if NewLocalLister(edges).kern.count(4, 1) == 0 {
-					t.Fatal("no K4s to count")
-				}
-			}
-		}
-		build(tc.large)() // warm the scratch at the larger size
-		a := testing.AllocsPerRun(50, build(tc.small))
-		b := testing.AllocsPerRun(50, build(tc.large))
-		if a != b {
-			t.Fatalf("%s: %.0f allocs for %d edges but %.0f for %d", tc.name, a, len(tc.small), b, len(tc.large))
-		}
-		// The bytes, too, are the kernel's and little else: the packed
-		// keys, remap and adjacency CSR, each as large as the kernel's
-		// arrays or larger, must come from the warm scratch.
-		k := NewLocalLister(tc.large).kern
-		kept := 4*(len(k.orig)+len(k.off)+len(k.heads)) + 8*len(k.rows)
-		const runs = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			build(tc.large)()
-		}
-		runtime.ReadMemStats(&after)
-		perBuild := int(after.TotalAlloc-before.TotalAlloc) / runs
-		if perBuild > 2*kept+4096 {
-			t.Fatalf("%s: a warm build allocates %d B, the kernel keeps %d B", tc.name, perBuild, kept)
-		}
-		t.Logf("%s: %.0f allocs and %d B per build+count (kernel keeps %d B)", tc.name, a, perBuild, kept)
-	}
-}
-
 // TestVisitCliquesUntil: early termination stops the enumeration and
 // reports it; completion reports true.
 func TestVisitCliquesUntil(t *testing.T) {
@@ -148,50 +83,23 @@ func TestVisitCliquesUntil(t *testing.T) {
 	}
 }
 
-// TestLocalListerSparseIDs drives the binary-search remap path (vertex
-// IDs far apart) and the radix-sort fallback (IDs beyond the counting
-// bound), plus negative-endpoint filtering.
-func TestLocalListerSparseIDs(t *testing.T) {
-	const big = 1 << 20 // beyond the bag's radix-sort bound
-	edges := []Edge{
-		{0, big}, {0, 2 * big}, {big, 2 * big}, // triangle with huge spread
-		{0, 7}, {7, big}, // extra edges
-		{-3, 4}, {4, -1}, // dropped: negative endpoints
-	}
-	ll := NewLocalLister(edges)
-	tri := localCliques(ll, 3)
-	if len(tri) != 2 {
-		t.Fatalf("listed %d triangles, want 2 ({0,7,big} and {0,big,2big}): %v", len(tri), tri)
-	}
-	want := []Clique{{0, 7, big}, {0, big, 2 * big}}
-	if !reflect.DeepEqual(tri, want) {
-		t.Fatalf("triangles = %v, want %v", tri, want)
-	}
-	// p = 2 lists the known edges: the negative-endpoint ones are dropped
-	// and the huge-spread ones kept.
-	wantEdges := []Clique{{0, 7}, {0, big}, {0, 2 * big}, {7, big}, {big, 2 * big}}
-	if got := localCliques(ll, 2); !reflect.DeepEqual(got, wantEdges) {
-		t.Fatalf("edges = %v, want %v", got, wantEdges)
-	}
-}
-
-// TestLocalListerAddCliques: the bag AddCliques fills holds exactly what
-// the lister's kernel visits, in its order, and sorts to the graph's
-// ListCliques.
-func TestLocalListerAddCliques(t *testing.T) {
+// TestKernelCollectMatchesVisit: the bag a single-worker collect fills
+// holds exactly what the kernel visits, in its order, and sorts to the
+// graph's ListCliques.
+func TestKernelCollectMatchesVisit(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := ErdosRenyi(50, 0.3, rng)
-	ll := NewLocalLister(g.Edges())
+	k := g.kernel()
 	for p := 3; p <= 4; p++ {
 		bag := NewCliqueBag(p)
-		ll.AddCliques(bag)
+		k.collect(bag, 1)
 		var visited []Clique
-		ll.kern.visitSeq(p, func(c Clique) bool {
+		k.visitSeq(p, func(c Clique) bool {
 			visited = append(visited, slices.Clone(c))
 			return true
 		})
 		if got := slices.Collect(bag.All()); !sameCliques(got, visited) {
-			t.Fatalf("p=%d: AddCliques diverges from the kernel's visit (%d vs %d)", p, len(got), len(visited))
+			t.Fatalf("p=%d: collect diverges from the kernel's visit (%d vs %d)", p, len(got), len(visited))
 		}
 		if got, want := bag.Cliques(), g.ListCliques(p); !sameCliques(got, want) {
 			t.Fatalf("p=%d: sorted bag diverges from ListCliques (%d vs %d)", p, len(got), len(want))
@@ -213,8 +121,8 @@ func TestKernelDegenerateInputs(t *testing.T) {
 	if got := single.ListCliques(1); len(got) != 1 {
 		t.Errorf("K1 vertices = %v", got)
 	}
-	if got := localCliques(NewLocalLister(nil), 3); len(got) != 0 {
-		t.Error("empty lister listed cliques")
+	if got := MustNew(3, nil).ListCliques(3); len(got) != 0 {
+		t.Error("edgeless graph listed cliques")
 	}
 	// p = 2 lists exactly the edge set.
 	g := MustNew(5, []Edge{{0, 1}, {1, 2}, {3, 4}})
@@ -224,11 +132,11 @@ func TestKernelDegenerateInputs(t *testing.T) {
 }
 
 // TestKernelHugePIsFree: a clique size past the degeneracy bound is an
-// empty listing answered before any O(p) arena is borrowed, for Graph and
-// LocalLister alike; the bound itself is tight on a complete graph.
+// empty listing answered before any O(p) arena is borrowed, on every
+// listing surface and the bag collect alike; the bound itself is tight on
+// a complete graph.
 func TestKernelHugePIsFree(t *testing.T) {
 	g := ErdosRenyi(40, 0.3, rand.New(rand.NewSource(5)))
-	ll := NewLocalLister(g.Edges())
 	for _, p := range []int{g.Degeneracy().Degeneracy + 2, 1 << 30} {
 		bag := NewCliqueBag(p)
 		allocs := testing.AllocsPerRun(5, func() {
@@ -241,8 +149,8 @@ func TestKernelHugePIsFree(t *testing.T) {
 			if !g.VisitCliquesUntil(p, func(Clique) bool { t.Fatalf("VisitCliquesUntil(%d) yielded", p); return false }) {
 				t.Fatalf("VisitCliquesUntil(%d) did not complete", p)
 			}
-			if ll.AddCliques(bag); bag.rows != 0 {
-				t.Fatalf("LocalLister.AddCliques listed %d %d-cliques", bag.rows, p)
+			if g.kernel().collect(bag, 1); bag.rows != 0 {
+				t.Fatalf("collect listed %d %d-cliques", bag.rows, p)
 			}
 		})
 		if allocs > 0 {

@@ -272,14 +272,6 @@ func (g *Graph) orientByRank() *Orientation {
 	return o
 }
 
-// ArboricityUpperBound returns a cheap upper bound on the arboricity of g:
-// ceil((degeneracy+1)/2) ≤ a(G) ≤ degeneracy, we report the degeneracy
-// (a valid out-degree bound for an orientation, which is what the paper's
-// machinery actually consumes).
-func (g *Graph) ArboricityUpperBound() int {
-	return g.Degeneracy().Degeneracy
-}
-
 // PeelOrientation peels vertices of degree ≤ threshold repeatedly (the
 // "low-degree peel" that the expander decomposition uses to populate Es):
 // every peeled vertex contributes its ≤ threshold remaining edges, oriented

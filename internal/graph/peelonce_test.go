@@ -116,3 +116,38 @@ func TestArbListPeelOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestListCONGESTKernelOnce is the engines half of the canary: the
+// ARB-LIST passes and the final phase only bill, and the listing is
+// visited once on the registered graph, so a CONGEST query with an outer
+// iteration builds exactly one kernel — the graph's own — however many
+// clusters and light nodes its passes bill. The instances are ones
+// TestDifferentialOuterLoop draws in -short mode.
+func TestListCONGESTKernelOnce(t *testing.T) {
+	for _, tc := range []struct {
+		family string
+		n      int
+		seed   int64
+	}{
+		{kplist.WorkloadKronecker, 133, 677318926},
+		{kplist.WorkloadPlantedClique, 99, 1012574207},
+	} {
+		for _, fast := range []bool{true, false} {
+			inst, err := kplist.GenerateWorkload(kplist.WorkloadSpec{Family: tc.family, N: tc.n, Seed: tc.seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			builds := graph.KernelBuilds()
+			res, err := kplist.ListCONGEST(inst.G, 4, kplist.Options{Seed: tc.seed, FinalExponent: 0.2, FastK4: fast})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.OuterIterations < 1 {
+				t.Fatalf("%s fast=%v: OuterIterations = 0, want at least one for this canary", tc.family, fast)
+			}
+			if d := graph.KernelBuilds() - builds; d != 1 {
+				t.Errorf("%s n=%d fast=%v: the query built %d kernels, want 1 (the graph's own)", tc.family, tc.n, fast, d)
+			}
+		}
+	}
+}

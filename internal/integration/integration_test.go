@@ -82,10 +82,11 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 			check("cclique", r3.Cliques)
 
 			var l4 congest.Ledger
-			r4 := graph.NewCliqueBag(4)
-			if err := baseline.BroadcastList(g, congest.UnitCosts(), &l4, r4); err != nil {
+			if err := baseline.BroadcastList(g, 4, congest.UnitCosts(), &l4); err != nil {
 				t.Fatalf("broadcast: %v", err)
 			}
+			r4 := graph.NewCliqueBag(4)
+			g.VisitCliques(4, r4.Add)
 			check("broadcast", r4)
 
 			var l5 congest.Ledger

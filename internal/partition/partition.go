@@ -200,15 +200,3 @@ func NewAssignment(k, t, p int) (*Assignment, error) {
 func (a *Assignment) Subscribers(partA, partB int32) []int32 {
 	return a.SubscribersOf[PairIndex(int(partA), int(partB), a.T)]
 }
-
-// MaxFanout returns the largest subscriber-list size — the per-edge send
-// fanout, bounded by O(p²·t^{p-2}) = O(p²·k^{1−2/p}) per footnote 7.
-func (a *Assignment) MaxFanout() int {
-	max := 0
-	for _, s := range a.SubscribersOf {
-		if len(s) > max {
-			max = len(s)
-		}
-	}
-	return max
-}

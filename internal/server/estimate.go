@@ -64,6 +64,11 @@ func queryInt(q url.Values, name string) (int64, error) {
 	return v, nil
 }
 
+// maxSamples bounds an explicit samples parameter at the sampler's own
+// adaptive cap: a fixed sample count runs to the end without polling the
+// request's context, so an unbounded one could hold a CPU for minutes.
+const maxSamples = 1 << 16
+
 // estimateParams assembles the EstimateRequest from the URL parameters
 // (eps, conf, budget_ms, method, samples, precision) and the decoded
 // query body (p, seed).
@@ -93,6 +98,9 @@ func estimateParams(q url.Values, body apiQuery) (kplist.EstimateRequest, error)
 	samples, err := queryInt(q, "samples")
 	if err != nil {
 		return req, err
+	}
+	if samples < 0 || samples > maxSamples {
+		return req, fmt.Errorf("bad samples: %d outside [0, %d]", samples, maxSamples)
 	}
 	precision, err := queryInt(q, "precision")
 	if err != nil {

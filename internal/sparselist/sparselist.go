@@ -18,9 +18,9 @@
 // enters it. Every clique's part multiset is some node's tuple, and that
 // node receives all of the clique's edges, so the union of the listing
 // nodes' outputs is exactly the Kp of the real edges. The simulation
-// therefore charges the full delivery and enumerates that union once:
-// on the graph's own kernel standalone, on one local lister per cluster
-// in-cluster (DESIGN.md §3, substitution 5).
+// therefore charges the full delivery and lists nothing per node: the
+// standalone lister enumerates that union once on the graph's kernel, and
+// InCluster only bills (DESIGN.md §3, substitution 5).
 package sparselist
 
 import (
@@ -30,6 +30,7 @@ import (
 	"math/rand"
 
 	"kplist/internal/congest"
+	"kplist/internal/expander"
 	"kplist/internal/graph"
 	"kplist/internal/partition"
 	"kplist/internal/routing"
@@ -131,22 +132,20 @@ func CongestedClique(ctx context.Context, g *graph.Graph, p int, seed int64, pad
 	return res, nil
 }
 
-// InCluster runs the §2.4.3 step inside one cluster: heldBy maps each
+// InCluster bills the §2.4.3 step inside one cluster: heldBy maps each
 // cluster member (by original vertex ID) to the edges it is responsible
 // for after the reshuffle (grouped by simulated tail vertex). The router
-// charges Theorem 2.4 bills for the partition broadcast and the delivery.
+// charges Theorem 2.4 bills for the partition broadcast and the delivery;
+// the Result carries no cliques.
 func InCluster(rt *routing.Router, rs *routing.Responsibility, in Input, cm congest.CostModel, ledger *congest.Ledger, heldBy map[graph.V]graph.EdgeList) (*Result, error) {
 	if in.P < 3 {
 		return nil, fmt.Errorf("sparselist: p=%d < 3", in.P)
 	}
 	cl := rt.Cluster()
 	k := cl.K()
-	t := partition.PartsForListing(k, in.P)
-	rng := rand.New(rand.NewSource(in.Seed))
-	part := partition.Random(in.N, t, rng)
-	asg, err := partition.NewAssignment(k, t, in.P)
+	d, err := newClusterDelivery(cl, in, heldBy)
 	if err != nil {
-		return nil, fmt.Errorf("sparselist: %w", err)
+		return nil, err
 	}
 
 	// Phase: broadcast part choices. Every node draws the choices for the
@@ -165,10 +164,34 @@ func InCluster(rt *routing.Router, rs *routing.Responsibility, in Input, cm cong
 		return nil, err
 	}
 
-	// Validate holders and flatten the held edges; ownership for delivery
-	// accounting is the holder's new ID.
-	ownerOf := make(map[graph.Edge]int32)
-	var all graph.EdgeList
+	res, err := deliver(d.edges, nil, d.part, d.asg, func(e graph.Edge) int32 { return d.host[e] })
+	if err != nil {
+		return nil, err
+	}
+	// Phase: deliver edges to subscribers, Theorem 2.4 inside the cluster.
+	rounds := cm.RouteRounds(in.N, res.MaxNodeLoad, int64(cl.MinDegree)) * cm.CliquePolylog(in.N)
+	ledger.ChargeMax("cluster-sparse-listing", rounds, res.TotalMessages)
+	res.Parts = d.asg.T
+	return res, nil
+}
+
+// clusterDelivery is what InCluster delivers: each held edge once, from its holder to its tuples.
+type clusterDelivery struct {
+	edges graph.EdgeList
+	host  map[graph.Edge]int32
+	part  *partition.Partition
+	asg   *partition.Assignment
+}
+
+// newClusterDelivery draws the tuples and flattens heldBy; a holder outside cl is an error.
+func newClusterDelivery(cl *expander.Cluster, in Input, heldBy map[graph.V]graph.EdgeList) (*clusterDelivery, error) {
+	t := partition.PartsForListing(cl.K(), in.P)
+	asg, err := partition.NewAssignment(cl.K(), t, in.P)
+	if err != nil {
+		return nil, fmt.Errorf("sparselist: %w", err)
+	}
+	d := &clusterDelivery{host: make(map[graph.Edge]int32), asg: asg,
+		part: partition.Random(in.N, t, rand.New(rand.NewSource(in.Seed)))}
 	for member, el := range heldBy {
 		id := cl.NewID(member)
 		if id < 0 {
@@ -176,29 +199,14 @@ func InCluster(rt *routing.Router, rs *routing.Responsibility, in Input, cm cong
 		}
 		for _, e := range el {
 			e = e.Canon()
-			if _, dup := ownerOf[e]; !dup {
-				ownerOf[e] = int32(id)
-				all = append(all, e)
+			if _, dup := d.host[e]; !dup {
+				d.host[e] = int32(id)
+				d.edges = append(d.edges, e)
 			}
 		}
 	}
-	all.Normalize()
-
-	res, err := deliver(all, nil, part, asg, func(e graph.Edge) int32 {
-		return ownerOf[e.Canon()]
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Phase: deliver edges to subscribers, Theorem 2.4 inside the cluster.
-	rounds := cm.RouteRounds(in.N, res.MaxNodeLoad, int64(cl.MinDegree)) * cm.CliquePolylog(in.N)
-	ledger.ChargeMax("cluster-sparse-listing", rounds, res.TotalMessages)
-	// Listing: the listing nodes together see every Kp of what the
-	// cluster holds, enumerated once.
-	res.Cliques = graph.NewCliqueBag(in.P)
-	graph.NewLocalLister(all).AddCliques(res.Cliques)
-	res.Parts = t
-	return res, nil
+	d.edges.Normalize()
+	return d, nil
 }
 
 // deliver performs the delivery accounting shared by both modes: every
@@ -212,27 +220,18 @@ func deliver(realEdges, fakeEdges graph.EdgeList,
 	sent := make([]int64, k)
 	recv := make([]int64, k)
 	var totalMsgs int64
-	account := func(e graph.Edge) error {
-		host := hostOf(e)
-		if host < 0 || int(host) >= k {
-			return fmt.Errorf("sparselist: edge %v hosted by invalid node %d", e, host)
-		}
-		subs := asg.Subscribers(part.PartOf[e.U], part.PartOf[e.V])
-		sent[host] += int64(len(subs))
-		totalMsgs += int64(len(subs))
-		for _, s := range subs {
-			recv[s]++
-		}
-		return nil
-	}
-	for _, e := range realEdges {
-		if err := account(e); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range fakeEdges {
-		if err := account(e); err != nil {
-			return nil, err
+	for _, el := range []graph.EdgeList{realEdges, fakeEdges} {
+		for _, e := range el {
+			host := hostOf(e)
+			if host < 0 || int(host) >= k {
+				return nil, fmt.Errorf("sparselist: edge %v hosted by invalid node %d", e, host)
+			}
+			subs := asg.Subscribers(part.PartOf[e.U], part.PartOf[e.V])
+			sent[host] += int64(len(subs))
+			totalMsgs += int64(len(subs))
+			for _, s := range subs {
+				recv[s]++
+			}
 		}
 	}
 	var maxLoad int64

@@ -178,6 +178,34 @@ func clusterFixture(t *testing.T, g *graph.Graph, threshold int) (*expander.Clus
 	return best, rt, rs
 }
 
+// deliveredInFull reports whether some listing node receives every edge
+// of c under delivery d: a node subscribed to each of c's edges, all of
+// which d carries.
+func deliveredInFull(d *clusterDelivery, c graph.Clique) bool {
+	for i := 0; i < len(c); i++ {
+		for j := i + 1; j < len(c); j++ {
+			if !d.edges.Contains(graph.Edge{U: c[i], V: c[j]}) {
+				return false
+			}
+		}
+	}
+	subs := func(u, v graph.V) []int32 { return d.asg.Subscribers(d.part.PartOf[u], d.part.PartOf[v]) }
+	return slices.ContainsFunc(subs(c[0], c[1]), func(s int32) bool {
+		for i := 0; i < len(c); i++ {
+			for j := i + 1; j < len(c); j++ {
+				if !slices.Contains(subs(c[i], c[j]), s) {
+					return false
+				}
+			}
+		}
+		return true
+	})
+}
+
+// TestInClusterListsEverythingItKnows checks the in-cluster step on the
+// delivery its bill is computed from: every Kp of the edges the cluster
+// holds is received in full by some listing node, and the billed traffic
+// is that delivery's.
 func TestInClusterListsEverythingItKnows(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.ErdosRenyi(120, 0.3, rng)
@@ -186,9 +214,11 @@ func TestInClusterListsEverythingItKnows(t *testing.T) {
 	// Give the cluster the whole graph, grouped by responsible member
 	// (the owner of each edge's lower endpoint).
 	heldBy := make(map[graph.V]graph.EdgeList)
+	var held graph.EdgeList
 	for _, e := range g.Edges() {
 		owner := rs.OwnerOf(e.U)
 		heldBy[owner] = append(heldBy[owner], e)
+		held = append(held, e)
 	}
 	var ledger congest.Ledger
 	in := Input{N: g.N(), P: 4, Seed: 11}
@@ -196,10 +226,29 @@ func TestInClusterListsEverythingItKnows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("InCluster: %v", err)
 	}
-	got, want := res.Cliques.Cliques(), g.ListCliques(4)
-	if !slices.EqualFunc(got, want, slices.Equal) {
-		t.Errorf("in-cluster listing: got %d cliques, want %d (cluster k=%d)",
-			len(got), len(want), cl.K())
+	d, err := newClusterDelivery(cl, in, heldBy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var words int64
+	for _, e := range d.edges {
+		words += int64(len(d.asg.Subscribers(d.part.PartOf[e.U], d.part.PartOf[e.V])))
+	}
+	if words != res.TotalMessages {
+		t.Fatalf("the delivery moves %d words, the run billed %d", words, res.TotalMessages)
+	}
+	hg, err := held.Graph(g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliques := hg.ListCliques(in.P)
+	if len(cliques) == 0 {
+		t.Fatal("the cluster holds no K4; the check would be vacuous")
+	}
+	for _, c := range cliques {
+		if !deliveredInFull(d, c) {
+			t.Fatalf("no listing node receives every edge of %v (cluster k=%d)", c, cl.K())
+		}
 	}
 	if ledger.Phase("cluster-partition-broadcast").Rounds == 0 {
 		t.Error("partition broadcast not billed")
@@ -277,8 +326,8 @@ func TestInClusterEmptyHolders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty holders should be a valid (empty) problem: %v", err)
 	}
-	if len(res.Cliques.Cliques()) != 0 {
-		t.Error("no edges means no cliques")
+	if res.TotalMessages != 0 || res.Cliques != nil {
+		t.Errorf("no edges means no delivery: %d words", res.TotalMessages)
 	}
 }
 

@@ -225,10 +225,11 @@ func listBroadcastContext(ctx context.Context, g *Graph, p int, opt Options) (*R
 		return nil, err
 	}
 	var ledger congest.Ledger
-	bag := graph.NewCliqueBag(p)
-	if err := baseline.BroadcastList(g, opt.costModel(), &ledger, bag); err != nil {
+	if err := baseline.BroadcastList(g, p, opt.costModel(), &ledger); err != nil {
 		return nil, err
 	}
+	bag := graph.NewCliqueBag(p)
+	g.VisitCliques(p, bag.Add)
 	return newResult(bag, &ledger), nil
 }
 
