@@ -130,10 +130,11 @@ func TestPlantedCliquesAreFound(t *testing.T) {
 	}
 }
 
-// TestEdgeListGraphCliques: a Graph built from a raw edge list — both
-// orientations, repeats and self-loops — lists exactly the cliques of the
-// edges it holds, canonical and sorted, the same as the Graph it came from.
-func TestEdgeListGraphCliques(t *testing.T) {
+// TestLocalLister: a Graph built from a raw edge list — both orientations,
+// repeats and self-loops — lists exactly the cliques of the edges it holds,
+// canonical and sorted. Listing over raw edges was LocalLister's job before
+// EdgeList.Graph took it over; the test keeps that name.
+func TestLocalLister(t *testing.T) {
 	edges := EdgeList{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 1}, {0, 3}, {1, 0}, {3, 3}}
 	g, err := edges.Graph(5)
 	if err != nil {
@@ -151,7 +152,12 @@ func TestEdgeListGraphCliques(t *testing.T) {
 	if got := g.ListCliques(2); !reflect.DeepEqual(got, wantEdges) {
 		t.Errorf("edge listing = %v, want %v", got, wantEdges)
 	}
+}
 
+// TestLocalListerMatchesGraph: the Graph built from a shuffled raw edge list
+// holding both orientations of every edge lists the same cliques as the
+// Graph the edges came from.
+func TestLocalListerMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		g := ErdosRenyi(40, 0.3, rng)
