@@ -5,9 +5,10 @@
 // Every graph carries an applied-batch sequence number exposed through
 // /v1/graphs/{id}/digest (seq + edge-set content hash) and
 // /v1/graphs/{id}/export (a register document that reproduces state and
-// seq on another node); in cluster mode, replica applies are seq-tagged
-// so duplicates are acknowledged idempotently and gaps are refused —
-// the foundation of the gateway's hinted handoff and anti-entropy repair.
+// seq on another node), and a durable node serves its write-ahead log's
+// tail through /v1/graphs/{id}/log?after=N; in cluster mode, replica
+// applies are seq-tagged so duplicates are acknowledged idempotently and
+// gaps are refused — the foundation of the gateway's anti-entropy repair.
 //
 //	kplistd -addr :8080
 //

@@ -9,11 +9,11 @@
 // concatenates the NDJSON streams in range order into the same byte
 // sequence a single node would emit.
 //
-// Replication self-heals: mutation batches that fail to reach a replica
-// are buffered as hints (-hint-queue) and replayed in order when the
-// member recovers, and a background anti-entropy sweeper
-// (-repair-interval) compares per-graph state digests across the replica
-// set and reinstalls diverged copies from the owner's export.
+// Replication self-heals, and the gateway keeps no replication state: a
+// background anti-entropy sweep (-repair-interval) compares per-graph
+// state digests across the replica set, ships a lagging replica the
+// batches it missed from the owner's write-ahead log, and reinstalls a
+// copy from the owner's export only when the log cannot cover the gap.
 //
 //	kplistd -addr :8081 -cluster-self n1 -cluster-peers 'n1=:8081,n2=:8082,n3=:8083' &
 //	kplistd -addr :8082 -cluster-self n2 -cluster-peers 'n1=:8081,n2=:8082,n3=:8083' &
@@ -68,7 +68,6 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 		seed    = fs.Int64("hash-seed", 0, "hash-ring seed (must match the nodes' -cluster-seed)")
 		probe   = fs.Duration("probe-interval", 2*time.Second, "member health-probe period")
 		backoff = fs.Duration("retry-backoff", 25*time.Millisecond, "base pause before each read-failover attempt")
-		hintQ   = fs.Int("hint-queue", 0, "hinted-handoff batches buffered per down replica (0 = default 128, <0 disables handoff)")
 		repair  = fs.Duration("repair-interval", 0, "anti-entropy sweep period (0 = default 5s, <0 disables the sweeper)")
 		jitter  = fs.Int64("jitter-seed", 0, "seed for probe/backoff jitter (0 = default 1; fix for reproducible runs)")
 	)
@@ -94,7 +93,6 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- net.Ad
 	client, err := cluster.NewClient(ccfg, cluster.ClientOptions{
 		ProbeInterval:  *probe,
 		RetryBackoff:   *backoff,
-		HintQueueLimit: *hintQ,
 		RepairInterval: *repair,
 		JitterSeed:     *jitter,
 	})

@@ -1,26 +1,28 @@
 package cluster
 
-// Anti-entropy repair (DESIGN.md §13): the background arm of
-// self-healing replication. Hinted handoff catches replicas that miss a
-// fan-out while briefly down; everything it cannot catch — overflowed
-// hint queues, refused applies, failed registrations, divergence with no
-// recorded cause — lands here. Each sweep drains outstanding hints,
-// enumerates the cluster's graphs, compares every replica's version
-// digest against its owner's, and heals mismatches by full-state
-// transfer: export the owner's graph (edge set + applied-batch sequence
-// number as one consistent cut), drop the replica's stale copy, and
-// install the export. The installed replica adopts the owner's sequence
-// position, so hinted replay and live fan-out resume seamlessly after
-// the transfer.
+// Anti-entropy repair (DESIGN.md §13): the one way a replica catches up.
+// A fan-out is sent once; a replica that misses it lags, and refuses
+// later batches with 409 until it is caught up. Each sweep enumerates
+// the cluster's graphs and compares every replica's version digest with
+// its owner's. A replica that is behind pulls its gap from the owner's
+// WAL (GET /log?after=<replica seq>) and applies each batch through the
+// seq-fenced replica-apply endpoint, so repair bytes grow with the
+// batches missed, not with the graph. Only when the log cannot cover the
+// gap — an in-memory owner, a compaction past the replica's seq — or the
+// replica's state is not a prefix of the owner's history does the sweep
+// fall back to full-state transfer: export the owner's graph (edge set +
+// applied-batch sequence number as one consistent cut), drop the
+// replica's copy, and install the export at the owner's seq.
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -45,32 +47,27 @@ type Digest struct {
 type RepairStats struct {
 	// GraphsChecked counts graphs whose owner digest was fetched.
 	GraphsChecked int
-	// Diverged counts (replica, graph) pairs found out of sync — dirty
-	// marks plus fresh digest mismatches.
+	// Diverged counts (replica, graph) pairs found out of sync under the
+	// graph's fan-out lock, where no live batch can be in flight.
 	Diverged int
-	// Repaired counts full-state transfers that completed.
+	// Shipped counts log batches applied to lagging replicas.
+	Shipped int
+	// Repaired counts full-state transfers (export installs) that
+	// completed.
 	Repaired int
-	// Failed counts repair attempts that did not complete (the pair stays
-	// dirty for the next sweep).
+	// Failed counts repairs that did not complete; the next sweep finds
+	// the pair out of sync again.
 	Failed int
 }
 
 // RepairNow runs one synchronous anti-entropy sweep and reports what it
 // found and fixed. Sweeps are serialized; the background loop and
 // on-demand callers share the same mutex. Downed members are skipped —
-// their hint queues and dirty marks wait for the prober to flip them up.
+// the first sweep after the prober flips one up catches it up.
 func (c *Client) RepairNow(ctx context.Context) RepairStats {
 	c.sweepMu.Lock()
 	defer c.sweepMu.Unlock()
 	c.met.sweeps.Inc()
-	// Drain hint queues first: a queued batch is cheaper than a full-state
-	// transfer, and a replica that is merely behind on replay would read
-	// as diverged below.
-	for _, m := range c.cfg.Members {
-		if c.MemberUp(m.Name) && c.hints.depth(m.Name) > 0 {
-			c.replayHints(m.Name)
-		}
-	}
 	var st RepairStats
 	for _, id := range c.listAllGraphIDs(ctx) {
 		set := c.ring.ReplicaSet(id, c.cfg.Replication)
@@ -89,26 +86,13 @@ func (c *Client) RepairNow(ctx context.Context) RepairStats {
 			if !c.MemberUp(m.Name) {
 				continue
 			}
-			if c.hints.pendingGraph(m.Name, id) > 0 {
-				// Replay is still owed batches; the digests will disagree
-				// until it lands, and that is lag, not divergence.
+			// An unlocked screen: most pairs match and never touch the
+			// fan-out lock. A mismatch may be a batch in flight, so
+			// repairReplica compares again under the lock.
+			if rd, err := c.fetchDigest(ctx, m, id); err == nil && rd.Seq == od.Seq && rd.Hash == od.Hash {
 				continue
 			}
-			if !c.hints.isDirty(m.Name, id) {
-				rd, err := c.fetchDigest(ctx, m, id)
-				if err == nil && rd.Seq == od.Seq && rd.Hash == od.Hash {
-					continue // in sync
-				}
-				c.markDirtyReplica(m.Name, id)
-			}
-			st.Diverged++
-			if err := c.repairReplica(ctx, owner, m, id); err != nil {
-				c.met.repairFailures.Inc()
-				st.Failed++
-				continue
-			}
-			c.met.repairs.Inc()
-			st.Repaired++
+			c.repairReplica(ctx, owner, m, id, &st)
 		}
 	}
 	return st
@@ -132,16 +116,105 @@ func (c *Client) fetchDigest(ctx context.Context, m Member, id string) (Digest, 
 	return d, nil
 }
 
-// repairReplica heals one (replica, graph) pair by full-state transfer,
-// under the graph's fan-out lock so no live batch can straddle the
-// export/install boundary. On success the pair's dirty mark and any
-// leftover hints are dropped — the transfer subsumed them.
-func (c *Client) repairReplica(ctx context.Context, owner, m Member, id string) error {
-	muRaw, _ := c.patchLocks.LoadOrStore(id, &sync.Mutex{})
-	mu := muRaw.(*sync.Mutex)
-	mu.Lock()
-	defer mu.Unlock()
+// repairReplica heals one (replica, graph) pair under the graph's
+// fan-out lock, so no live batch can land while it compares and writes.
+// A replica behind its owner is caught up from the owner's log; a
+// replica without the graph, ahead of its owner, at the owner's seq with
+// another hash, or whose gap the log no longer covers gets the owner's
+// export installed — as does one whose catch-up ends on a hash that is
+// not the owner's.
+func (c *Client) repairReplica(ctx context.Context, owner, m Member, id string, st *RepairStats) {
+	defer c.lockGraph(id)()
+	od, err := c.fetchDigest(ctx, owner, id)
+	if err != nil {
+		return // deleted, or the owner went away: next sweep
+	}
+	rd, err := c.fetchDigest(ctx, m, id)
+	if err == nil && rd.Seq == od.Seq && rd.Hash == od.Hash {
+		return // the screen saw a batch in flight
+	}
+	st.Diverged++
+	c.met.divergence.Inc()
+	if err == nil && rd.Seq < od.Seq {
+		n, err := c.catchUp(ctx, owner, m, id, rd.Seq)
+		st.Shipped += n
+		switch {
+		case errors.Is(err, errLogGone):
+		case err != nil:
+			c.met.repairFailures.Inc()
+			st.Failed++
+			return
+		default:
+			if rd, err := c.fetchDigest(ctx, m, id); err == nil && rd.Seq == od.Seq && rd.Hash == od.Hash {
+				return
+			}
+		}
+	}
+	if err := c.install(ctx, owner, m, id); err != nil {
+		c.met.repairFailures.Inc()
+		st.Failed++
+		return
+	}
+	c.met.repairs.Inc()
+	st.Repaired++
+}
 
+// errLogGone reports an owner whose log no longer covers the replica's
+// seq (HTTP 410).
+var errLogGone = errors.New("cluster: owner log does not cover the gap")
+
+// logBatch is one entry of the owner's /log: a PATCH body plus its seq.
+type logBatch struct {
+	Seq       uint64          `json:"seq"`
+	Mutations json.RawMessage `json:"mutations"`
+}
+
+// catchUp ships the owner's logged batches past after to replica m, in
+// order, each through the seq-fenced replica-apply endpoint. It returns
+// how many the replica acknowledged.
+func (c *Client) catchUp(ctx context.Context, owner, m Member, id string, after uint64) (int, error) {
+	resp, err := c.forward(ctx, owner, http.MethodGet, "/v1/graphs/"+id+"/log?after="+strconv.FormatUint(after, 10), nil)
+	if err != nil {
+		return 0, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		drain(resp)
+		if resp.StatusCode == http.StatusGone {
+			return 0, errLogGone
+		}
+		return 0, fmt.Errorf("cluster: log %s from %s: HTTP %d", id, owner.Name, resp.StatusCode)
+	}
+	var tail struct {
+		Batches []logBatch `json:"batches"`
+	}
+	err = json.NewDecoder(io.LimitReader(resp.Body, 256<<20)).Decode(&tail)
+	resp.Body.Close()
+	if err != nil {
+		return 0, err
+	}
+	for i, b := range tail.Batches {
+		body, err := json.Marshal(b)
+		if err != nil {
+			return i, err
+		}
+		rr, err := c.forward(ctx, m, http.MethodPatch, "/v1/graphs/"+id+"/replica", body,
+			[2]string{SeqHeader, strconv.FormatUint(b.Seq, 10)})
+		if err != nil {
+			return i, err
+		}
+		drain(rr)
+		if rr.StatusCode/100 != 2 {
+			return i, fmt.Errorf("cluster: catch-up %s seq %d on %s: HTTP %d", id, b.Seq, m.Name, rr.StatusCode)
+		}
+		c.met.logBatchesShipped.Inc()
+	}
+	return len(tail.Batches), nil
+}
+
+// install heals one (replica, graph) pair by full-state transfer; the
+// caller holds the graph's fan-out lock, so no batch can straddle the
+// export/install boundary.
+func (c *Client) install(ctx context.Context, owner, m Member, id string) error {
 	resp, err := c.forward(ctx, owner, http.MethodGet, "/v1/graphs/"+id+"/export", nil)
 	if err != nil {
 		return err
@@ -174,8 +247,6 @@ func (c *Client) repairReplica(ctx context.Context, owner, m Member, id string) 
 	if ir.StatusCode/100 != 2 {
 		return fmt.Errorf("cluster: repair install %s on %s: HTTP %d", id, m.Name, ir.StatusCode)
 	}
-	c.hints.purgeGraph(m.Name, id)
-	c.hints.clearDirty(m.Name, id)
 	return nil
 }
 

@@ -42,10 +42,6 @@ type ClientOptions struct {
 	// reproducible; distinct seeds keep a fleet of gateways from retrying
 	// in lockstep after a member recovers.
 	JitterSeed int64
-	// HintQueueLimit bounds each member's hinted-handoff queue (default
-	// 128 batches; negative disables handoff — every missed fan-out then
-	// marks the replica dirty for full-state repair).
-	HintQueueLimit int
 	// RepairInterval is the anti-entropy sweep period started by Start
 	// (default 5s; negative disables the background loop — RepairNow
 	// still works on demand).
@@ -72,9 +68,7 @@ type Client struct {
 
 	patchLocks sync.Map // graph ID → *sync.Mutex (fan-out ordering)
 
-	// hints is the hinted-handoff state (per-member queues + dirty marks);
-	// the sweeper fields drive the background anti-entropy loop.
-	hints          *hintSet
+	// The sweeper fields drive the background anti-entropy loop.
 	repairInterval time.Duration
 	repairCancel   context.CancelFunc
 	repairDone     sync.WaitGroup
@@ -119,14 +113,6 @@ func NewClient(cfg Config, opts ClientOptions) (*Client, error) {
 		seed = 1
 	}
 	c.jrng = mrand.New(mrand.NewSource(seed))
-	hintLimit := opts.HintQueueLimit
-	switch {
-	case hintLimit == 0:
-		hintLimit = 128
-	case hintLimit < 0:
-		hintLimit = 0 // handoff disabled: every enqueue overflows to dirty
-	}
-	c.hints = newHintSet(hintLimit)
 	c.repairInterval = opts.RepairInterval
 	if c.repairInterval == 0 {
 		c.repairInterval = 5 * time.Second
@@ -222,18 +208,9 @@ func (c *Client) forward(ctx context.Context, m Member, method, pathAndQuery str
 	if resp.StatusCode >= http.StatusInternalServerError {
 		c.healthOf(m.Name).markDown()
 	} else {
-		c.noteUp(m.Name)
+		c.healthOf(m.Name).markUp()
 	}
 	return resp, nil
-}
-
-// noteUp marks a member healthy and, on a down→up flip, kicks a replay
-// of its hinted-handoff queue — the moment a member returns is exactly
-// when its queued batches should drain.
-func (c *Client) noteUp(name string) {
-	if c.healthOf(name).markUp() {
-		c.kickReplay(name)
-	}
 }
 
 // orderByHealth stably moves down-marked members behind up-marked ones:
@@ -411,10 +388,9 @@ func (c *Client) RegisterRaw(ctx context.Context, id string, body []byte) (*http
 	for _, m := range set[1:] {
 		rr, err := c.forward(ctx, m, http.MethodPost, "/v1/graphs", body)
 		if err != nil || rr.StatusCode/100 != 2 {
+			// A replica that missed the registration answers the sweep's
+			// digest with 404, and the sweep installs the owner's export.
 			c.met.replicaFailures.Inc()
-			// A replica that missed the registration has nothing to replay
-			// batches onto: only a full-state transfer can seed it.
-			c.markDirtyReplica(m.Name, id)
 			if rr != nil {
 				drain(rr)
 			}
@@ -431,19 +407,15 @@ func (c *Client) RegisterRaw(ctx context.Context, id string, body []byte) (*http
 // appends + fsyncs its WAL before answering), then fanned out
 // synchronously but best-effort to every replica through the
 // replica-apply endpoint, tagged with the owner-assigned sequence
-// number. A replica the fan-out cannot reach gets the batch queued in
-// its hinted-handoff queue instead (replayed when the prober flips it
-// back up); queue overflow and outright refusals mark the replica dirty
-// for the anti-entropy sweeper's full-state repair. Either way the batch
-// is committed — the owner acknowledged it. Per-graph fan-out is
-// serialized so replicas apply batches in owner order. An owner that
-// sheds the PATCH with 429/503 and a Retry-After hint is retried once
-// after the hinted wait before the write fails.
+// number. A replica the fan-out misses lags: it refuses later batches
+// with 409 (a seq gap) until the anti-entropy sweep ships it the missing
+// batches from the owner's log. Either way the batch is committed — the
+// owner acknowledged it. Per-graph fan-out is serialized so replicas
+// apply batches in owner order. An owner that sheds the PATCH with
+// 429/503 and a Retry-After hint is retried once after the hinted wait
+// before the write fails.
 func (c *Client) PatchRaw(ctx context.Context, id string, body []byte) (*http.Response, int, error) {
-	muRaw, _ := c.patchLocks.LoadOrStore(id, &sync.Mutex{})
-	mu := muRaw.(*sync.Mutex)
-	mu.Lock()
-	defer mu.Unlock()
+	defer c.lockGraph(id)()
 
 	set := c.ring.ReplicaSet(id, c.cfg.Replication)
 	resp, err := c.forward(ctx, set[0], http.MethodPatch, "/v1/graphs/"+id+"/edges", body)
@@ -484,129 +456,42 @@ func (c *Client) PatchRaw(ctx context.Context, id string, body []byte) (*http.Re
 	return resp, acks, nil
 }
 
-// replicate delivers one sequence-tagged batch to one replica, or hands
-// it to the member's hint queue when the member is down or the graph
-// already has queued hints there (a direct send would overtake them).
-// Returns true when the replica acknowledged synchronously.
+// replicate sends one sequence-tagged batch to one replica, once, if the
+// member is up. Returns true when the replica acknowledged; a miss only
+// counts as lag — the anti-entropy sweep catches the replica up.
 func (c *Client) replicate(ctx context.Context, m Member, id string, seq uint64, body []byte) bool {
-	if !c.MemberUp(m.Name) || c.hints.pendingGraph(m.Name, id) > 0 {
-		c.met.replicaFailures.Inc()
-		c.enqueueHint(m.Name, id, seq, body)
-		return false
-	}
-	rr, err := c.forward(ctx, m, http.MethodPatch, "/v1/graphs/"+id+"/replica", body,
-		[2]string{SeqHeader, strconv.FormatUint(seq, 10)})
-	switch {
-	case err == nil && rr.StatusCode/100 == 2:
-		drain(rr)
-		c.met.replicaAcks.Inc()
-		return true
-	case err != nil || rr.StatusCode >= http.StatusInternalServerError ||
-		rr.StatusCode == http.StatusTooManyRequests:
-		// Transient: the member (or its admission queue) is unhealthy; the
-		// batch waits in the hint queue for the next up-flip.
-		if rr != nil {
+	if c.MemberUp(m.Name) {
+		rr, err := c.forward(ctx, m, http.MethodPatch, "/v1/graphs/"+id+"/replica", body,
+			[2]string{SeqHeader, strconv.FormatUint(seq, 10)})
+		if err == nil {
 			drain(rr)
+			if rr.StatusCode/100 == 2 {
+				c.met.replicaAcks.Inc()
+				return true
+			}
 		}
-		c.met.replicaFailures.Inc()
-		c.enqueueHint(m.Name, id, seq, body)
-	default:
-		// The replica answered and refused (seq gap, missing graph): replay
-		// cannot fix that — only a full-state transfer can.
-		drain(rr)
-		c.met.replicaFailures.Inc()
-		c.markDirtyReplica(m.Name, id)
 	}
+	c.met.replicaFailures.Inc()
 	return false
 }
 
-// enqueueHint queues one batch for a downed replica; on overflow the
-// batch is dropped and the replica marked dirty (the queued prefix stays
-// — it is still a valid replay).
-func (c *Client) enqueueHint(member, id string, seq uint64, body []byte) {
-	if c.hints.enqueue(member, hint{graph: id, seq: seq, body: body}) {
-		c.met.hintsQueued.Inc()
-		return
-	}
-	c.met.hintsDropped.Inc()
-	c.markDirtyReplica(member, id)
-}
-
-// markDirtyReplica flags (member, id) for full-state repair, counting
-// first-time detections as divergence.
-func (c *Client) markDirtyReplica(member, id string) {
-	if c.hints.markDirty(member, id) {
-		c.met.divergence.Inc()
-	}
-}
-
-// kickReplay starts an asynchronous drain of member's hint queue unless
-// one is already running (or there is nothing to drain).
-func (c *Client) kickReplay(name string) {
-	if c.hints.depth(name) == 0 {
-		return
-	}
-	go c.replayHints(name)
-}
-
-// replayHints drains member's hint queue in FIFO order, sending each
-// batch with its original sequence number (replicas acknowledge
-// duplicates idempotently, so a replay racing a probe-triggered replay
-// of the same queue cannot double-apply — and beginReplay serializes
-// them anyway). Each hint is sent under its graph's fan-out lock so
-// replays interleave correctly with live PATCH traffic. A transient
-// failure stops the drain — the member flipped back down and the next
-// up-flip resumes; a refusal (4xx) abandons the hint and marks the
-// replica dirty.
-func (c *Client) replayHints(name string) {
-	if !c.hints.beginReplay(name) {
-		return
-	}
-	defer c.hints.endReplay(name)
-	m, ok := c.cfg.MemberNamed(name)
-	if !ok {
-		return
-	}
-	for {
-		h, ok := c.hints.front(name)
-		if !ok {
-			return
-		}
-		muRaw, _ := c.patchLocks.LoadOrStore(h.graph, &sync.Mutex{})
-		mu := muRaw.(*sync.Mutex)
-		mu.Lock()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		rr, err := c.forward(ctx, m, http.MethodPatch, "/v1/graphs/"+h.graph+"/replica", h.body,
-			[2]string{SeqHeader, strconv.FormatUint(h.seq, 10)})
-		cancel()
-		switch {
-		case err == nil && rr.StatusCode/100 == 2:
-			drain(rr)
-			c.hints.pop(name)
-			c.met.hintsReplayed.Inc()
-		case err == nil && rr.StatusCode < http.StatusInternalServerError &&
-			rr.StatusCode != http.StatusTooManyRequests:
-			drain(rr)
-			c.hints.pop(name)
-			c.markDirtyReplica(name, h.graph)
-		default:
-			if rr != nil {
-				drain(rr)
-			}
-			mu.Unlock()
-			return
-		}
-		mu.Unlock()
-	}
+// lockGraph takes the graph's fan-out lock and returns the unlock. Every
+// write to a graph's replicas holds it — fan-out, catch-up, install and
+// delete — so replicas see them in one order.
+func (c *Client) lockGraph(id string) func() {
+	mu, _ := c.patchLocks.LoadOrStore(id, &sync.Mutex{})
+	m := mu.(*sync.Mutex)
+	m.Lock()
+	return m.Unlock
 }
 
 // DeleteRaw removes the graph from every member of its replica set. It
 // succeeds when at least one member confirmed the delete and no reachable
 // member failed it for a reason other than "already gone".
 func (c *Client) DeleteRaw(ctx context.Context, id string) (int, error) {
-	// Deleted graphs have nothing left to heal: drop their queued hints
-	// and dirty marks everywhere before the member fan-out.
-	c.hints.purgeAll(id)
+	// Under the fan-out lock, a repair's export → DELETE → install cannot
+	// straddle the delete and bring the graph back on a replica.
+	defer c.lockGraph(id)()
 	deleted := 0
 	var lastErr error
 	for _, m := range c.ring.ReplicaSet(id, c.cfg.Replication) {

@@ -307,7 +307,7 @@ func metricsOf(t *testing.T, base string) string {
 // TestGatewayNoOpFirstPatchStaysLocal: a first PATCH that changes nothing
 // leaves the owner at seq 0, and seq 0 is no owner seq, so the batch is
 // not fanned out. Before, it reached every replica with seq 0, which a
-// replica must refuse — and a refusal marks the replica dirty.
+// replica must refuse — and a refusal counts as replication lag.
 func TestGatewayNoOpFirstPatchStaysLocal(t *testing.T) {
 	h := newHarness(t, 3, 2, 1)
 	st, meta := postJSON(t, h.gw.URL+"/v1/graphs", map[string]any{"n": 4, "edges": [][2]int{{0, 1}}})
@@ -333,7 +333,7 @@ func TestGatewayNoOpFirstPatchStaysLocal(t *testing.T) {
 	}
 	if m := metricsOf(t, h.gw.URL); !strings.Contains(m, "kplistgw_divergence_detected_total 0") ||
 		!strings.Contains(m, "kplistgw_replication_lag_batches 0") {
-		t.Errorf("no-op patch marked a replica dirty or lagging:\n%s", m)
+		t.Errorf("no-op patch counted a divergence or replication lag:\n%s", m)
 	}
 
 	// The next effective batch is seq 1 and replicates as usual.

@@ -2,7 +2,9 @@ package cluster_test
 
 // The self-healing convergence suite (DESIGN.md §13): durable kplistd
 // nodes behind a seeded faultnet fabric, a gateway client doing
-// owner-first writes with hinted handoff, and an anti-entropy sweeper.
+// owner-first writes with a single best-effort fan-out, and the
+// anti-entropy sweep that catches lagging replicas up from the owner's
+// log (or installs the owner's export when the log cannot cover the gap).
 // The contract under test: after any run of drops, partitions, and
 // kill-restarts, once the network heals every replica's digest converges
 // to its owner's, and the owner's state contains exactly the batches the
@@ -18,6 +20,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,19 +42,24 @@ type chaosHarness struct {
 	dirs    map[string]string
 	proxies map[string]*faultnet.Proxy
 	backend map[string]*httptest.Server
+	store   kplist.StoreConfig
 	client  *cluster.Client
 	gw      *httptest.Server
 	ref     *httptest.Server
 }
 
-func newChaosHarness(t *testing.T, n, replication int, fabricSeed int64, opts cluster.ClientOptions) *chaosHarness {
+// newChaosHarness builds the harness; every node's store runs with
+// store's settings and NoSync.
+func newChaosHarness(t *testing.T, n, replication int, fabricSeed int64, opts cluster.ClientOptions, store kplist.StoreConfig) *chaosHarness {
 	t.Helper()
+	store.NoSync = true
 	h := &chaosHarness{
 		t:       t,
 		net:     faultnet.New(fabricSeed),
 		dirs:    make(map[string]string),
 		proxies: make(map[string]*faultnet.Proxy),
 		backend: make(map[string]*httptest.Server),
+		store:   store,
 	}
 	placeholder := make([]cluster.Member, n)
 	for i := range placeholder {
@@ -96,7 +104,7 @@ func (h *chaosHarness) openNode(name string) *server.Server {
 		ClusterSelf: name,
 		ClusterRing: ring,
 		DataDir:     h.dirs[name],
-		Store:       kplist.StoreConfig{NoSync: true},
+		Store:       h.store,
 	})
 	if err != nil {
 		h.t.Fatalf("open node %s: %v", name, err)
@@ -277,17 +285,47 @@ func batchBody(rng *rand.Rand, n, muts int) []byte {
 	return b
 }
 
-// TestHintedHandoffReplaysOnRecovery pins the handoff happy path: a
-// replica that goes dark mid-stream misses batches into its hint queue,
-// and the prober's down→up flip replays them — no full-state transfer.
-func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
+// addrOf returns a member's (proxied) address as the client sees it.
+func (h *chaosHarness) addrOf(member string) string {
+	for _, m := range h.client.Ring().Members() {
+		if m.Name == member {
+			return m.Addr
+		}
+	}
+	h.t.Fatalf("no member %s", member)
+	return ""
+}
+
+// partitionAndPatch partitions member, applies k batches through the
+// cluster (each must be acknowledged by the healthy owner), heals the
+// member and waits for the prober to see it up.
+func (h *chaosHarness) partitionAndPatch(ctx context.Context, member, id string, k int, next func() []byte) {
+	h.t.Helper()
+	h.net.Partition(member)
+	h.waitMember(member, false)
+	for i := 0; i < k; i++ {
+		if !h.patch(ctx, id, next()) {
+			h.t.Fatalf("batch %d of %d not acknowledged (the owner is healthy)", i+1, k)
+		}
+	}
+	if h.converged(id) {
+		h.t.Fatal("replica converged while partitioned — the fabric leaked")
+	}
+	h.net.Heal(member)
+	h.waitMember(member, true)
+}
+
+// TestLogCatchUpAfterPartition pins the catch-up path: a replica that
+// goes dark misses 5 acknowledged batches, and after the heal one sweep
+// ships exactly those batches from the owner's log — no full-state
+// transfer.
+func TestLogCatchUpAfterPartition(t *testing.T) {
 	h := newChaosHarness(t, 2, 2, 101, cluster.ClientOptions{
 		RetryBackoff:   time.Millisecond,
 		ProbeInterval:  25 * time.Millisecond,
 		JitterSeed:     7,
-		HintQueueLimit: 64,
-		RepairInterval: -1, // handoff only: repairs would mask a replay bug
-	})
+		RepairInterval: -1,
+	}, kplist.StoreConfig{})
 	ctx := context.Background()
 	id := h.pickID("hh", func(set []cluster.Member) bool {
 		return set[0].Name == "n1" && set[1].Name == "n2"
@@ -295,33 +333,15 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 	if acks := h.register(ctx, id, pathGraphBody(id, 32)); acks != 1 {
 		t.Fatalf("register acks = %d, want 1", acks)
 	}
-
-	h.net.Partition("n2")
-	h.waitMember("n2", false)
 	rng := rand.New(rand.NewSource(5))
-	acked := 0
-	for i := 0; i < 5; i++ {
-		if h.patch(ctx, id, batchBody(rng, 32, 6)) {
-			acked++
-		}
-	}
-	if acked != 5 {
-		t.Fatalf("owner-only acks = %d, want 5 (owner n1 is healthy)", acked)
-	}
-	if h.converged(id) {
-		t.Fatal("replica converged while partitioned — the fabric leaked")
-	}
+	h.partitionAndPatch(ctx, "n2", id, 5, func() []byte { return batchBody(rng, 32, 6) })
 
-	h.net.Heal("n2")
-	deadline := time.Now().Add(10 * time.Second)
-	for !h.converged(id) {
-		if time.Now().After(deadline) {
-			t.Fatal("replica digest never converged after heal (hinted replay)")
-		}
-		time.Sleep(10 * time.Millisecond)
+	st := h.client.RepairNow(ctx)
+	if st.Shipped != 5 || st.Repaired != 0 || st.Failed != 0 {
+		t.Fatalf("sweep stats %+v: want Shipped 5, Repaired 0, Failed 0", st)
 	}
-	if got := h.client.Metrics().Repairs(); got != 0 {
-		t.Fatalf("replay path ran %d full-state repairs, want 0", got)
+	if !h.converged(id) {
+		t.Fatal("replica digest still diverged after the catch-up sweep")
 	}
 	od, _ := h.digest("n1", id)
 	if rd := h.refDigest(id); rd.Hash != od.Hash || rd.Seq != od.Seq {
@@ -329,18 +349,276 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 	}
 }
 
-// TestAntiEntropyRepairsMissedRegistration pins the sweeper: with
-// handoff disabled, a replica that misses the registration and every
-// batch is healed by one full-state transfer, adopting the owner's
-// sequence position.
+// TestRepairFallsBackToExportPastCompaction: an owner that compacts every
+// 4 records no longer logs the first 8 of the 10 batches its partitioned
+// replica missed, so the sweep installs the owner's export — exactly one
+// install, nothing shipped.
+func TestRepairFallsBackToExportPastCompaction(t *testing.T) {
+	h := newChaosHarness(t, 2, 2, 303, cluster.ClientOptions{
+		RetryBackoff:   time.Millisecond,
+		ProbeInterval:  25 * time.Millisecond,
+		JitterSeed:     7,
+		RepairInterval: -1,
+	}, kplist.StoreConfig{CompactRecords: 4})
+	ctx := context.Background()
+	id := h.pickID("fb", func(set []cluster.Member) bool {
+		return set[0].Name == "n1" && set[1].Name == "n2"
+	})
+	if acks := h.register(ctx, id, pathGraphBody(id, 32)); acks != 1 {
+		t.Fatalf("register acks = %d, want 1", acks)
+	}
+	// Adds of fresh chords: every batch is effective, so the owner is at
+	// seq 10 and its log starts at seq 8.
+	k := 0
+	h.partitionAndPatch(ctx, "n2", id, 10, func() []byte {
+		k++
+		b, _ := json.Marshal(map[string]any{"mutations": []map[string]any{{"op": "add", "u": 0, "v": k + 1}}})
+		return b
+	})
+
+	st := h.client.RepairNow(ctx)
+	if st.Repaired != 1 || st.Shipped != 0 || st.Failed != 0 {
+		t.Fatalf("sweep stats %+v: want Repaired 1, Shipped 0, Failed 0", st)
+	}
+	if !h.converged(id) {
+		t.Fatal("replica digest still diverged after the install")
+	}
+	od, _ := h.digest("n1", id)
+	if rd := h.refDigest(id); od.Seq != 10 || rd.Hash != od.Hash || rd.Seq != od.Seq {
+		t.Fatalf("owner digest %+v, reference %+v: want both at seq 10", od, rd)
+	}
+	if h.client.Metrics().Repairs() == 0 {
+		t.Fatal("kplistgw_repairs_total stayed 0 across a repair")
+	}
+	resp, err := http.Get(h.gw.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(raw), "kplistgw_repairs_total 1\n") {
+		t.Fatalf("gateway /metrics does not report the one repair:\n%s", raw)
+	}
+}
+
+// countingTransport counts the response bytes the gateway reads for
+// requests whose path starts with prefix.
+type countingTransport struct {
+	mu     sync.Mutex
+	prefix string
+	bytes  int64
+}
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	c.mu.Lock()
+	counted := err == nil && c.prefix != "" && strings.HasPrefix(req.URL.Path, c.prefix)
+	c.mu.Unlock()
+	if counted {
+		resp.Body = &countedBody{ReadCloser: resp.Body, c: c}
+	}
+	return resp, err
+}
+
+// reset starts counting requests under prefix from zero.
+func (c *countingTransport) reset(prefix string) {
+	c.mu.Lock()
+	c.prefix, c.bytes = prefix, 0
+	c.mu.Unlock()
+}
+
+func (c *countingTransport) read() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
+
+type countedBody struct {
+	io.ReadCloser
+	c *countingTransport
+}
+
+func (b *countedBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.c.mu.Lock()
+	b.c.bytes += int64(n)
+	b.c.mu.Unlock()
+	return n, err
+}
+
+// TestCatchUpBytesFollowMissedBatches pins what repair costs: the bytes a
+// sweep reads for a graph that missed k batches grow with k, and for a
+// fixed k do not depend on the graph's size — two graphs on the same
+// vertices, one with more than 20× the other's edges, cost the same to
+// within 64 bytes (the digests' m fields differ in width).
+func TestCatchUpBytesFollowMissedBatches(t *testing.T) {
+	ct := &countingTransport{}
+	h := newChaosHarness(t, 2, 2, 404, cluster.ClientOptions{
+		HTTPClient:     &http.Client{Transport: ct},
+		RetryBackoff:   time.Millisecond,
+		ProbeInterval:  25 * time.Millisecond,
+		JitterSeed:     7,
+		RepairInterval: -1,
+	}, kplist.StoreConfig{})
+	ctx := context.Background()
+	const n = 400
+	bodyFor := func(id string, reach int) []byte {
+		var edges [][2]int
+		for u := 0; u < n; u++ {
+			for d := 1; d <= reach && u+d < n; d++ {
+				edges = append(edges, [2]int{u, u + d})
+			}
+		}
+		b, _ := json.Marshal(map[string]any{"id": id, "n": n, "edges": edges})
+		return b
+	}
+	cost := make(map[[2]int]int64) // (reach, k) → bytes
+	for gi, reach := range []int{1, 25} {
+		for _, k := range []int{1, 8} {
+			id := h.pickID(fmt.Sprintf("by%d%d", gi, k), func(set []cluster.Member) bool {
+				return set[0].Name == "n1" && set[1].Name == "n2"
+			})
+			if acks := h.register(ctx, id, bodyFor(id, reach)); acks != 1 {
+				t.Fatalf("register acks = %d, want 1", acks)
+			}
+			// Chords of length 200: absent from both graphs, so every
+			// batch is effective and the same size on both.
+			i := 0
+			h.partitionAndPatch(ctx, "n2", id, k, func() []byte {
+				b, _ := json.Marshal(map[string]any{"mutations": []map[string]any{{"op": "add", "u": 100 + i, "v": 300 + i}}})
+				i++
+				return b
+			})
+			ct.reset("/v1/graphs/" + id + "/")
+			st := h.client.RepairNow(ctx)
+			if st.Shipped != k || st.Repaired != 0 {
+				t.Fatalf("reach %d, k %d: sweep stats %+v, want Shipped %d and no install", reach, k, st, k)
+			}
+			cost[[2]int{reach, k}] = ct.read()
+			ct.reset("")
+		}
+	}
+	t.Logf("bytes read per sweep (reach, k): %v", cost)
+	for _, reach := range []int{1, 25} {
+		if cost[[2]int{reach, 8}] <= cost[[2]int{reach, 1}] {
+			t.Fatalf("reach %d: 8 missed batches cost %d bytes, 1 cost %d — want growth with k",
+				reach, cost[[2]int{reach, 8}], cost[[2]int{reach, 1}])
+		}
+	}
+	for _, k := range []int{1, 8} {
+		small, big := cost[[2]int{1, k}], cost[[2]int{25, k}]
+		if d := big - small; d > 64 || d < -64 {
+			t.Fatalf("k %d: the sparse graph's catch-up read %d bytes, the dense one's %d — want within 64", k, small, big)
+		}
+	}
+}
+
+// holdTransport parks the first request that matches hold until release
+// is closed, signalling held when it parks.
+type holdTransport struct {
+	hold    func(*http.Request) bool
+	once    sync.Once
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (h *holdTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if h.hold(req) {
+		parked := false
+		h.once.Do(func() { parked = true })
+		if parked {
+			close(h.held)
+			<-h.release
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestDeleteDuringRepairStaysDeleted: a user DELETE that lands while a
+// repair is between the owner's export and the replica's install must
+// not leave the replica holding the deleted graph. Without the delete
+// taking the graph's fan-out lock, the parked install lands after the
+// delete, the next sweep skips the graph (the owner's digest is 404),
+// and a gateway read fails over to the replica and serves it.
+func TestDeleteDuringRepairStaysDeleted(t *testing.T) {
+	var replicaAddr string
+	ht := &holdTransport{held: make(chan struct{}), release: make(chan struct{})}
+	ht.hold = func(req *http.Request) bool {
+		return req.Method == http.MethodPost && req.URL.Path == "/v1/graphs" &&
+			"http://"+req.URL.Host == replicaAddr
+	}
+	h := newChaosHarness(t, 2, 2, 505, cluster.ClientOptions{
+		HTTPClient:     &http.Client{Transport: ht},
+		RetryBackoff:   time.Millisecond,
+		ProbeInterval:  25 * time.Millisecond,
+		JitterSeed:     7,
+		RepairInterval: -1,
+	}, kplist.StoreConfig{})
+	ctx := context.Background()
+	id := h.pickID("dr", func(set []cluster.Member) bool {
+		return set[0].Name == "n1" && set[1].Name == "n2"
+	})
+	// The replica misses the registration, so the sweep installs.
+	h.net.Partition("n2")
+	h.waitMember("n2", false)
+	if acks := h.register(ctx, id, pathGraphBody(id, 32)); acks != 0 {
+		t.Fatalf("register acks = %d, want 0 (replica dark)", acks)
+	}
+	h.net.Heal("n2")
+	h.waitMember("n2", true)
+	replicaAddr = h.addrOf("n2")
+
+	repaired := make(chan cluster.RepairStats)
+	go func() { repaired <- h.client.RepairNow(ctx) }()
+	<-ht.held // the install POST is parked: export and replica DELETE are done
+	deleted := make(chan error)
+	go func() {
+		_, err := h.client.DeleteRaw(ctx, id)
+		deleted <- err
+	}()
+	// Let an unlocked delete run to completion before the install lands.
+	var delErr error
+	delDone := false
+	select {
+	case delErr = <-deleted:
+		delDone = true
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(ht.release)
+	if st := <-repaired; st.Repaired != 1 {
+		t.Fatalf("sweep stats %+v: want the parked install to complete", st)
+	}
+	if !delDone {
+		delErr = <-deleted
+	}
+	if delErr != nil {
+		t.Fatalf("delete: %v", delErr)
+	}
+	for _, name := range h.names {
+		req, _ := http.NewRequest(http.MethodGet, h.addrOf(name)+"/v1/graphs/"+id, nil)
+		req.Header.Set(cluster.ForwardHeader, "1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("member %s answers %d for the deleted graph, want 404", name, resp.StatusCode)
+		}
+	}
+}
+
+// TestAntiEntropyRepairsMissedRegistration pins the sweeper: a replica
+// that misses the registration and every batch has no log prefix to
+// catch up from, and is healed by one full-state transfer, adopting the
+// owner's sequence position.
 func TestAntiEntropyRepairsMissedRegistration(t *testing.T) {
 	h := newChaosHarness(t, 2, 2, 202, cluster.ClientOptions{
 		RetryBackoff:   time.Millisecond,
 		ProbeInterval:  25 * time.Millisecond,
 		JitterSeed:     7,
-		HintQueueLimit: -1, // handoff disabled: every miss marks the replica dirty
 		RepairInterval: -1,
-	})
+	}, kplist.StoreConfig{})
 	ctx := context.Background()
 	id := h.pickID("ae", func(set []cluster.Member) bool {
 		return set[0].Name == "n1" && set[1].Name == "n2"
@@ -382,16 +660,15 @@ func TestAntiEntropyRepairsMissedRegistration(t *testing.T) {
 // applies; another member is partitioned for a third of the run and
 // SIGKILL-restarted at heal. At quiesce every replica digest must equal
 // its owner's, the cluster state must match a reference server that
-// received exactly the acknowledged batches, and the repair counters
-// must show the machinery actually ran.
+// received exactly the acknowledged batches, the sweeps must have
+// shipped log batches, and a final sweep must find nothing out of sync.
 func TestConvergenceUnderChaosSchedule(t *testing.T) {
 	h := newChaosHarness(t, 3, 2, 1234, cluster.ClientOptions{
 		RetryBackoff:   time.Millisecond,
 		ProbeInterval:  25 * time.Millisecond,
 		JitterSeed:     7,
-		HintQueueLimit: 4, // small on purpose: overflow must force full-state repair
 		RepairInterval: -1,
-	})
+	}, kplist.StoreConfig{})
 	ctx := context.Background()
 
 	events, err := faultnet.ParseSchedule(`
@@ -404,9 +681,10 @@ func TestConvergenceUnderChaosSchedule(t *testing.T) {
 	h.net.SetSchedule(events)
 
 	// Three placements, each exercising a different failure arm:
-	// A: replica behind the lossy link (drops → hints → overflow → repair)
+	// A: replica behind the lossy link (drops → gaps → log catch-up)
 	// B: owner is the partitioned member (writes fail, nothing acked)
-	// C: replica is the partitioned member (hints queue, then gap → repair)
+	// C: replica is the partitioned member (misses, kill-restart, gaps →
+	//    log catch-up)
 	idA := h.pickID("cha", func(set []cluster.Member) bool {
 		return set[0].Name == "n1" && set[1].Name == "n2"
 	})
@@ -459,11 +737,12 @@ func TestConvergenceUnderChaosSchedule(t *testing.T) {
 		return true
 	}
 	deadline := time.Now().Add(30 * time.Second)
+	shipped := 0
 	for !allConverged() {
 		if time.Now().After(deadline) {
 			t.Fatal("digests never converged at quiesce")
 		}
-		h.client.RepairNow(ctx)
+		shipped += h.client.RepairNow(ctx).Shipped
 		time.Sleep(20 * time.Millisecond)
 	}
 
@@ -495,8 +774,11 @@ func TestConvergenceUnderChaosSchedule(t *testing.T) {
 	if stats.Blackhole == 0 {
 		t.Fatal("partition never blackholed a request")
 	}
-	if h.client.Metrics().Repairs() == 0 {
-		t.Fatal("kplistgw_repairs_total stayed 0 across the chaos run")
+	if shipped == 0 {
+		t.Fatal("the quiesce sweeps shipped no log batch")
+	}
+	if st := h.client.RepairNow(ctx); st.Diverged != 0 {
+		t.Fatalf("a sweep after convergence found %d pairs out of sync", st.Diverged)
 	}
 
 	// The gateway /metrics surface exposes the self-healing counters.
@@ -508,19 +790,16 @@ func TestConvergenceUnderChaosSchedule(t *testing.T) {
 	resp.Body.Close()
 	metrics := string(raw)
 	for _, want := range []string{
-		"kplistgw_hints_queued_total",
-		"kplistgw_hints_replayed_total",
+		"kplistgw_log_batches_shipped_total",
 		"kplistgw_divergence_detected_total",
 		"kplistgw_repairs_total",
 		"kplistgw_antientropy_sweeps_total",
-		"kplistgw_hint_queue_depth",
-		"kplistgw_dirty_replicas 0",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("gateway /metrics missing %q:\n%s", want, metrics)
 		}
 	}
-	if strings.Contains(metrics, "kplistgw_repairs_total 0\n") {
-		t.Fatal("metrics text reports zero repairs despite Repairs() > 0")
+	if strings.Contains(metrics, "kplistgw_log_batches_shipped_total 0\n") {
+		t.Fatal("metrics text reports no shipped batches despite the sweeps' Shipped > 0")
 	}
 }

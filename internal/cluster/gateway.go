@@ -398,7 +398,7 @@ func (gw *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			if up {
-				gw.c.noteUp(m.Name)
+				gw.c.healthOf(m.Name).markUp()
 			} else {
 				gw.c.healthOf(m.Name).markDown()
 			}

@@ -28,8 +28,8 @@ func newMemberHealth() *memberHealth {
 }
 
 // markUp records a healthy observation and reports whether this was a
-// down→up transition — the Client uses the flip to kick hinted-handoff
-// replay exactly once per recovery.
+// down→up transition (stamped in transitionNs). A returning member needs
+// no kick: the next anti-entropy sweep catches its replicas up.
 func (h *memberHealth) markUp() bool {
 	h.consecFails.Store(0)
 	if !h.up.Swap(true) {
@@ -139,7 +139,7 @@ func (p *prober) probeOne(ctx context.Context, m Member) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
-		p.c.noteUp(m.Name)
+		p.c.healthOf(m.Name).markUp()
 	} else {
 		h.markDown()
 	}

@@ -31,10 +31,8 @@ type Metrics struct {
 	sketchShardFetches *obs.Counter
 
 	// Self-healing replication counters (DESIGN.md §13).
-	hintsQueued       *obs.Counter // batches queued for a downed replica
-	hintsReplayed     *obs.Counter // queued batches delivered after recovery
-	hintsDropped      *obs.Counter // batches lost to queue overflow (replica went dirty)
-	divergence        *obs.Counter // (replica, graph) pairs newly detected out of sync
+	divergence        *obs.Counter // (replica, graph) pairs a sweep found out of sync
+	logBatchesShipped *obs.Counter // owner log batches applied to lagging replicas
 	repairs           *obs.Counter // full-state transfers completed
 	repairFailures    *obs.Counter // full-state transfers that did not complete
 	sweeps            *obs.Counter // anti-entropy sweep passes
@@ -51,7 +49,6 @@ func newMetrics(c *Client) *Metrics {
 	r.GaugeFunc("kplistgw_ring_vnodes", func() float64 { return float64(c.cfg.VNodes * len(c.cfg.Members)) })
 	r.GaugeFunc("kplistgw_ring_replication", func() float64 { return float64(c.cfg.Replication) })
 	r.GaugeFunc("kplistgw_partitioned_graphs", func() float64 { return float64(len(c.PartitionedIDs())) })
-	r.GaugeFunc("kplistgw_dirty_replicas", func() float64 { return float64(c.hints.dirtyCount()) })
 	for _, m := range c.ring.Members() {
 		name := m.Name
 		r.GaugeFunc("kplistgw_member_up", func() float64 {
@@ -60,7 +57,6 @@ func newMetrics(c *Client) *Metrics {
 			}
 			return 0
 		}, "member", name)
-		r.GaugeFunc("kplistgw_hint_queue_depth", func() float64 { return float64(c.hints.depth(name)) }, "member", name)
 	}
 	return &Metrics{
 		reg:                r,
@@ -75,10 +71,8 @@ func newMetrics(c *Client) *Metrics {
 		unroutable:         r.Counter("kplistgw_unroutable_total"),
 		sketchMerges:       r.Counter("kplistgw_sketch_merges_total"),
 		sketchShardFetches: r.Counter("kplistgw_sketch_shard_fetches_total"),
-		hintsQueued:        r.Counter("kplistgw_hints_queued_total"),
-		hintsReplayed:      r.Counter("kplistgw_hints_replayed_total"),
-		hintsDropped:       r.Counter("kplistgw_hints_dropped_total"),
 		divergence:         r.Counter("kplistgw_divergence_detected_total"),
+		logBatchesShipped:  r.Counter("kplistgw_log_batches_shipped_total"),
 		repairs:            r.Counter("kplistgw_repairs_total"),
 		repairFailures:     r.Counter("kplistgw_repair_failures_total"),
 		sweeps:             r.Counter("kplistgw_antientropy_sweeps_total"),

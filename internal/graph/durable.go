@@ -190,6 +190,33 @@ func (s *GraphStore) AppendBatch(muts []Mutation) error {
 // LastSeq returns the WAL's current sequence number.
 func (s *GraphStore) LastSeq() uint64 { return s.wal.LastSeq() }
 
+// LoggedBatch is one committed effective mutation batch read back from
+// the WAL, with the sequence number it was logged at.
+type LoggedBatch struct {
+	Seq       uint64
+	Mutations []Mutation
+}
+
+// BatchesAfter decodes the logged batches with seq > after, in order, and
+// reports whether the WAL still covers after. It does not once a
+// compaction has folded batches past after into the snapshot: the gap is
+// then only in the snapshot, not in the log.
+func (s *GraphStore) BatchesAfter(after uint64) ([]LoggedBatch, bool, error) {
+	recs, ok, err := s.wal.ReadAfter(after)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	out := make([]LoggedBatch, len(recs))
+	for i, rec := range recs {
+		muts, err := DecodeWALBatch(rec.Payload)
+		if err != nil {
+			return nil, false, fmt.Errorf("graph: WAL record %d: %w", rec.Seq, err)
+		}
+		out[i] = LoggedBatch{Seq: rec.Seq, Mutations: muts}
+	}
+	return out, true, nil
+}
+
 // WALRecords returns how many unfolded records the WAL holds.
 func (s *GraphStore) WALRecords() int64 { return s.wal.Records() }
 

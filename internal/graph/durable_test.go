@@ -344,6 +344,53 @@ func TestGraphStoreCompaction(t *testing.T) {
 	}
 }
 
+// BatchesAfter reads the logged batches back in order with their seqs,
+// and stops covering a seq once a compaction has folded past it.
+func TestGraphStoreBatchesAfter(t *testing.T) {
+	g := Cycle(30)
+	gs, err := CreateGraphStoreAt(t.TempDir(), g, 7, StoreConfig{NoSync: true, CompactRecords: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	d := NewDynGraph(g, DynConfig{})
+	d.SetCommitHook(gs.AppendBatch)
+	batch := func(i int) []Mutation {
+		// Deletes first: the log holds the effective mutations in the
+		// order the engine applies them.
+		return []Mutation{{Op: MutDel, Edge: Edge{U: V(i + 20), V: V(i + 21)}}, {Op: MutAdd, Edge: Edge{U: V(i), V: V(i + 10)}}}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := d.ApplyBatch(batch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, _ := gs.BatchesAfter(6); ok {
+		t.Fatal("a store seeded at epoch 7 claims to cover seq 6")
+	}
+	got, ok, err := gs.BatchesAfter(8)
+	if err != nil || !ok || len(got) != 2 {
+		t.Fatalf("after 8: %d batches, covers %v, err %v", len(got), ok, err)
+	}
+	for i, b := range got {
+		if want := batch(i + 1); b.Seq != uint64(9+i) || !reflect.DeepEqual(b.Mutations, want) {
+			t.Fatalf("batch %d: seq %d %v, want seq %d %v", i, b.Seq, b.Mutations, 9+i, want)
+		}
+	}
+	if _, err := d.ApplyBatch(batch(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := gs.Compact(d.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := gs.BatchesAfter(9); ok {
+		t.Fatal("compacted store still covers seq 9")
+	}
+	if got, ok, _ := gs.BatchesAfter(11); !ok || len(got) != 0 {
+		t.Fatalf("after the compaction epoch: %d batches, covers %v", len(got), ok)
+	}
+}
+
 // A crash between the compaction snapshot's rename and the WAL reset
 // leaves both the new snapshot and the stale log; recovery must skip the
 // already-folded records.

@@ -2,8 +2,9 @@ package server
 
 // The self-healing replication surface (DESIGN.md §13): every graph
 // carries an applied-mutation sequence number, /digest fingerprints the
-// exact served state cheaply, and /export hands the whole graph plus its
-// sequence position to the anti-entropy repairer in one document. The
+// exact served state cheaply, /log hands a lagging replica the batches
+// it missed straight from the WAL, and /export hands the whole graph plus
+// its sequence position to the anti-entropy repairer in one document. The
 // sequence counter advances once per *effective* mutation batch — the
 // same discipline as the WAL, so on a durable node the counter and
 // GraphStore.LastSeq agree and boot recovery restores it from the log.
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 
 	"kplist"
@@ -135,4 +137,70 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		Seq:    s.appliedSeq(id).Load(),
 		Edges:  edges,
 	})
+}
+
+// logResponse is GET /v1/graphs/{id}/log?after=N: the graph's applied
+// sequence number and every logged batch past N, oldest first. Each batch
+// is a PATCH body plus its seq, so it posts to a replica's /replica as
+// it is, tagged with that seq.
+type logResponse struct {
+	Graph   string     `json:"graph"`
+	Seq     uint64     `json:"seq"`
+	Batches []logBatch `json:"batches"`
+}
+
+type logBatch struct {
+	Seq       uint64         `json:"seq"`
+	Mutations []mutationWire `json:"mutations"`
+}
+
+// handleLog serves the WAL tail a replica at seq N is missing. It reads
+// under the mutation lock, so the batches and the seq are one consistent
+// cut. It answers 410, with the node's seq in X-Kplist-Seq, when the log
+// cannot cover N — an in-memory node, or a compaction folded batches past
+// N into the snapshot — and the caller falls back to /export.
+func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	after, err := strconv.ParseUint(r.URL.Query().Get("after"), 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad after %q: want a seq ≥ 0", r.URL.Query().Get("after")))
+		return
+	}
+	unlock := s.lockMutations(id)
+	defer unlock()
+	if _, err := s.reg.Get(id); err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	seq := s.appliedSeq(id).Load()
+	out := logResponse{Graph: id, Seq: seq, Batches: []logBatch{}}
+	if after < seq {
+		covered := false
+		// The log's numbering is the fence's only while the two agree.
+		if st := s.persist.store(id); st != nil && st.LastSeq() == seq {
+			batches, ok, err := st.BatchesAfter(after)
+			if err != nil {
+				writeError(w, http.StatusInternalServerError, err)
+				return
+			}
+			covered = ok
+			for _, b := range batches {
+				lb := logBatch{Seq: b.Seq, Mutations: make([]mutationWire, len(b.Mutations))}
+				for i, m := range b.Mutations {
+					op := "add"
+					if m.Op == kplist.MutDel {
+						op = "remove"
+					}
+					lb.Mutations[i] = mutationWire{Op: op, U: m.Edge.U, V: m.Edge.V}
+				}
+				out.Batches = append(out.Batches, lb)
+			}
+		}
+		if !covered {
+			w.Header().Set(SeqHeader, strconv.FormatUint(seq, 10))
+			writeError(w, http.StatusGone, fmt.Errorf("graph %s: the log no longer covers seq %d (node at %d)", id, after, seq))
+			return
+		}
+	}
+	writeJSON(w, http.StatusOK, out)
 }

@@ -1,18 +1,21 @@
 package server_test
 
 // Node-side self-healing surface (DESIGN.md §13): the applied-batch
-// sequence counter, the /digest and /export endpoints, and the replica
-// apply seq discipline (idempotent duplicates, refused gaps) the
-// gateway's hinted handoff and anti-entropy sweeper build on.
+// sequence counter, the /digest, /log and /export endpoints, and the
+// replica apply seq discipline (idempotent duplicates, refused gaps) the
+// gateway's anti-entropy sweep builds on.
 
 import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
 
+	"kplist"
 	"kplist/internal/cluster"
 	"kplist/internal/server"
 )
@@ -137,7 +140,7 @@ func TestReplicaApplySeqDiscipline(t *testing.T) {
 	}
 	d1, _ := getDigest(t, ts.URL, "crep01")
 
-	// Replaying the same batch (hinted-handoff replay, fan-out retry) is
+	// Replaying the same batch (a fan-out retry, a log catch-up) is
 	// acknowledged without re-applying.
 	resp, body = replicaApply(t, ts.URL, "crep01", 1, patchBody([3]any{"add", 1, 2}))
 	if resp.StatusCode != http.StatusOK {
@@ -273,4 +276,154 @@ func TestExportInstallRoundtrip(t *testing.T) {
 	if d, _ := getDigest(t, dst.URL, "cexp02"); d.Seq != 0 {
 		t.Fatalf("workload graph adopted seq %d, want 0", d.Seq)
 	}
+}
+
+type logDoc struct {
+	Graph   string `json:"graph"`
+	Seq     uint64 `json:"seq"`
+	Batches []struct {
+		Seq       uint64           `json:"seq"`
+		Mutations []map[string]any `json:"mutations"`
+	} `json:"batches"`
+}
+
+func getLog(t *testing.T, base, id, after string) (logDoc, *http.Response) {
+	t.Helper()
+	resp, body := get(t, base+"/v1/graphs/"+id+"/log?after="+after)
+	var d logDoc
+	if resp.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(body, &d); err != nil {
+			t.Fatalf("bad log body %s: %v", body, err)
+		}
+	}
+	return d, resp
+}
+
+// TestLogServesWALTail pins GET /log: a durable node serves the batches
+// past ?after= in the PATCH wire form, each of which applies to a replica
+// as it is; after ≥ seq is an empty list; a bad after is a 400; and a
+// log that cannot cover after — an in-memory node, or a compaction past
+// it — is a 410 carrying the node's seq.
+func TestLogServesWALTail(t *testing.T) {
+	_, owner := newPersistentServer(t, t.TempDir(), func(c *server.Config) {
+		c.Store = kplist.StoreConfig{NoSync: true, CompactRecords: 4}
+	})
+	_, replica := newTestServer(t, nil)
+	reg := map[string]any{"id": "clog01", "n": 6, "edges": [][2]int{{0, 1}, {1, 2}}}
+	for _, base := range []string{owner.URL, replica.URL} {
+		if resp, body := postJSON(t, base+"/v1/graphs", reg); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("register: %d %s", resp.StatusCode, body)
+		}
+	}
+	for _, ops := range [][3]any{{"add", 2, 3}, {"add", 0, 1}, {"remove", 0, 1}, {"add", 3, 4}} {
+		if resp, body := patchJSON(t, owner.URL+"/v1/graphs/clog01/edges", patchBody(ops)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("patch: %d %s", resp.StatusCode, body)
+		}
+	}
+
+	// The no-op add of {0,1} logged nothing: three batches, seqs 1..3.
+	d, resp := getLog(t, owner.URL, "clog01", "0")
+	if resp.StatusCode != http.StatusOK || d.Graph != "clog01" || d.Seq != 3 || len(d.Batches) != 3 {
+		t.Fatalf("log after 0: %d %+v", resp.StatusCode, d)
+	}
+	for i, b := range d.Batches {
+		if b.Seq != uint64(i+1) || len(b.Mutations) != 1 {
+			t.Fatalf("batch %d: %+v", i, b)
+		}
+		resp, body := replicaApply(t, replica.URL, "clog01", b.Seq, map[string]any{"mutations": b.Mutations})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("shipping batch %d: %d %s", b.Seq, resp.StatusCode, body)
+		}
+	}
+	if m := d.Batches[1].Mutations[0]; m["op"] != "remove" || m["u"] != 0.0 || m["v"] != 1.0 {
+		t.Fatalf("batch 2 mutation %v, want the PATCH form of remove {0,1}", m)
+	}
+	od, _ := getDigest(t, owner.URL, "clog01")
+	if rd, _ := getDigest(t, replica.URL, "clog01"); rd != od {
+		t.Fatalf("replica digest %+v after shipping the log, owner %+v", rd, od)
+	}
+	if d, resp := getLog(t, owner.URL, "clog01", "2"); resp.StatusCode != http.StatusOK || len(d.Batches) != 1 || d.Batches[0].Seq != 3 {
+		t.Fatalf("log after 2: %d %+v", resp.StatusCode, d)
+	}
+	for _, after := range []string{"3", "99"} {
+		if d, resp := getLog(t, owner.URL, "clog01", after); resp.StatusCode != http.StatusOK || d.Seq != 3 || d.Batches == nil || len(d.Batches) != 0 {
+			t.Fatalf("log after %s: %d %+v, want an empty list", after, resp.StatusCode, d)
+		}
+	}
+	for _, after := range []string{"", "-1", "x", "18446744073709551616"} {
+		if _, resp := getLog(t, owner.URL, "clog01", after); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("after %q: %d, want 400", after, resp.StatusCode)
+		}
+	}
+	if _, resp := getLog(t, owner.URL, "nope", "0"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown graph: %d, want 404", resp.StatusCode)
+	}
+	// An in-memory node keeps no log.
+	if _, resp := getLog(t, replica.URL, "clog01", "0"); resp.StatusCode != http.StatusGone || resp.Header.Get(server.SeqHeader) != "3" {
+		t.Fatalf("in-memory log: %d seq %q, want 410 at 3", resp.StatusCode, resp.Header.Get(server.SeqHeader))
+	}
+
+	// The fourth batch compacts the log (CompactRecords 4): it starts
+	// over at seq 4, so only after ≥ 4 is still covered.
+	if resp, _ := patchJSON(t, owner.URL+"/v1/graphs/clog01/edges", patchBody([3]any{"add", 4, 5})); resp.StatusCode != http.StatusOK {
+		t.Fatalf("patch: %d", resp.StatusCode)
+	}
+	if _, resp := getLog(t, owner.URL, "clog01", "3"); resp.StatusCode != http.StatusGone || resp.Header.Get(server.SeqHeader) != "4" {
+		t.Fatalf("log past a compaction: %d seq %q, want 410 at 4", resp.StatusCode, resp.Header.Get(server.SeqHeader))
+	}
+	if resp, _ := patchJSON(t, owner.URL+"/v1/graphs/clog01/edges", patchBody([3]any{"remove", 4, 5})); resp.StatusCode != http.StatusOK {
+		t.Fatalf("patch: %d", resp.StatusCode)
+	}
+	if d, resp := getLog(t, owner.URL, "clog01", "4"); resp.StatusCode != http.StatusOK || len(d.Batches) != 1 || d.Batches[0].Seq != 5 {
+		t.Fatalf("log after the compaction epoch: %d %+v", resp.StatusCode, d)
+	}
+}
+
+// FuzzReplicationRead fuzzes the read surface the anti-entropy sweep
+// uses — GET /digest, /export and /log?after= — on a live durable handler
+// whose graph has logged batches: the graph ID and the after value.
+// Every input gets a 2xx or a 4xx, never a 5xx or a panic; the handler
+// is called directly, so a panic fails the target.
+func FuzzReplicationRead(f *testing.F) {
+	srv, err := server.Open(server.Config{DataDir: f.TempDir(), Store: kplist.StoreConfig{NoSync: true}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Close() })
+	h := srv.Handler()
+	serve := func(method, target, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		return rec
+	}
+	if rec := serve(http.MethodPost, "/v1/graphs", `{"id":"cfz01","n":8,"edges":[[0,1],[1,2]]}`); rec.Code != http.StatusCreated {
+		f.Fatalf("register: status %d body %s", rec.Code, rec.Body)
+	}
+	for _, m := range []string{`"add","u":2,"v":3`, `"remove","u":0,"v":1`, `"add","u":5,"v":7`} {
+		if rec := serve(http.MethodPatch, "/v1/graphs/cfz01/edges", `{"mutations":[{"op":`+m+`}]}`); rec.Code != http.StatusOK {
+			f.Fatalf("patch: status %d body %s", rec.Code, rec.Body)
+		}
+	}
+	for _, seed := range []struct{ id, after string }{
+		{"cfz01", "0"}, {"cfz01", "2"}, {"cfz01", "3"}, {"cfz01", "18446744073709551615"},
+		{"cfz01", ""}, {"cfz01", "-1"}, {"cfz01", "1e3"}, {"cfz01", "18446744073709551616"},
+		{"nope", "0"}, {"g1", "1"}, {"../cfz01", "0"}, {"c fz", "x"},
+	} {
+		f.Add(seed.id, seed.after)
+	}
+	f.Fuzz(func(t *testing.T, id, after string) {
+		esc := url.PathEscape(id)
+		if esc == "" || esc == "." || esc == ".." {
+			t.Skip("the mux redirects an unclean path before any handler runs")
+		}
+		for _, target := range []string{
+			"/v1/graphs/" + esc + "/digest",
+			"/v1/graphs/" + esc + "/export",
+			"/v1/graphs/" + esc + "/log?after=" + url.QueryEscape(after),
+		} {
+			if rec := serve(http.MethodGet, target, ""); rec.Code >= 500 || rec.Code < 200 || rec.Code >= 300 && rec.Code < 400 {
+				t.Fatalf("GET %s: status %d body %s", target, rec.Code, rec.Body)
+			}
+		}
+	})
 }

@@ -365,7 +365,8 @@ type patchResponse struct {
 	// Seq is the graph's applied-batch sequence number after this request
 	// (also in the X-Kplist-Seq header); Duplicate marks a replica apply
 	// that was skipped because its sequence number was already applied —
-	// the idempotence the hinted-handoff replay path relies on.
+	// the idempotence that makes resending a batch (a fan-out retry, a
+	// log catch-up racing one) harmless.
 	Seq       uint64 `json:"seq"`
 	Duplicate bool   `json:"duplicate,omitempty"`
 }
@@ -447,11 +448,12 @@ func (s *Server) applyPatch(w http.ResponseWriter, r *http.Request, replica bool
 	defer unlock()
 
 	// Replica applies carry the owner-assigned sequence number and must
-	// land strictly in order: a duplicate (hinted-handoff replay, fan-out
-	// retry) is acknowledged without re-applying, and a gap means this
-	// replica missed acknowledged batches — applying out of order would
-	// bury the divergence in the WAL, so it is refused and left to the
-	// anti-entropy sweeper's full-state repair.
+	// land strictly in order: a duplicate (fan-out retry, log catch-up)
+	// is acknowledged without re-applying, and a gap means this replica
+	// missed acknowledged batches — applying out of order would bury the
+	// divergence in the WAL, so it is refused with 409 until the
+	// anti-entropy sweep ships the missing batches from the owner's log
+	// (or installs the owner's export).
 	seq := s.appliedSeq(id)
 	if hdrSeq > 0 {
 		cur := seq.Load()
@@ -484,10 +486,7 @@ func (s *Server) applyPatch(w http.ResponseWriter, r *http.Request, replica bool
 	// mutates — an append failure rejects the whole batch, so the log
 	// never lags the served state. The hook is (re)installed under the
 	// mutation lock; sessions reopened by the pool start without one.
-	var st *kplist.GraphStore
-	if s.persist != nil {
-		st = s.persist.store(id)
-	}
+	st := s.persist.store(id)
 	if st != nil {
 		sess.SetMutationHook(func(eff []kplist.Mutation) error {
 			t0 := time.Now()

@@ -204,9 +204,12 @@ func (p *persistence) writeManifestLocked(nextID int) error {
 	return nil
 }
 
-// store returns id's open store (nil when the graph predates -data-dir
-// or persistence is off for it).
+// store returns id's open store (nil when the node is in-memory, or the
+// graph predates -data-dir or persistence is off for it).
 func (p *persistence) store(id string) *kplist.GraphStore {
+	if p == nil {
+		return nil
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stores[id]

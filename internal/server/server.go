@@ -197,6 +197,7 @@ func Open(cfg Config) (*Server, error) {
 	s.route("PATCH /v1/graphs/{id}/replica", http.HandlerFunc(s.handleReplicaApply), true)
 	s.route("GET /v1/graphs/{id}/digest", s.clusterGate(http.HandlerFunc(s.handleDigest), false), true)
 	s.route("GET /v1/graphs/{id}/export", s.clusterGate(http.HandlerFunc(s.handleExport), false), true)
+	s.route("GET /v1/graphs/{id}/log", s.clusterGate(http.HandlerFunc(s.handleLog), false), true)
 	return s, nil
 }
 

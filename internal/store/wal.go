@@ -233,6 +233,35 @@ func (w *WAL) AdvanceSeq(seq uint64) {
 	}
 }
 
+// ReadAfter returns the committed records with Seq > after, read back
+// through the open file, and reports whether the log still covers after:
+// it starts at its first record's seq − 1, or at LastSeq when it is
+// empty, so a compaction past after leaves a gap only a snapshot can
+// fill. Payloads alias a buffer read for this call; the log keeps no copy
+// of itself in memory.
+func (w *WAL) ReadAfter(after uint64) ([]Record, bool, error) {
+	data := make([]byte, w.size)
+	if _, err := w.f.ReadAt(data, 0); err != nil {
+		return nil, false, err
+	}
+	res, err := ScanRecords(data)
+	if err != nil {
+		return nil, false, err
+	}
+	start := w.lastSeq
+	if len(res.Records) > 0 {
+		start = res.Records[0].Seq - 1
+	}
+	if after < start {
+		return nil, false, nil
+	}
+	i := 0
+	for i < len(res.Records) && res.Records[i].Seq <= after {
+		i++
+	}
+	return res.Records[i:], true, nil
+}
+
 // Records returns how many records the log currently holds.
 func (w *WAL) Records() int64 { return w.records }
 

@@ -317,3 +317,65 @@ func TestWALFailedRollbackPoisonsLog(t *testing.T) {
 		t.Fatalf("poisoned log accepted an append: %v", err)
 	}
 }
+
+// TestWALReadAfter pins the log-tail read the replica catch-up serves
+// from: the records past a seq, the coverage boundary (first record's
+// seq − 1, or LastSeq on an empty log) and a reset log's new start.
+func TestWALReadAfter(t *testing.T) {
+	w, _ := mustOpenWAL(t, filepath.Join(t.TempDir(), "wal.log"))
+	defer w.Close()
+	if recs, ok, err := w.ReadAfter(0); err != nil || !ok || len(recs) != 0 {
+		t.Fatalf("empty log: %d records, covers %v, err %v", len(recs), ok, err)
+	}
+	for i := 1; i <= 4; i++ {
+		if _, err := w.Append([]byte(fmt.Sprintf("batch-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for after := uint64(0); after <= 5; after++ {
+		recs, ok, err := w.ReadAfter(after)
+		if err != nil || !ok {
+			t.Fatalf("after %d: covers %v, err %v", after, ok, err)
+		}
+		want := 0
+		if after < 4 {
+			want = int(4 - after)
+		}
+		if len(recs) != want {
+			t.Fatalf("after %d: %d records, want %d", after, len(recs), want)
+		}
+		for i, r := range recs {
+			if r.Seq != after+uint64(i)+1 || string(r.Payload) != fmt.Sprintf("batch-%d", r.Seq) {
+				t.Fatalf("after %d: record %d is seq %d %q", after, i, r.Seq, r.Payload)
+			}
+		}
+	}
+
+	// A reset (compaction) moves the start to LastSeq; one more append
+	// starts the log at seq 5 − 1.
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := w.ReadAfter(3); ok {
+		t.Fatal("reset log still claims to cover seq 3")
+	}
+	if recs, ok, _ := w.ReadAfter(4); !ok || len(recs) != 0 {
+		t.Fatalf("reset log after 4: %d records, covers %v", len(recs), ok)
+	}
+	if _, err := w.Append([]byte("batch-5")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := w.ReadAfter(3); ok {
+		t.Fatal("log starting at seq 5 claims to cover seq 3")
+	}
+	if recs, ok, _ := w.ReadAfter(4); !ok || len(recs) != 1 || recs[0].Seq != 5 {
+		t.Fatalf("after 4: %+v covers %v", recs, ok)
+	}
+	// Appends after a read still land at the end of the file.
+	if _, err := w.Append([]byte("batch-6")); err != nil {
+		t.Fatal(err)
+	}
+	if recs, _, _ := w.ReadAfter(4); len(recs) != 2 || recs[1].Seq != 6 {
+		t.Fatalf("after a read, append: %+v", recs)
+	}
+}
