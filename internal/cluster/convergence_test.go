@@ -568,10 +568,14 @@ func TestDeleteDuringRepairStaysDeleted(t *testing.T) {
 	h.waitMember("n2", true)
 	replicaAddr = h.addrOf("n2")
 
-	repaired := make(chan cluster.RepairStats)
+	repaired := make(chan cluster.RepairStats, 1)
 	go func() { repaired <- h.client.RepairNow(ctx) }()
-	<-ht.held // the install POST is parked: export and replica DELETE are done
-	deleted := make(chan error)
+	select {
+	case <-ht.held: // the install POST is parked: export and replica DELETE are done
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sweep never reached the replica install")
+	}
+	deleted := make(chan error, 1)
 	go func() {
 		_, err := h.client.DeleteRaw(ctx, id)
 		deleted <- err
