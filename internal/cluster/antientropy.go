@@ -138,16 +138,14 @@ func (c *Client) repairReplica(ctx context.Context, owner, m Member, id string, 
 	if err == nil && rd.Seq < od.Seq {
 		n, err := c.catchUp(ctx, owner, m, id, rd.Seq)
 		st.Shipped += n
-		switch {
-		case errors.Is(err, errLogGone):
-		case err != nil:
-			c.met.repairFailures.Inc()
-			st.Failed++
-			return
-		default:
+		if err == nil {
 			if rd, err := c.fetchDigest(ctx, m, id); err == nil && rd.Seq == od.Seq && rd.Hash == od.Hash {
 				return
 			}
+		} else if !errors.Is(err, errLogGone) {
+			c.met.repairFailures.Inc()
+			st.Failed++
+			return
 		}
 	}
 	if err := c.install(ctx, owner, m, id); err != nil {
